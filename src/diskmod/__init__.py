@@ -57,7 +57,6 @@ from .corona import (
     certify,
     certify_spec,
     check_corona,
-    lipschitz_bound,
     make_spec,
 )
 from .equivalence import (

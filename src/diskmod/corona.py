@@ -1,16 +1,26 @@
 """Certified lower bounds for |theta1|^2 + |theta2|^2 on the closed disk.
 
-Adaptive subdivision of [-1,1]^2: a box passes once the value at its (clipped)
-center minus a certified Lipschitz allowance over its diameter clears the
-target, so the returned epsilon is a sound global lower bound.  Certification
-runs over the closed disk; for this function class the infimum over the open
-disk equals the minimum there.
+Breadth-first quadtree over [-1,1]^2, one level at a time as numpy arrays.
+Every box gets the Taylor coefficients b_ij(c) of the multipliers at its
+center c, projected onto the closed disk.  Projection does not increase the
+distance to points of the disk, so with rho the box half-diagonal, every z of
+the box inside the closed disk satisfies
+
+    sqrt(u(z)) >= |Theta(c)| - ||(R1(rho), R2(rho))||,
+    R_i(rho) = sum_{j>=1} |b_ij(c)| rho^j.
+
+A box passes once that bound, squared, reaches the target.  Each coefficient
+carries an a-priori rounding allowance, so the returned epsilon is a sound
+lower bound in floating point, not only in exact arithmetic.  Rational pairs
+reduce to polynomials: u = (|p1 q2|^2 + |p2 q1|^2) / |q1 q2|^2, and the same
+Taylor data bound max |q1 q2| over each box.  Certification runs over the
+closed disk; for this function class the infimum over the open disk equals
+the minimum there.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -18,12 +28,24 @@ import numpy as np
 
 from .curvature import QuotientSpec
 from .errors import CoronaFailure, DepthExceeded
-from .holofun import common_zeros_in_disk, derivative, max_modulus_bound
+from .holofun import common_zeros_in_disk
 
 MAX_DEPTH = 24
 # hard cap on processed boxes; certification that needs more is hopeless anyway
 BOX_BUDGET = 2_000_000
 DEFAULT_TARGET_GAP = 1e-6
+# boxes evaluated per numpy batch; bounds the working memory of a wide level
+_CHUNK = 8192
+# unit roundoff of IEEE double precision
+_UNIT = 2.0**-53
+# a 4 x 4 block of next-level boxes around a box: its children and the
+# nearest children of its eight neighbours
+_WINDOW = np.array([-3.0, -1.0, 1.0, 3.0])
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * _UNIT / (1.0 - k * _UNIT)
 
 
 @dataclass(frozen=True)
@@ -35,24 +57,119 @@ class CoronaCertificate:
     boxes_checked: int
 
 
-def lipschitz_bound(theta):
-    """Certified Lipschitz constant of u = |theta1|^2 + |theta2|^2 on the closed disk.
+class _BoxBounds:
+    """Vectorized per-box bounds for u = (|P1|^2 + |P2|^2) / |Q|^2.
 
-    |grad u| = 2 |theta1' conj(theta1) + theta2' conj(theta2)|, bounded by
-    coefficient-sum sup norms of the components and their derivatives.
+    P1 = p1 q2, P2 = p2 q1 and Q = q1 q2 are the cross products of the
+    numerators and denominators (Q = 1 for a polynomial pair).  Column
+    f * (n + 1) + j of ``shift`` maps the powers c^m to the j-th Taylor
+    coefficient of polynomial f at c: sum_m C(m + j, j) a_f[m + j] c^m.
+    ``shift_abs`` is the same map on |a| * |b|, which bounds the exact
+    products coefficientwise; it scales every rounding allowance.
     """
-    t1, t2 = theta
-    return 2.0 * (
-        max_modulus_bound(t1) * max_modulus_bound(derivative(t1))
-        + max_modulus_bound(t2) * max_modulus_bound(derivative(t2))
-    )
+
+    def __init__(self, theta):
+        t1, t2 = theta
+        factors = ((t1.numer, t2.denom), (t2.numer, t1.denom), (t1.denom, t2.denom))
+        prods = [np.convolve(a, b) for a, b in factors]
+        prods_abs = [np.convolve(np.abs(a), np.abs(b)) for a, b in factors]
+        n = max(len(p) for p in prods) - 1
+        m, j = np.indices((n + 1, n + 1))
+        index = np.minimum(m + j, n)
+        # C(m + j, j), zero where m + j > n
+        binom = np.array(
+            [[math.comb(r + c, c) if r + c <= n else 0 for c in range(n + 1)]
+             for r in range(n + 1)],
+            dtype=float,
+        )
+
+        def shift_matrix(coeffs):
+            padded = np.zeros(n + 1, dtype=coeffs.dtype)
+            padded[: len(coeffs)] = coeffs
+            return binom * padded[index]
+
+        self.n = n
+        self.shift = np.hstack([shift_matrix(p) for p in prods])
+        self.shift_abs = np.hstack([shift_matrix(p) for p in prods_abs])
+        # rounding of the products (sums of <= n + 1 complex terms), of the
+        # shift matrix entries, of the powers c^m (n complex products) and of
+        # the complex matrix product; doubled for the complex operations.
+        # Horner-type a-priori bound (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2nd ed., section 5.1).
+        self.coeff_gamma = _gamma(2 * (5 * n + 12))
+        # rounding of the final combination of center values and tails
+        self.final_gamma = _gamma(2 * n + 10)
+
+    def center_values(self, c):
+        """(|P1(c)|^2 + |P2(c)|^2) / |Q(c)|^2 on an array of disk points."""
+        b = self._powers(c) @ self.shift[:, :: self.n + 1]
+        return (np.abs(b[:, 0]) ** 2 + np.abs(b[:, 1]) ** 2) / np.abs(b[:, 2]) ** 2
+
+    def _powers(self, c):
+        powers = np.ones((len(c), self.n + 1), dtype=complex)
+        if self.n:
+            powers[:, 1:] = np.cumprod(np.repeat(c[:, None], self.n, axis=1), axis=1)
+        return powers
+
+    def bounds(self, c, rho):
+        """Certified lower bound of u on each box, and u at each center.
+
+        ``c`` holds the box centers projected onto the closed disk and ``rho``
+        the common half-diagonal, already rounded up.
+        """
+        n = self.n
+        powers = self._powers(c)
+        coeffs = np.abs(powers @ self.shift).reshape(len(c), 3, n + 1)
+        err = self.coeff_gamma * (np.abs(powers) @ self.shift_abs)
+        err = err.reshape(len(c), 3, n + 1)
+        rho_pow = rho ** np.arange(1, n + 1)
+        tails = (coeffs[:, :, 1:] + err[:, :, 1:]) @ rho_pow
+        num = np.hypot(coeffs[:, 0, 0], coeffs[:, 1, 0])
+        den = coeffs[:, 2, 0]
+        slack = np.hypot(err[:, 0, 0], err[:, 1, 0]) + np.hypot(tails[:, 0], tails[:, 1])
+        g = self.final_gamma
+        lower = np.maximum(num * (1.0 - g) - slack * (1.0 + g), 0.0)
+        q_max = (den + err[:, 2, 0] + tails[:, 2]) * (1.0 + g)
+        return (lower / q_max) ** 2 * (1.0 - g), (num / den) ** 2
 
 
-def _clip_to_disk(x, y):
-    r = math.hypot(x, y)
-    if r <= 1.0:
-        return complex(x, y)
-    return complex(x / r, y / r)
+def _project(cx, cy):
+    """Box centers as complex numbers, projected onto the closed disk."""
+    c = cx + 1j * cy
+    r = np.abs(c)
+    return np.where(r > 1.0, c / np.maximum(r, 1.0), c)
+
+
+def _meets_disk(cx, cy, half):
+    """Mask of the boxes that intersect the closed disk."""
+    ox = np.maximum(np.abs(cx) - half, 0.0)
+    oy = np.maximum(np.abs(cy) - half, 0.0)
+    return ox * ox + oy * oy <= 1.0
+
+
+def _half_diagonal(half):
+    # rounded up, with room for the rounding of the projected center
+    return half * math.sqrt(2.0) * (1.0 + 4.0 * _UNIT) + 4.0 * _UNIT
+
+
+def _descend(boxes, cx, cy, value, half, depth):
+    """Follow the smallest center value from one box down to MAX_DEPTH.
+
+    Each step keeps the best of the next-level boxes in a 4 x 4 window around
+    the current one, so a minimum near a box edge is not lost.  Returns the
+    final projected center and u there.
+    """
+    while depth < MAX_DEPTH:
+        half /= 2.0
+        gx, gy = np.meshgrid(cx + half * _WINDOW, cy + half * _WINDOW)
+        gx, gy = gx.ravel(), gy.ravel()
+        keep = _meets_disk(gx, gy, half)
+        gx, gy = gx[keep], gy[keep]
+        values = boxes.center_values(_project(gx, gy))
+        k = int(np.argmin(values))
+        cx, cy, value = gx[k], gy[k], values[k]
+        depth += 1
+    return complex(_project(cx, cy)), float(value)
 
 
 def certify(theta, target_gap=DEFAULT_TARGET_GAP):
@@ -60,73 +177,60 @@ def certify(theta, target_gap=DEFAULT_TARGET_GAP):
 
     Returns a CoronaCertificate whose epsilon is a sound lower bound for
     u = |theta1|^2 + |theta2|^2 over the closed disk (and at least
-    ``target_gap``).  Raises CoronaFailure with a witness point when a box at
-    maximal depth still has u below 10 * target_gap, and DepthExceeded (with
-    the best bound found so far) when subdivision runs out of depth or budget
-    without either outcome.
+    ``target_gap``).  Once a box center has u below ``target_gap`` no
+    certificate is possible, and the search follows the smallest center value
+    down to maximal depth.  Raises CoronaFailure with a witness point when u
+    there is below 10 * target_gap, and DepthExceeded (with the best bound
+    found so far) when subdivision runs out of depth or budget without either
+    outcome.
     """
     if target_gap <= 0:
         raise ValueError("target_gap must be positive")
-    t1, t2 = theta
-    L = lipschitz_bound(theta)
-
-    def u(z):
-        return abs(t1(z)) ** 2 + abs(t2(z)) ** 2
-
-    # heap entries: (u at clipped center, -depth, tiebreak, cx, cy, half-side).
-    # smallest u first digs toward any failure; on ties the deepest box wins,
-    # so a flat near-failing region is drilled instead of flooded.
-    counter = 0
-    root = (u(_clip_to_disk(0.0, 0.0)), 0, counter, 0.0, 0.0, 1.0)
-    heap = [root]
+    boxes = _BoxBounds(theta)
+    cx = np.zeros(1)
+    cy = np.zeros(1)
+    half = 1.0
+    depth = 0
     accepted_min = np.inf
-    max_depth_seen = 0
-    boxes = 0
+    accepted_depth = 0
+    checked = 0
 
-    def best_bound(extra):
-        # sound global bound: accepted boxes plus everything still queued
-        out = min(accepted_min, extra)
-        for val, _, _, _, _, half in heap:
-            out = min(out, val - L * 2.0 * half * math.sqrt(2.0))
-        return out
+    while True:
+        checked += len(cx)
+        rho = _half_diagonal(half)
+        lower = np.empty(len(cx))
+        values = np.empty(len(cx))
+        for s in range(0, len(cx), _CHUNK):
+            part = slice(s, s + _CHUNK)
+            lower[part], values[part] = boxes.bounds(_project(cx[part], cy[part]), rho)
 
-    while heap:
-        val, neg_depth, _, cx, cy, half = heapq.heappop(heap)
-        depth = -neg_depth
-        boxes += 1
-        diam = 2.0 * half * math.sqrt(2.0)
-        lower = val - L * diam
-        if lower >= target_gap:
-            accepted_min = min(accepted_min, lower)
-            max_depth_seen = max(max_depth_seen, depth)
-            continue
-        center = _clip_to_disk(cx, cy)
-        if depth >= MAX_DEPTH:
-            if val < 10.0 * target_gap:
-                raise CoronaFailure(witness=center, value=val)
-            raise DepthExceeded(best_bound(lower), witness=center, value=val)
-        if boxes > BOX_BUDGET:
-            raise DepthExceeded(best_bound(lower), witness=center, value=val)
-        q = half / 2.0
-        for dx in (-q, q):
-            for dy in (-q, q):
-                nx, ny = cx + dx, cy + dy
-                # discard boxes fully outside the closed disk
-                ox = max(abs(nx) - q, 0.0)
-                oy = max(abs(ny) - q, 0.0)
-                if ox * ox + oy * oy > 1.0:
-                    continue
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (u(_clip_to_disk(nx, ny)), -(depth + 1), counter, nx, ny, q),
-                )
+        passed = lower >= target_gap
+        if passed.any():
+            accepted_min = min(accepted_min, float(lower[passed].min()))
+            accepted_depth = depth
+        if passed.all():
+            return CoronaCertificate(
+                epsilon=accepted_min, depth=accepted_depth, boxes_checked=checked
+            )
+        cx, cy, lower, values = cx[~passed], cy[~passed], lower[~passed], values[~passed]
+        # sound global bound: accepted boxes plus every open box of this level
+        best_bound = min(accepted_min, float(lower.min()))
+        k = int(np.argmin(values))
+        if values[k] < target_gap or depth >= MAX_DEPTH:
+            witness, value = _descend(boxes, cx[k], cy[k], values[k], half, depth)
+            if value < 10.0 * target_gap:
+                raise CoronaFailure(witness=witness, value=value)
+            raise DepthExceeded(best_bound, witness=witness, value=value)
+        if checked + 4 * len(cx) > BOX_BUDGET:
+            witness = complex(_project(cx[k], cy[k]))
+            raise DepthExceeded(best_bound, witness=witness, value=values[k])
 
-    return CoronaCertificate(
-        epsilon=float(accepted_min),
-        depth=max_depth_seen,
-        boxes_checked=boxes,
-    )
+        half /= 2.0
+        depth += 1
+        cx = np.concatenate([cx - half, cx + half, cx - half, cx + half])
+        cy = np.concatenate([cy - half, cy - half, cy + half, cy + half])
+        keep = _meets_disk(cx, cy, half)
+        cx, cy = cx[keep], cy[keep]
 
 
 def check_corona(theta):
@@ -135,7 +239,7 @@ def check_corona(theta):
         return False
     try:
         certify(theta, DEFAULT_TARGET_GAP)
-    except CoronaFailure:
+    except (CoronaFailure, DepthExceeded):
         return False
     return True
 

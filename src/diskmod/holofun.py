@@ -321,32 +321,6 @@ def common_zeros_in_disk(pair):
 
 
 # ---------------------------------------------------------------------------
-# certified sup-norm bounds (used by the corona certifier)
-
-def min_denominator_modulus(f):
-    """Certified lower bound for min |denominator| on the closed disk.
-
-    The minimum sits on the unit circle, and |q(z)| >= |lead| * prod(|r_i| - 1)
-    there; each factor is shaved by the root-isolation tolerance.
-    """
-    if f.is_polynomial:
-        return 1.0
-    lead = abs(f.denom[-1])
-    out = lead
-    for r in polynomial_roots(f.denom):
-        out *= max(abs(r) - 1 - DISK_ROOT_TOL, 1e-300)
-    return out
-
-
-def max_modulus_bound(f):
-    """Certified upper bound for max |f| on the closed unit disk."""
-    num = float(sum(abs(c) for c in f.numer))
-    if f.is_polynomial:
-        return num
-    return num / min_denominator_modulus(f)
-
-
-# ---------------------------------------------------------------------------
 # Taylor data for the matrix-truncation layer
 
 def taylor_coefficients(f, n):

@@ -5,14 +5,15 @@ import pytest
 
 from diskmod import (
     CoronaFailure,
+    DepthExceeded,
     MultiplierPair,
     QuotientSpec,
     certify,
     certify_spec,
     check_corona,
     common_zeros_in_disk,
-    lipschitz_bound,
     poly,
+    rational,
 )
 from diskmod.holofun import poly_mul
 
@@ -101,23 +102,6 @@ def test_common_zeros_empty_whenever_certified(corpus):
         assert common_zeros_in_disk(spec.theta) == []
 
 
-def test_lipschitz_bound_dominates_gradient_samples():
-    rng = np.random.default_rng(59)
-    for pair in (PAIR_1Z, PAIR_Z_1MZ, MultiplierPair(poly([2, 1]), poly([0, 2, 1]))):
-        L = lipschitz_bound(pair)
-        t1, t2 = pair
-        h = 1e-6
-        for _ in range(50):
-            z = np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()) * 0.999
-
-            def u(w):
-                return abs(t1(w)) ** 2 + abs(t2(w)) ** 2
-
-            gx = (u(z + h) - u(z - h)) / (2 * h)
-            gy = (u(z + 1j * h) - u(z - 1j * h)) / (2 * h)
-            assert np.hypot(gx, gy) <= L + 1e-6
-
-
 def test_certify_spec_attaches_certificate():
     from diskmod import HARDY
 
@@ -135,25 +119,158 @@ def test_certify_rejects_bad_target():
 
 
 def test_depth_exceeded_on_sharp_dip():
-    # u dips to 5e-7 at z = 1/2, below what the Lipschitz allowance can clear
-    # at maximal depth, but stays above ten times the target there
-    from diskmod import DepthExceeded
-
-    pair = MultiplierPair(poly([-0.5, 1]), poly([np.sqrt(5e-7)]))
+    # u dips to 2.5e-15 at z = 1/2: the Taylor bound clears 2e-16 only on
+    # boxes smaller than maximal depth allows, and u stays above ten times
+    # the target there
+    pair = MultiplierPair(poly([-0.5, 1]), poly([5e-8]))
     with pytest.raises(DepthExceeded) as info:
-        certify(pair, target_gap=4e-8)
-    assert abs(info.value.witness - 0.5) < 1e-3
-    assert info.value.value == pytest.approx(5e-7, rel=1e-2)
-    assert info.value.best_bound <= 5e-7
+        certify(pair, target_gap=2e-16)
+    assert abs(info.value.witness - 0.5) < 1e-6
+    assert info.value.value >= 10 * 2e-16
+    assert info.value.best_bound <= 2.5e-15
 
 
-def test_depth_exceeded_fast_on_flat_tied_region():
-    # a huge high-degree coefficient inflates the Lipschitz bound so no box
-    # can ever clear while u is exactly 1.0 over the whole center; the
-    # deepest-first tie-break must drill to the cap instead of flooding
-    from diskmod import DepthExceeded
-
+def test_flat_region_with_huge_high_degree_term_certifies():
+    # u = 1 + 1e8 |z|^60: flat at the center, steep near the circle
     pair = MultiplierPair(poly([1]), poly([0] * 30 + [1e4]))
-    with pytest.raises(DepthExceeded) as info:
-        certify(pair, target_gap=1e-6)
-    assert info.value.value >= 10 * 1e-6
+    cert = certify(pair, target_gap=1e-6)
+    assert 1e-6 <= cert.epsilon <= dense_disk_min(pair)
+
+
+def test_check_corona_false_on_depth_exceeded(monkeypatch):
+    import diskmod.corona
+
+    def give_up(theta, target_gap):
+        raise DepthExceeded(0.0, witness=0.5, value=1.0)
+
+    monkeypatch.setattr(diskmod.corona, "certify", give_up)
+    assert check_corona(PAIR_1Z) is False
+
+
+def _random_poly(rng, degree):
+    return rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+
+
+def _disk_point(rng, radius):
+    return radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+
+
+def test_planted_common_zero_fails_with_witness_at_zero():
+    # common zeros anywhere in |w| < 0.95, not only at dyadic box centers;
+    # at target 1e-3 the search locks on while boxes are still coarse
+    rng = np.random.default_rng(61)
+    for i in range(200):
+        w = _disk_point(rng, 0.95)
+        factor = [-w, 1.0]
+        pair = MultiplierPair(
+            poly(poly_mul(factor, _random_poly(rng, 2))),
+            poly(poly_mul(factor, _random_poly(rng, 2))),
+        )
+        with pytest.raises(CoronaFailure) as info:
+            certify(pair, target_gap=1e-3 if i % 2 else 1e-6)
+        assert abs(info.value.witness - w) < 1e-6
+
+
+def sampled_disk_min(theta, n=301, n_circle=4096):
+    """Minimum of u over an n x n grid of the disk plus n_circle circle points."""
+    xs = np.linspace(-1.0, 1.0, n)
+    grid = (xs[None, :] + 1j * xs[:, None]).ravel()
+    circle = np.exp(2j * np.pi * np.arange(n_circle) / n_circle)
+    pts = np.concatenate([grid[np.abs(grid) <= 1.0], circle])
+    t1, t2 = theta
+    return float((np.abs(t1(pts)) ** 2 + np.abs(t2(pts)) ** 2).min())
+
+
+def _random_pole_factor(rng):
+    pole = rng.uniform(1.2, 3.0) * np.exp(2j * np.pi * rng.uniform())
+    return [1.0, -1.0 / pole]
+
+
+def _soundness_pairs(rng, count):
+    for i in range(count):
+        p1 = _random_poly(rng, int(rng.integers(0, 7)))
+        p2 = _random_poly(rng, int(rng.integers(0, 7)))
+        if i % 2 == 0:
+            yield MultiplierPair(poly(p1), poly(p2))
+        else:
+            q2 = poly_mul(_random_pole_factor(rng), _random_pole_factor(rng))
+            yield MultiplierPair(
+                rational(p1[:3], _random_pole_factor(rng)), rational(p2[:3], q2)
+            )
+
+
+def test_certificate_sound_on_random_pairs():
+    rng = np.random.default_rng(67)
+    certified = 0
+    for pair in _soundness_pairs(rng, 200):
+        target = float(rng.choice([1e-6, 1e-3, 1e-1]))
+        sampled = sampled_disk_min(pair)
+        try:
+            cert = certify(pair, target_gap=target)
+        except CoronaFailure as exc:
+            t1, t2 = pair
+            assert abs(exc.witness) <= 1.0
+            assert exc.value < 10 * target
+            assert exc.value == pytest.approx(
+                abs(t1(exc.witness)) ** 2 + abs(t2(exc.witness)) ** 2, rel=1e-6, abs=1e-15
+            )
+            continue
+        assert target <= cert.epsilon <= sampled
+        certified += 1
+    assert certified >= 150
+
+
+def test_certificate_sound_in_exact_arithmetic_on_constant_pairs():
+    # with no Taylor tail the bound is the rounded center value itself, so
+    # only the rounding allowance keeps epsilon below the exact minimum
+    from fractions import Fraction
+
+    rng = np.random.default_rng(73)
+    for _ in range(200):
+        x, y = (complex(*rng.standard_normal(2)) for _ in range(2))
+        exact = sum(Fraction(v.real) ** 2 + Fraction(v.imag) ** 2 for v in (x, y))
+        cert = certify(MultiplierPair(poly([x]), poly([y])), float(exact) / 2)
+        assert Fraction(cert.epsilon) <= exact
+
+
+def test_tight_scaling_family_certifies():
+    # (b + z)^4 {1, z}: u >= (|b| - 1)^8 > 0 with a zero of the factor just
+    # outside the closed disk
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        b = rng.uniform(1.25, 1.35) * np.exp(2j * np.pi * rng.uniform())
+        f = [1.0]
+        for _ in range(4):
+            f = poly_mul(f, [b, 1.0])
+        pair = MultiplierPair(poly(f), poly(poly_mul(f, [0, 1])))
+        sampled = sampled_disk_min(pair)
+        for target in (1e-6, 0.05 * sampled):
+            cert = certify(pair, target_gap=target)
+            assert target <= cert.epsilon <= sampled
+
+
+def test_budget_bounds_frontier_memory():
+    # no box can clear target 1 while u >= 1 everywhere, so every level
+    # floods until the box budget stops it before expanding further; peak
+    # memory is read from VmHWM, which, unlike ru_maxrss, restarts at exec
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import re\n"
+        "from diskmod import DepthExceeded, MultiplierPair, certify, poly\n"
+        "try:\n"
+        "    certify(MultiplierPair(poly([1]), poly([0] * 9 + [1e-8])), 1.0)\n"
+        "except DepthExceeded:\n"
+        "    status = open('/proc/self/status').read()\n"
+        "    print(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    peak_mb = int(out.stdout.strip()) / 1024
+    assert peak_mb < 300

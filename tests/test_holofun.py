@@ -17,7 +17,7 @@ from diskmod import (
     polynomial_roots,
     rational,
 )
-from diskmod.holofun import max_modulus_bound, poly_mul
+from diskmod.holofun import poly_mul
 
 
 def test_eval_constant_term():
@@ -188,13 +188,6 @@ def test_polynomial_gcd_coprime_is_constant():
 def test_zero_function_canonical():
     z = poly([0, 0, 0])
     assert z.is_zero and z.numer == (0j,) and z.is_polynomial
-
-
-def test_max_modulus_bound_dominates_samples():
-    for f in (poly([1, -2, 0.5j]), rational([1, 1j], [1, 0.4])):
-        bound = max_modulus_bound(f)
-        samples = np.exp(1j * np.linspace(0, 2 * np.pi, 256))
-        assert bound >= np.max(np.abs(f(samples))) - 1e-12
 
 
 # --- the function-literal grammar ---------------------------------------
