@@ -128,9 +128,11 @@ def fd_laplacian(field, z, h, richardson=False):
 
     (f(z+h) + f(z-h) + f(z+ih) + f(z-ih) - 4 f(z)) / h^2, O(h^2) accurate for
     C^4 fields.  ``richardson=True`` combines steps h and h/2 for an O(h^4)
-    estimate.  The whole stencil must lie in the open disk.
+    estimate.  The whole stencil must lie in the open disk.  A scalar z gives
+    a float; an array z gives an array and needs a field that accepts arrays.
     """
-    z = complex(z)
+    scalar = np.ndim(z) == 0
+    z = complex(z) if scalar else np.asarray(z, complex)
     h = float(h)
     if h <= 0:
         raise ValueError("step must be positive")
@@ -139,13 +141,16 @@ def fd_laplacian(field, z, h, richardson=False):
         fine = fd_laplacian(field, z, h / 2)
         return (4.0 * fine - coarse) / 3.0
     stencil = (z + h, z - h, z + 1j * h, z - 1j * h)
-    if max(abs(p) for p in stencil) >= 1:
+    outside = np.max(np.abs(stencil), axis=0) >= 1
+    if np.any(outside):
+        where = z if scalar else z[outside][0]
         raise StencilOutsideDomain(
-            f"stencil around {z} with step {h} leaves the open disk"
+            f"stencil around {where} with step {h} leaves the open disk"
         )
-    acc = -4.0 * float(field(z))
+    real = float if scalar else (lambda v: np.asarray(v, float))
+    acc = -4.0 * real(field(z))
     for p in stencil:
-        acc += float(field(p))
+        acc += real(field(p))
     return acc / h**2
 
 

@@ -16,8 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import DiskGrid, fd_laplacian, laplacian_log_sumsq, quotient_curvature
-from .errors import UncertifiedSpec
+from .curvature import (
+    DiskGrid,
+    _require_certified,
+    fd_laplacian,
+    laplacian_log_sumsq,
+    quotient_curvature,
+)
 
 DEFAULT_TOL = 1e-6
 # reject only beyond this multiple of the acceptance threshold
@@ -62,11 +67,8 @@ def harmonicity_defect(theta_a, theta_b, grid):
     corona condition on the grid (a degenerate point raises).
     """
     pts = grid.points()
-    dev = np.abs(
-        laplacian_log_sumsq(theta_a, pts) - laplacian_log_sumsq(theta_b, pts)
-    )
-    idx = int(np.argmax(dev))
-    return float(dev[idx]), complex(pts[idx])
+    diff, idx, _ = _deviation_data(theta_a, theta_b, pts)
+    return float(abs(diff[idx])), complex(pts[idx])
 
 
 def _deviation_data(theta_a, theta_b, pts):
@@ -100,10 +102,7 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
     if tol <= 0:
         raise ValueError("tol must be positive")
     for spec in (spec_a, spec_b):
-        if not spec.certified:
-            raise UncertifiedSpec(
-                f"spec '{spec.label()}' must pass corona certification first"
-            )
+        _require_certified(spec)
 
     pts = grid.points()
     diff, idx, scale = _deviation_data(spec_a.theta, spec_b.theta, pts)
@@ -178,11 +177,8 @@ def lemma46_probe(grid, h=1e-3):
     """
 
     def g(z):
-        return -0.25 * math.log(1.0 - abs(z) ** 2)
+        return -0.25 * np.log(1.0 - np.abs(z) ** 2)
 
-    worst = 0.0
-    for z in grid.points():
-        target = 1.0 / (1.0 - abs(z) ** 2) ** 2
-        err = abs(fd_laplacian(g, z, h) - target)
-        worst = max(worst, err)
-    return worst
+    pts = grid.points()
+    target = 1.0 / (1.0 - np.abs(pts) ** 2) ** 2
+    return float(np.max(np.abs(fd_laplacian(g, pts, h) - target)))

@@ -263,7 +263,7 @@ def rational(numer, denom):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def derivative(f):
     """Exact formal derivative; quotient rule with squared denominator for rationals."""
     dnum = _poly_derivative(list(f.numer))

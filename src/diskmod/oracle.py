@@ -15,13 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import fd_laplacian
-from .errors import (
-    NoSpectralGap,
-    PointOutsideDomain,
-    TailBoundExceeded,
-    UncertifiedSpec,
-)
+from .curvature import _require_certified, fd_laplacian
+from .errors import NoSpectralGap, PointOutsideDomain, TailBoundExceeded
 from .holofun import taylor_coefficients, taylor_tail_bound
 from .rkhs import ModuleKind, kernel_eval, monomial_norms_sq, shift_weight
 
@@ -45,13 +40,6 @@ class TruncatedOperator:
     domain_degree: int
     codomain_degree: int
     components: int = 1
-
-
-def _require_certified(spec):
-    if not spec.certified:
-        raise UncertifiedSpec(
-            f"spec '{spec.label()}' must pass corona certification first"
-        )
 
 
 def build_shift(kind, n):
@@ -78,6 +66,24 @@ def _component_coefficients(f):
     return taylor_coefficients(f, RATIONAL_TAYLOR_DEGREE)
 
 
+def _multiplier_matrix(coeffs, kind, n, cod):
+    """Columns theta_i e_k for k <= n in the doubled basis of degree cod.
+
+    ``coeffs`` holds the Taylor coefficients of each component; products
+    beyond degree cod are dropped, so cod < n + degree gives the P_cod
+    truncation of the range.  Rows are stacked component-major.
+    """
+    norms = np.sqrt(monomial_norms_sq(kind, cod))
+    m = np.zeros((len(coeffs) * (cod + 1), n + 1), complex)
+    for block, comp in enumerate(coeffs):
+        base = block * (cod + 1)
+        for j, c in enumerate(comp[: cod + 1]):
+            if c != 0:
+                k = np.arange(min(n, cod - j) + 1)
+                m[base + k + j, k] = c * norms[k + j] / norms[k]
+    return m
+
+
 def build_multiplier(theta, kind, n):
     """Matrix of f -> (theta1 f, theta2 f) from degree n into the doubled space.
 
@@ -87,20 +93,10 @@ def build_multiplier(theta, kind, n):
     """
     if n < 0:
         raise ValueError("domain degree must be nonnegative")
-    c1 = _component_coefficients(theta.theta1)
-    c2 = _component_coefficients(theta.theta2)
-    d = max(len(c1), len(c2)) - 1
-    cod = n + d
-    norms = np.sqrt(monomial_norms_sq(kind, cod))
-    m = np.zeros((2 * (cod + 1), n + 1), complex)
-    for block, coeffs in ((0, c1), (1, c2)):
-        base = block * (cod + 1)
-        for k in range(n + 1):
-            for j, c in enumerate(coeffs):
-                if c != 0:
-                    m[base + k + j, k] = c * norms[k + j] / norms[k]
+    coeffs = [_component_coefficients(f) for f in theta]
+    cod = n + max(len(c) for c in coeffs) - 1
     return TruncatedOperator(
-        matrix=m,
+        matrix=_multiplier_matrix(coeffs, kind, n, cod),
         kind=kind,
         domain_degree=n,
         codomain_degree=cod,
@@ -127,14 +123,18 @@ def gamma_gram(spec, points):
 def oracle_curvature(spec, z, h=1e-3):
     """Finite-difference curvature from the section norm alone.
 
-    -1/4 times the 5-point Laplacian of log |gamma_w|^2 where |gamma_w|^2 is
-    the diagonal of the exact Gram matrix; the quotient-curvature identity is
-    never used, which makes this the principal independent check of it.
+    -1/4 times the 5-point Laplacian of log |gamma_w|^2 where |gamma_w|^2 =
+    K(w,w) (|theta1(w)|^2 + |theta2(w)|^2) is the diagonal of the exact Gram
+    matrix; the quotient-curvature identity is never used, which makes this
+    the principal independent check of it.  Accepts scalars or arrays of
+    points.
     """
     _require_certified(spec)
+    t1, t2 = spec.theta
 
     def log_norm_sq(w):
-        return float(np.log(gamma_gram(spec, [w])[0, 0].real))
+        k = kernel_eval(spec.base, w, w).real
+        return np.log(k * (np.abs(t1(w)) ** 2 + np.abs(t2(w)) ** 2))
 
     return -0.25 * fd_laplacian(log_norm_sq, z, h)
 
@@ -197,9 +197,10 @@ def multiplier_min_singular_value(theta, kind, n=DEFAULT_DEGREE):
 
     Reported as a monitored diagnostic of closed range; no threshold claimed.
     """
-    d = max(len(_component_coefficients(theta.theta1)),
-            len(_component_coefficients(theta.theta2))) - 1
-    mat = build_multiplier(theta, kind, max(n - d, 1)).matrix
+    coeffs = [_component_coefficients(f) for f in theta]
+    d = max(len(c) for c in coeffs) - 1
+    dom = max(n - d, 1)
+    mat = _multiplier_matrix(coeffs, kind, dom, dom + d)
     return float(np.linalg.svd(mat, compute_uv=False)[-1])
 
 
@@ -214,39 +215,42 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     singular values below gap_tol times the largest are counted, and a
     factor-10 gap must separate that group from the rest (NoSpectralGap
     otherwise).  The expected count is 1.
+
+    ``w`` is a point (returns an int) or a sequence of points (returns a list
+    of ints).  The compression is computed once per call; only the final
+    singular values depend on the point.
     """
     _require_certified(spec)
-    w = complex(w)
-    if abs(w) > 0.6:
+    scalar = np.ndim(w) == 0
+    points = np.asarray(w, complex).ravel()
+    if np.any(np.abs(points) > 0.6):
         raise ValueError("kernel counting needs |w| <= 0.6 at this truncation scale")
     if n < 60:
         raise ValueError("truncation degree must be at least 60")
 
-    c1 = _component_coefficients(spec.theta.theta1)
-    c2 = _component_coefficients(spec.theta.theta2)
-    norms = np.sqrt(monomial_norms_sq(spec.base, n))
-    mult = np.zeros((2 * (n + 1), n + 1), complex)
-    for block, coeffs in ((0, c1), (1, c2)):
-        base = block * (n + 1)
-        for k in range(n + 1):
-            for j, c in enumerate(coeffs[: n + 1 - k]):
-                if c != 0:
-                    mult[base + k + j, k] = c * norms[k + j] / norms[k]
-
+    coeffs = [_component_coefficients(f) for f in spec.theta]
+    mult = _multiplier_matrix(coeffs, spec.base, n, n)
     q, r = np.linalg.qr(mult, mode="complete")
     col_scale = float(np.max(np.linalg.norm(mult, axis=0)))
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > QR_RANK_REL_TOL * col_scale))
     q_perp = q[:, rank:]
 
-    s = build_shift(spec.base, n).matrix
-    two = s.shape[0]
-    ambient = np.zeros((2 * two, 2 * two))
-    ambient[:two, :two] = s
-    ambient[two:, two:] = s
-    nz = q_perp.conj().T @ ambient @ q_perp
+    # the doubled shift moves row k of each block to row k + 1, weighted
+    weights = np.diag(build_shift(spec.base, n).matrix, -1)[:, None]
+    shifted = np.zeros_like(q_perp)
+    for base in (0, n + 1):
+        shifted[base + 1 : base + n + 1] = weights * q_perp[base : base + n]
+    adj = shifted.conj().T @ q_perp  # adjoint of the compression
 
-    a = nz.conj().T - np.conj(w) * np.eye(nz.shape[0])
+    counts = [_kernel_count(adj, p, gap_tol) for p in points]
+    return counts[0] if scalar else counts
+
+
+def _kernel_count(adj, w, gap_tol):
+    # one values-only SVD per point: a batched SVD over all points holds every
+    # shifted matrix and its workspace at once, which raises peak memory
+    a = adj - np.conj(w) * np.eye(adj.shape[0])
     sv = np.linalg.svd(a, compute_uv=False)
     largest = sv[0]
     small = sv[sv < gap_tol * largest]

@@ -128,6 +128,33 @@ def test_fd_laplacian_stencil_domain():
         fd_laplacian(lambda z: abs(z) ** 2, 0.9995, 1e-3)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        lambda w: w.real * w.real + w.imag * w.imag,  # |z|^2
+        lambda w: w.real * w.real * w.real - 3.0 * w.real * w.imag * w.imag,  # Re z^3
+    ],
+    ids=["abs2", "re_cube"],
+)
+def test_fd_laplacian_array_matches_scalar_loop(field):
+    # the fields use real arithmetic only, which rounds the same on scalars
+    # and arrays, so any difference would come from the stencil itself
+    pts = DiskGrid(r_max=0.9, n_r=7, n_theta=11).points().reshape(7, 11)
+    for richardson in (False, True):
+        got = fd_laplacian(field, pts, 1e-3, richardson=richardson)
+        assert got.shape == pts.shape
+        ref = np.array(
+            [fd_laplacian(field, complex(z), 1e-3, richardson=richardson) for z in pts.ravel()]
+        ).reshape(pts.shape)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+
+def test_fd_laplacian_array_stencil_domain():
+    pts = np.array([0.1, 0.9995j, -0.3])
+    with pytest.raises(StencilOutsideDomain, match="0.9995j"):
+        fd_laplacian(lambda z: np.abs(z) ** 2, pts, 1e-3)
+
+
 def test_quotient_curvature_values():
     s = make_spec(HARDY, PAIR_1Z)
     assert quotient_curvature(s, 0) == pytest.approx(-2.0, abs=1e-12)

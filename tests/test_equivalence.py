@@ -1,5 +1,7 @@
 """Equivalence decisions: branch logic, witnesses, invariance properties."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,23 @@ def test_lemma46_probe_pointwise_identity():
 def test_lemma46_probe_grid():
     err = lemma46_probe(DiskGrid(r_max=0.8, n_r=10, n_theta=16))
     assert err <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [DiskGrid(), DiskGrid(r_max=0.8, n_r=10, n_theta=16), DiskGrid(r_max=0.95, n_r=30, n_theta=50)],
+)
+def test_lemma46_probe_matches_scalar_loop(grid):
+    # reference: the scalar stencil at every grid point; the array log and
+    # modulus may differ from math.log and abs in the last bit, which the
+    # stencil amplifies by 8 / h^2, so allow a few ulps of |g| times that
+    def g(z):
+        return -0.25 * math.log(1.0 - abs(z) ** 2)
+
+    h = 1e-3
+    worst = 0.0
+    for z in grid.points():
+        target = 1.0 / (1.0 - abs(z) ** 2) ** 2
+        worst = max(worst, abs(fd_laplacian(g, z, h) - target))
+    g_max = max(abs(g(z)) for z in grid.points()) + 1.0
+    assert lemma46_probe(grid, h) == pytest.approx(worst, abs=64 * np.finfo(float).eps * g_max / h**2)

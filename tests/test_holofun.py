@@ -84,6 +84,16 @@ def test_derivative_matches_central_difference(f):
         assert abs(df(z) - fd) <= 1e-7 * (1 + sup)
 
 
+def test_derivative_cache_is_bounded():
+    # a long-lived process differentiating ever new functions must not grow
+    # the cache without limit
+    bound = derivative.cache_info().maxsize
+    assert bound is not None
+    for k in range(bound + 100):
+        assert derivative(poly([k, 1, 0.5])).numer == (1, 1)
+        assert derivative.cache_info().currsize <= bound
+
+
 def test_derivative_fd_agreement_randomized():
     rng = np.random.default_rng(11)
     h = 1e-5

@@ -7,6 +7,7 @@ from diskmod import (
     BERGMAN,
     HARDY,
     MultiplierPair,
+    NoSpectralGap,
     QuotientSpec,
     TailBoundExceeded,
     UncertifiedSpec,
@@ -174,6 +175,28 @@ def test_oracle_curvature_matches_identity_route(corpus):
             assert abs(a - b) <= 1e-3 * (1 + abs(a))
 
 
+def test_oracle_curvature_array_matches_gram_reference(corpus):
+    # reference: the scalar route through gamma_gram's diagonal, one point at
+    # a time; the array route reorders the product, so agreement is to the
+    # rounding of log |gamma|^2 amplified by the 1/h^2 of the stencil
+    from diskmod import fd_laplacian
+
+    rng = np.random.default_rng(101)
+    pts = 0.7 * np.sqrt(rng.uniform(size=7)) * np.exp(2j * np.pi * rng.uniform(size=7))
+    for spec in corpus:
+
+        def log_norm_sq(w):
+            return float(np.log(gamma_gram(spec, [w])[0, 0].real))
+
+        ref = np.array([-0.25 * fd_laplacian(log_norm_sq, complex(z), 1e-3) for z in pts])
+        got = oracle_curvature(spec, pts, 1e-3)
+        assert got.shape == pts.shape
+        assert np.all(np.abs(got - ref) <= 1e-8 * np.abs(ref))
+        scalar = [oracle_curvature(spec, complex(z), 1e-3) for z in pts]
+        assert all(isinstance(v, float) for v in scalar)
+        assert np.all(np.abs(got - scalar) <= 1e-8 * np.abs(ref))
+
+
 def test_oracle_curvature_requires_certification():
     bare = QuotientSpec(base=HARDY, theta=PAIR_1Z)
     with pytest.raises(UncertifiedSpec):
@@ -282,6 +305,30 @@ def test_dim_ker_is_one_for_rational_multiplier():
     s = make_spec(weighted_bergman(0.5), pair)
     for w in (0, 0.3, 0.45j):
         assert dim_ker_estimate(s, w, 120) == 1
+
+
+DIM_KER_POINTS = (0, 0.3, -0.3, 0.45j, 0.6)
+
+
+def test_dim_ker_array_matches_scalar_calls(corpus):
+    rational_pair = MultiplierPair(rational([1], [1, 0.5]), poly([0, 1]))
+    specs = list(corpus) + [make_spec(weighted_bergman(0.5), rational_pair)]
+    for spec in specs:
+        counts = dim_ker_estimate(spec, DIM_KER_POINTS, 120)
+        assert counts == [dim_ker_estimate(spec, w, 120) for w in DIM_KER_POINTS]
+        assert all(type(c) is int for c in counts)
+    assert dim_ker_estimate(specs[0], np.array([0.3]), 120) == [1]
+
+
+def test_dim_ker_array_preconditions():
+    s = make_spec(HARDY, PAIR_1Z)
+    with pytest.raises(ValueError):
+        dim_ker_estimate(s, [0, 0.3, 0.65], 120)
+    with pytest.raises(NoSpectralGap):
+        dim_ker_estimate(s, [0, 0.3], 120, gap_tol=0.6)
+    bare = QuotientSpec(base=HARDY, theta=PAIR_1Z)
+    with pytest.raises(UncertifiedSpec):
+        dim_ker_estimate(bare, [0, 0.3], 120)
 
 
 def test_dim_ker_refuses_to_guess_without_gap():
