@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -306,7 +307,7 @@ def cmd_curvature(args):
     field = curvature_field(spec, prob.grid)
     out_csv = args.out or "curvature.csv"
     field.to_csv(out_csv)
-    script = out_csv.rsplit(".", 1)[0] + ".gp"
+    script = os.path.splitext(out_csv)[0] + ".gp"
     with open(script, "w", encoding="ascii") as fh:
         fh.write(
             "set datafile separator ','\n"

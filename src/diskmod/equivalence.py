@@ -21,8 +21,8 @@ from .curvature import (
     _require_certified,
     fd_laplacian,
     laplacian_log_sumsq,
-    quotient_curvature,
 )
+from .rkhs import base_curvature
 
 DEFAULT_TOL = 1e-6
 # reject only beyond this multiple of the acceptance threshold
@@ -67,7 +67,7 @@ def harmonicity_defect(theta_a, theta_b, grid):
     corona condition on the grid (a degenerate point raises).
     """
     pts = grid.points()
-    diff, idx, _ = _deviation_data(theta_a, theta_b, pts)
+    _, _, diff, idx, _ = _deviation_data(theta_a, theta_b, pts)
     return float(abs(diff[idx])), complex(pts[idx])
 
 
@@ -77,12 +77,14 @@ def _deviation_data(theta_a, theta_b, pts):
     diff = la - lb
     idx = int(np.argmax(np.abs(diff)))
     scale = 1.0 + max(float(np.max(np.abs(la))), float(np.max(np.abs(lb))))
-    return diff, idx, scale
+    return la, lb, diff, idx, scale
 
 
-def _curvature_gap_witness(spec_a, spec_b, grid):
-    pts = grid.points()
-    gap = quotient_curvature(spec_a, pts) - quotient_curvature(spec_b, pts)
+def _curvature_gap_witness(spec_a, spec_b, pts, la, lb):
+    # quotient_curvature of each spec, reusing the Laplacians already computed
+    gap = (base_curvature(spec_a.base, pts) - 0.25 * la) - (
+        base_curvature(spec_b.base, pts) - 0.25 * lb
+    )
     idx = int(np.argmax(np.abs(gap)))
     return Witness(point=complex(pts[idx]), obstruction=float(gap[idx]))
 
@@ -105,20 +107,20 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
         _require_certified(spec)
 
     pts = grid.points()
-    diff, idx, scale = _deviation_data(spec_a.theta, spec_b.theta, pts)
+    la, lb, diff, idx, scale = _deviation_data(spec_a.theta, spec_b.theta, pts)
     max_dev = float(np.abs(diff[idx]))
 
     if spec_a.base.is_hardy != spec_b.base.is_hardy:
         return Verdict(
             outcome=Outcome.NOT_ISOMORPHIC,
-            witness=_curvature_gap_witness(spec_a, spec_b, grid),
+            witness=_curvature_gap_witness(spec_a, spec_b, pts, la, lb),
             detail=DETAIL_CROSS_BASE,
             max_deviation=max_dev,
         )
     if not spec_a.base.is_hardy and spec_a.base.alpha != spec_b.base.alpha:
         return Verdict(
             outcome=Outcome.NOT_ISOMORPHIC,
-            witness=_curvature_gap_witness(spec_a, spec_b, grid),
+            witness=_curvature_gap_witness(spec_a, spec_b, pts, la, lb),
             detail=DETAIL_WEIGHT_MISMATCH,
             max_deviation=max_dev,
         )
@@ -134,7 +136,7 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
     # a grid aligned with a symmetry of the deviation field could hit an
     # accidental zero set, so acceptance requires a second, rotated grid
     off = grid.points(rotate=math.pi / grid.n_theta)
-    diff2, idx2, scale2 = _deviation_data(spec_a.theta, spec_b.theta, off)
+    _, _, diff2, idx2, scale2 = _deviation_data(spec_a.theta, spec_b.theta, off)
     both_dev = max(max_dev, float(np.abs(diff2[idx2])))
     both_scale = max(scale, scale2)
 

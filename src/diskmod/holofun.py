@@ -44,8 +44,15 @@ def _trim(coeffs):
 
 def _horner(coeffs, z):
     acc = np.zeros_like(z)
+    if acc.size <= 1:
+        # numpy may round a lone complex product differently from the in-place
+        # loop it uses for longer arrays; keep one point on the scalar form
+        for c in reversed(coeffs):
+            acc = acc * z + c
+        return acc
     for c in reversed(coeffs):
-        acc = acc * z + c
+        acc *= z
+        acc += c
     return acc
 
 

@@ -228,6 +228,17 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     if n < 60:
         raise ValueError("truncation degree must be at least 60")
 
+    adj = _compressed_shift_adjoint(spec, n)
+    counts = [_kernel_count(adj, p, gap_tol) for p in points]
+    return counts[0] if scalar else counts
+
+
+def _compressed_shift_adjoint(spec, n):
+    """Adjoint of the doubled shift compressed to the truncated quotient.
+
+    Q_perp^H (S (+) S)^H Q_perp, where Q_perp spans the orthogonal complement
+    of the P_n-truncated multiplication range in the doubled degree-n space.
+    """
     coeffs = [_component_coefficients(f) for f in spec.theta]
     mult = _multiplier_matrix(coeffs, spec.base, n, n)
     q, r = np.linalg.qr(mult, mode="complete")
@@ -241,10 +252,7 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     shifted = np.zeros_like(q_perp)
     for base in (0, n + 1):
         shifted[base + 1 : base + n + 1] = weights * q_perp[base : base + n]
-    adj = shifted.conj().T @ q_perp  # adjoint of the compression
-
-    counts = [_kernel_count(adj, p, gap_tol) for p in points]
-    return counts[0] if scalar else counts
+    return shifted.conj().T @ q_perp
 
 
 def _kernel_count(adj, w, gap_tol):

@@ -176,6 +176,18 @@ theta2 = poly:[1]
     assert (tmp_path / "field.gp").exists()
 
 
+def test_curvature_script_beside_extensionless_csv_in_dotted_dir(tmp_path):
+    path = write(tmp_path, "a.spec", SPEC_A)
+    folder = tmp_path / "a.b"
+    folder.mkdir()
+    out = str(folder / "field")
+    assert main(["curvature", path, "--grid", "0.5,2,3", "--out", out]) == 0
+    assert (folder / "field").exists()
+    script = (folder / "field.gp").read_text()
+    assert f"splot '{out}'" in script
+    assert not (tmp_path / "a.gp").exists()
+
+
 def test_curvature_command_value_near_origin(tmp_path):
     path = write(tmp_path, "a.spec", SPEC_A)
     out = str(tmp_path / "field.csv")

@@ -1,5 +1,7 @@
 """Curvature engines: Wirtinger Laplacian, finite differences, quotient identity."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from diskmod import (
     quotient_curvature,
     rational,
 )
+from diskmod.curvature import _CSV_BLOCK_ROWS
 
 PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
 
@@ -237,6 +240,57 @@ def test_csv_serialization_format():
     re0, im0, v0 = lines[1].split(",")
     z0 = complex(float(re0), float(im0))
     assert v0 == f"{quotient_curvature(s, z0):.17g}"
+
+
+def reference_csv(pts, values):
+    # the one-row-at-a-time writer the block writer replaced
+    buf = io.StringIO()
+    buf.write("re,im,curvature\n")
+    for p, v in zip(pts, values):
+        buf.write(f"{p.real:.17g},{p.imag:.17g},{v:.17g}\n")
+    return buf.getvalue()
+
+
+SPECIAL_VALUES = (
+    -0.0,
+    0.0,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    5e-324,
+    -5e-324,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    0.1,
+    -2.0,
+    1e-17,
+)
+
+
+B = _CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 3])
+def test_csv_block_writer_matches_row_writer(rows, tmp_path):
+    rng = np.random.default_rng(rows)
+    grid = DiskGrid(r_max=0.9, n_r=1, n_theta=rows)
+    values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    values[: len(SPECIAL_VALUES)] = SPECIAL_VALUES[: rows]
+    field = CurvatureField(grid=grid, values=values, label="special")
+    expect = reference_csv(grid.points(), values)
+    assert field.csv_text() == expect
+    path = tmp_path / "field.csv"
+    field.to_csv(path)
+    assert path.read_bytes() == expect.encode("ascii")
+
+    # special values in the coordinate columns too
+    specials = np.resize(np.array(SPECIAL_VALUES), rows)
+    pts = np.empty(rows, complex)
+    pts.real = specials
+    pts.imag = specials[::-1]
+    buf = io.StringIO()
+    field._write(buf, pts)
+    assert buf.getvalue() == reference_csv(pts, values)
 
 
 def test_rational_pair_through_curvature():

@@ -157,6 +157,27 @@ def test_cross_base_separation_on_corpus(corpus):
             assert v.detail == expected
 
 
+def test_cross_base_witness_is_largest_curvature_gap(corpus):
+    # the Theorem 4.5/4.7 witness equals the argmax of the quotient-curvature
+    # gap computed spec by spec, bit for bit
+    grid = DiskGrid(r_max=0.8, n_r=12, n_theta=20)
+    pts = grid.points()
+    extra = make_spec(BERGMAN, MultiplierPair(poly([1, 0.3j]), poly([-0.4, 1, 0.2])))
+    specs = list(corpus) + [extra]
+    checked = 0
+    for a in specs:
+        for b in specs:
+            if a.base == b.base:
+                continue
+            v = decide_equivalence(a, b, grid)
+            gap = quotient_curvature(a, pts) - quotient_curvature(b, pts)
+            idx = int(np.argmax(np.abs(gap)))
+            assert v.witness.point == complex(pts[idx])
+            assert v.witness.obstruction == float(gap[idx])
+            checked += 1
+    assert checked == 60
+
+
 def test_multiplier_invariance_randomized():
     rng = np.random.default_rng(61)
     grid = DiskGrid(r_max=0.8, n_r=12, n_theta=24)

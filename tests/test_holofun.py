@@ -17,7 +17,7 @@ from diskmod import (
     polynomial_roots,
     rational,
 )
-from diskmod.holofun import poly_mul
+from diskmod.holofun import _horner, poly_mul
 
 
 def test_eval_constant_term():
@@ -51,6 +51,39 @@ def test_eval_vectorized_matches_scalar():
     assert vals.shape == (3,)
     for p, v in zip(pts, vals):
         assert v == pytest.approx(f(complex(p)))
+
+
+def reference_horner(coeffs, z):
+    # the allocating form the in-place Horner loop replaced
+    acc = np.zeros_like(z)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def test_horner_in_place_is_bit_identical():
+    rng = np.random.default_rng(17)
+    z = 1.2 * (rng.uniform(-1, 1, 500) + 1j * rng.uniform(-1, 1, 500))
+    real_z = np.asarray(rng.uniform(-1.2, 1.2, 500), complex)
+    cases = [[0j]]
+    for degree in range(31):
+        re, im = rng.standard_normal((2, degree + 1))
+        cases.append(list(re + 1j * im))
+        cases.append([complex(c) for c in re])
+    for coeffs in cases:
+        for pts in (
+            z,
+            real_z,
+            z[::7],
+            z[:2],
+            z[:1],
+            real_z[:1].reshape(1, 1),
+            np.asarray(0.3 - 0.7j),
+            np.asarray(-0.5 + 0j),
+        ):
+            got = _horner(coeffs, pts)
+            assert got.shape == pts.shape
+            assert got.tobytes() == reference_horner(coeffs, pts).tobytes()
 
 
 def test_derivative_power_rule():

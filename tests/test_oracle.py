@@ -28,6 +28,7 @@ from diskmod import (
     shift_weight,
     weighted_bergman,
 )
+from diskmod.oracle import _compressed_shift_adjoint
 
 PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
 
@@ -318,6 +319,30 @@ def test_dim_ker_array_matches_scalar_calls(corpus):
         assert counts == [dim_ker_estimate(spec, w, 120) for w in DIM_KER_POINTS]
         assert all(type(c) is int for c in counts)
     assert dim_ker_estimate(specs[0], np.array([0.3]), 120) == [1]
+
+
+@pytest.mark.parametrize("base", [BERGMAN, weighted_bergman(1.5)])
+def test_compressed_shift_matches_dense_reference(base):
+    # Q_perp^H (S (+) S) Q_perp from the dense weighted shift, with Q_perp
+    # taken from an SVD of the P_n-truncated multiplier instead of a QR
+    n = 80
+    spec = make_spec(base, MultiplierPair(poly([-0.5, 1]), poly([1, 0.5])))
+    full = build_multiplier(spec.theta, base, n)
+    cod = full.codomain_degree
+    mult = full.matrix[np.r_[0 : n + 1, cod + 1 : cod + n + 2]]
+    u, sv, _ = np.linalg.svd(mult)
+    q_perp = u[:, int(np.sum(sv > 1e-10 * sv[0])) :]
+    shift = build_shift(base, n).matrix
+    doubled = np.kron(np.eye(2), shift)
+    dense = q_perp.conj().T @ doubled @ q_perp
+
+    adj = _compressed_shift_adjoint(spec, n)
+    assert adj.shape == dense.shape
+    eye = np.eye(dense.shape[0])
+    for w in (0, 0.3, -0.2 + 0.4j, 0.55j):
+        ref = np.linalg.svd(dense - w * eye, compute_uv=False)
+        got = np.linalg.svd(adj - np.conj(w) * eye, compute_uv=False)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * ref[0]
 
 
 def test_dim_ker_array_preconditions():
