@@ -7,8 +7,17 @@ against the analytic layer).  Problem files are line-oriented ``key = value``
 under section headers ``[moduleA]``, ``[moduleB]``, ``[grid]``,
 ``[tolerances]``; see the README for the full grammar.
 
-Exit codes: 0 success/Isomorphic, 1 parse or usage error, 2 certification
-failure, 3 NotIsomorphic, 4 Inconclusive, 5 internal tolerance failure.
+Every subcommand runs one pipeline: load the file and apply the flags, which
+``ProblemSpec`` checks alike (tolerances finite and positive, oracle degree at
+least 60); certify each module the subcommand needs, printing one ``corona``
+line per module; run the subcommand's own part; write the JSON report.  The
+report is written once certification has run, also when it fails (exit 2),
+unless the subcommand's own part raises (exit 5).  It goes to ``--out``, or
+to stdout for ``curvature``, whose ``--out`` names the CSV.
+
+Exit codes: 0 success/Isomorphic, 1 parse or usage error (also an output path
+that cannot be written), 2 certification failure, 3 NotIsomorphic, 4
+Inconclusive, 5 internal tolerance failure.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -43,7 +53,7 @@ from .oracle import (
     oracle_curvature,
     reproducing_check,
 )
-from .rkhs import ModuleKind, format_module_kind, parse_module_kind
+from .rkhs import format_module_kind, parse_module_kind
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,20 +68,26 @@ _TOL_KEYS = ("tol", "target_gap", "fd_step", "oracle_degree")
 
 
 @dataclass(frozen=True)
-class ModuleSection:
-    base: ModuleKind
-    theta: MultiplierPair
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
-    module_a: ModuleSection
-    module_b: ModuleSection | None = None
+    """A problem file: uncertified modules, grid and tolerances."""
+
+    module_a: QuotientSpec
+    module_b: QuotientSpec | None = None
     grid: DiskGrid = DiskGrid()
     tol: float = DEFAULT_TOL
     target_gap: float = DEFAULT_TARGET_GAP
     fd_step: float = 1e-3
     oracle_degree: int = DEFAULT_DEGREE
+
+    def __post_init__(self):
+        for key in ("tol", "target_gap", "fd_step"):
+            value = getattr(self, key)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{key} must be finite and positive, got {value!r}")
+        if self.oracle_degree < 60:
+            raise ValueError(
+                f"oracle_degree must be at least 60, got {self.oracle_degree}"
+            )
 
 
 def parse_problem(text):
@@ -143,7 +159,7 @@ def parse_problem(text):
             pair = MultiplierPair(*thetas)
         except ValueError as exc:
             raise SpecFileError(str(exc), line=data["theta1"][1]) from None
-        return ModuleSection(base=base, theta=pair)
+        return QuotientSpec(base=base, theta=pair)
 
     def number(section, key, cast, default):
         if section not in sections or key not in sections[section]:
@@ -166,7 +182,7 @@ def parse_problem(text):
     except ValueError as exc:
         raise SpecFileError(f"bad grid: {exc}") from None
 
-    spec = ProblemSpec(
+    fields = dict(
         module_a=build_module("moduleA"),
         module_b=build_module("moduleB") if "moduleB" in sections else None,
         grid=grid,
@@ -175,11 +191,10 @@ def parse_problem(text):
         fd_step=number("tolerances", "fd_step", float, 1e-3),
         oracle_degree=number("tolerances", "oracle_degree", int, DEFAULT_DEGREE),
     )
-    if spec.tol <= 0 or spec.target_gap <= 0 or spec.fd_step <= 0:
-        raise SpecFileError("tolerances must be positive")
-    if spec.oracle_degree < 60:
-        raise SpecFileError("oracle_degree must be at least 60")
-    return spec
+    try:
+        return ProblemSpec(**fields)
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from None
 
 
 def canonical_problem_text(spec):
@@ -211,165 +226,150 @@ def canonical_problem_text(spec):
 
 
 # ---------------------------------------------------------------------------
-# report plumbing
+# the pipeline
 
 def _cnum(z):
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
 
-def _echo(spec):
-    return {"canonical": canonical_problem_text(spec)}
+def _write(path, content):
+    """Write text, or a CurvatureField as CSV, to path; exit 1 if that fails."""
+    try:
+        if isinstance(content, str):
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(content)
+        else:
+            content.to_csv(path)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
 
 
-def _certificate_entry(cert):
-    return {
-        "epsilon": cert.epsilon,
-        "depth": cert.depth,
-        "boxes_checked": cert.boxes_checked,
-    }
+def _certify(name, module, target_gap, entries):
+    """Certify one module, record its ``corona`` entry and print its line.
 
-
-def _emit(report, out_path, started):
-    report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _certify_modules(prob, names):
-    """Certify the requested modules, printing witnesses on failure."""
-    certified = {}
-    failures = {}
-    for name in names:
-        section = getattr(prob, "module_a" if name == "moduleA" else "module_b")
-        try:
-            certified[name] = certify_spec(
-                QuotientSpec(base=section.base, theta=section.theta),
-                prob.target_gap,
-            )
-        except CoronaFailure as exc:
-            failures[name] = {
-                "witness": _cnum(exc.witness),
-                "value": exc.value,
-            }
-            print(
-                f"corona {name}: FAILED witness="
-                f"({exc.witness.real:.6g}, {exc.witness.imag:.6g}) "
-                f"u={exc.value:.6g}"
-            )
-        except DepthExceeded as exc:
-            failures[name] = {
+    Returns the certified spec, or None when certification fails; the entry
+    then holds the witness under ``failed``.
+    """
+    try:
+        spec = certify_spec(module, target_gap)
+    except CoronaFailure as exc:
+        entries[name] = {"failed": {"witness": _cnum(exc.witness), "value": exc.value}}
+        print(
+            f"corona {name}: FAILED witness="
+            f"({exc.witness.real:.6g}, {exc.witness.imag:.6g}) "
+            f"u={exc.value:.6g}"
+        )
+        return None
+    except DepthExceeded as exc:
+        entries[name] = {
+            "failed": {
                 "witness": _cnum(exc.witness),
                 "value": exc.value,
                 "best_bound": exc.best_bound,
                 "depth_exceeded": True,
             }
-            print(
-                f"corona {name}: DEPTH EXCEEDED best_bound={exc.best_bound:.6g} "
-                f"worst box near ({exc.witness.real:.6g}, {exc.witness.imag:.6g})"
-            )
-    return certified, failures
+        }
+        print(
+            f"corona {name}: DEPTH EXCEEDED best_bound={exc.best_bound:.6g} "
+            f"worst box near ({exc.witness.real:.6g}, {exc.witness.imag:.6g})"
+        )
+        return None
+    cert = spec.certificate
+    entries[name] = {
+        "epsilon": cert.epsilon,
+        "depth": cert.depth,
+        "boxes_checked": cert.boxes_checked,
+    }
+    print(
+        f"corona {name}: epsilon={cert.epsilon:.6g} "
+        f"depth={cert.depth} boxes={cert.boxes_checked}"
+    )
+    return spec
+
+
+def _run(args):
+    """Load, certify, run the subcommand's body and write the report.
+
+    Returns the exit code.  The report is written whatever certification
+    found; the body runs only when every module it needs is certified.
+    """
+    started = time.perf_counter()
+    prob = _load(args.specfile, args)
+    _, names, body = _COMMANDS[args.command]
+    modules = {"moduleA": prob.module_a, "moduleB": prob.module_b}
+    names = names or [name for name, module in modules.items() if module is not None]
+    if any(modules[name] is None for name in names):
+        print(f"error: {args.command} needs both [moduleA] and [moduleB]", file=sys.stderr)
+        return EXIT_USAGE
+    report = {
+        "version": __version__,
+        "input": {"canonical": canonical_problem_text(prob)},
+        "corona": {},
+    }
+    specs = {
+        name: _certify(name, modules[name], prob.target_gap, report["corona"])
+        for name in names
+    }
+    if any(spec is None for spec in specs.values()):
+        code = EXIT_UNCERTIFIED
+    else:
+        code = body(prob, specs, args, report)
+    report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
+    text = json.dumps(report, indent=2, sort_keys=True)
+    # the --out of curvature names the CSV, so its report goes to stdout
+    if args.out and args.command != "curvature":
+        _write(args.out, text + "\n")
+    else:
+        print(text)
+    return code
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommand bodies: each adds its own report section and returns the exit code
 
-def cmd_corona(args):
-    started = time.perf_counter()
-    prob = _load(args.specfile, args)
-    names = ["moduleA"] + (["moduleB"] if prob.module_b is not None else [])
-    certified, failures = _certify_modules(prob, names)
-    report = {"version": __version__, "input": _echo(prob), "corona": {}}
-    for name in names:
-        if name in certified:
-            cert = certified[name].certificate
-            report["corona"][name] = _certificate_entry(cert)
-            print(
-                f"corona {name}: epsilon={cert.epsilon:.6g} "
-                f"depth={cert.depth} boxes={cert.boxes_checked}"
-            )
-        else:
-            report["corona"][name] = {"failed": failures[name]}
-    _emit(report, args.out, started)
-    return EXIT_OK if not failures else EXIT_UNCERTIFIED
-
-
-def cmd_curvature(args):
-    started = time.perf_counter()
-    prob = _load(args.specfile, args)
-    certified, failures = _certify_modules(prob, ["moduleA"])
-    if failures:
-        return EXIT_UNCERTIFIED
-    spec = certified["moduleA"]
-    field = curvature_field(spec, prob.grid)
-    out_csv = args.out or "curvature.csv"
-    field.to_csv(out_csv)
-    script = os.path.splitext(out_csv)[0] + ".gp"
-    with open(script, "w", encoding="ascii") as fh:
-        fh.write(
-            "set datafile separator ','\n"
-            f"set title '{field.label}'\n"
-            "set xlabel 're'\nset ylabel 'im'\n"
-            f"splot '{out_csv}' every ::1 using 1:2:3 with points palette "
-            "pointtype 7 title 'curvature'\n"
-        )
-    cert = spec.certificate
-    report = {
-        "version": __version__,
-        "input": _echo(prob),
-        "corona": {"moduleA": _certificate_entry(cert)},
-        "curvature": {
-            "moduleA": {
-                "min": float(np.min(field.values)),
-                "max": float(np.max(field.values)),
-                "points": len(field.values),
-                "csv": out_csv,
-            }
-        },
-    }
-    print(
-        f"curvature moduleA: {len(field.values)} points, "
-        f"min={np.min(field.values):.6g} max={np.max(field.values):.6g} -> {out_csv}"
-    )
-    _emit(report, None, started)
+def _corona(prob, specs, args, report):
+    """Certification, done by the pipeline, is the whole command."""
     return EXIT_OK
 
 
-def cmd_decide(args):
-    started = time.perf_counter()
-    prob = _load(args.specfile, args)
-    if prob.module_b is None:
-        print("error: decide needs both [moduleA] and [moduleB]", file=sys.stderr)
-        return EXIT_USAGE
-    certified, failures = _certify_modules(prob, ["moduleA", "moduleB"])
-    if failures:
-        return EXIT_UNCERTIFIED
-    verdict = decide_equivalence(
-        certified["moduleA"], certified["moduleB"], prob.grid, prob.tol
+def _curvature(prob, specs, args, report):
+    field = curvature_field(specs["moduleA"], prob.grid)
+    out_csv = args.out or "curvature.csv"
+    _write(out_csv, field)
+    _write(
+        os.path.splitext(out_csv)[0] + ".gp",
+        "set datafile separator ','\n"
+        f"set title '{field.label}'\n"
+        "set xlabel 're'\nset ylabel 'im'\n"
+        f"splot '{out_csv}' every ::1 using 1:2:3 with points palette "
+        "pointtype 7 title 'curvature'\n",
     )
-    report = {
-        "version": __version__,
-        "input": _echo(prob),
-        "corona": {
-            name: _certificate_entry(certified[name].certificate)
-            for name in certified
+    lo, hi = float(np.min(field.values)), float(np.max(field.values))
+    report["curvature"] = {
+        "moduleA": {"min": lo, "max": hi, "points": len(field.values), "csv": out_csv}
+    }
+    print(
+        f"curvature moduleA: {len(field.values)} points, "
+        f"min={lo:.6g} max={hi:.6g} -> {out_csv}"
+    )
+    return EXIT_OK
+
+
+def _decide(prob, specs, args, report):
+    verdict = decide_equivalence(specs["moduleA"], specs["moduleB"], prob.grid, prob.tol)
+    report["verdict"] = {
+        "outcome": verdict.outcome.value,
+        "detail": verdict.detail,
+        "max_deviation": verdict.max_deviation,
+        "witness": None
+        if verdict.witness is None
+        else {
+            **_cnum(verdict.witness.point),
+            "obstruction": verdict.witness.obstruction,
         },
-        "verdict": {
-            "outcome": verdict.outcome.value,
-            "detail": verdict.detail,
-            "max_deviation": verdict.max_deviation,
-            "witness": None
-            if verdict.witness is None
-            else {
-                **_cnum(verdict.witness.point),
-                "obstruction": verdict.witness.obstruction,
-            },
-            "grid": dataclasses.asdict(prob.grid),
-            "tol": prob.tol,
-        },
+        "grid": dataclasses.asdict(prob.grid),
+        "tol": prob.tol,
     }
     print(f"verdict: {verdict.outcome.value} ({verdict.detail})")
     if verdict.witness is not None:
@@ -379,7 +379,6 @@ def cmd_decide(args):
             f"obstruction={w.obstruction:.6g}"
         )
     print(f"max_deviation: {verdict.max_deviation:.6g}")
-    _emit(report, args.out, started)
     return {
         Outcome.ISOMORPHIC: EXIT_OK,
         Outcome.NOT_ISOMORPHIC: EXIT_NOT_ISOMORPHIC,
@@ -393,31 +392,15 @@ def _verify_points():
     return np.array([r * a for r in radii for a in angles])
 
 
-def cmd_verify(args):
-    started = time.perf_counter()
-    prob = _load(args.specfile, args)
-    names = ["moduleA"] + (["moduleB"] if prob.module_b is not None else [])
-    certified, failures = _certify_modules(prob, names)
-    if failures:
-        return EXIT_UNCERTIFIED
-
+def _verify(prob, specs, args, report):
     h = prob.fd_step
     degree = prob.oracle_degree
-    report = {
-        "version": __version__,
-        "input": _echo(prob),
-        "corona": {
-            name: _certificate_entry(certified[name].certificate)
-            for name in names
-        },
-        "oracle": {},
-    }
+    report["oracle"] = {}
     pts = _verify_points()
     # the probe depends only on the grid and the step, not on the module
     probe = lemma46_probe(prob.grid, h)
     all_ok = True
-    for name in names:
-        spec = certified[name]
+    for name, spec in specs.items():
         checks = {}
 
         a = quotient_curvature(spec, pts)
@@ -465,8 +448,19 @@ def cmd_verify(args):
             print(f"verify {name} {label}: {status}")
             all_ok = all_ok and data["ok"]
 
-    _emit(report, args.out, started)
     return EXIT_OK if all_ok else EXIT_TOLERANCE
+
+
+# subcommand -> (help, modules it certifies, body); None certifies every
+# module of the file
+_COMMANDS = {
+    "corona": ("certify the corona condition for each module", None, _corona),
+    "curvature": ("sample the curvature field to CSV", ("moduleA",), _curvature),
+    "decide": (
+        "decide unitary equivalence of two modules", ("moduleA", "moduleB"), _decide,
+    ),
+    "verify": ("run the matrix-truncation oracle suite", None, _verify),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -480,32 +474,34 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path, args):
+    """The problem file with the flag overrides applied; exits 1 on bad input.
+
+    Overrides go through ``dataclasses.replace``, so flags pass the same
+    checks as file values.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
-    try:
-        prob = parse_problem(text)
-    except SpecFileError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
     overrides = {}
-    if getattr(args, "grid", None):
+    if args.grid:
         try:
             r_max, n_r, n_theta = args.grid.split(",")
             overrides["grid"] = DiskGrid(float(r_max), int(n_r), int(n_theta))
         except ValueError as exc:
             print(f"error: bad --grid value: {exc}", file=sys.stderr)
             sys.exit(EXIT_USAGE)
-    if getattr(args, "tol", None) is not None:
-        overrides["tol"] = args.tol
-    if getattr(args, "fd_step", None) is not None:
-        overrides["fd_step"] = args.fd_step
-    if getattr(args, "oracle_degree", None) is not None:
-        overrides["oracle_degree"] = args.oracle_degree
-    return dataclasses.replace(prob, **overrides) if overrides else prob
+    for key in ("tol", "fd_step", "oracle_degree"):
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
+    try:
+        prob = parse_problem(text)
+        return dataclasses.replace(prob, **overrides) if overrides else prob
+    except ValueError as exc:  # SpecFileError included
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
 
 
 def _build_parser():
@@ -516,12 +512,7 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, doc in (
-        ("corona", cmd_corona, "certify the corona condition for each module"),
-        ("curvature", cmd_curvature, "sample the curvature field to CSV"),
-        ("decide", cmd_decide, "decide unitary equivalence of two modules"),
-        ("verify", cmd_verify, "run the matrix-truncation oracle suite"),
-    ):
+    for name, (doc, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc, description=doc)
         p.add_argument("specfile", help="problem spec file")
         p.add_argument("--grid", help="override grid: r_max,n_r,n_theta")
@@ -535,15 +526,13 @@ def _build_parser():
             "--fd-step", dest="fd_step", type=float,
             help="finite-difference step",
         )
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except DiskModError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE

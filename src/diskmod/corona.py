@@ -184,8 +184,8 @@ def certify(theta, target_gap=DEFAULT_TARGET_GAP):
     found so far) when subdivision runs out of depth or budget without either
     outcome.
     """
-    if target_gap <= 0:
-        raise ValueError("target_gap must be positive")
+    if not 0.0 < target_gap < math.inf:
+        raise ValueError(f"target_gap must be finite and positive, got {target_gap!r}")
     boxes = _BoxBounds(theta)
     cx = np.zeros(1)
     cy = np.zeros(1)

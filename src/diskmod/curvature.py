@@ -9,6 +9,7 @@ every identity the test suite checks, so both routes are pinned to it.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -136,8 +137,8 @@ def fd_laplacian(field, z, h, richardson=False):
     scalar = np.ndim(z) == 0
     z = complex(z) if scalar else np.asarray(z, complex)
     h = float(h)
-    if h <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step must be finite and positive, got {h!r}")
     if richardson:
         coarse = fd_laplacian(field, z, h)
         fine = fd_laplacian(field, z, h / 2)

@@ -101,8 +101,8 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
     """
     if grid is None:
         grid = DiskGrid()
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     for spec in (spec_a, spec_b):
         _require_certified(spec)
 

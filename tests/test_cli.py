@@ -1,6 +1,10 @@
 """Command-line interface: spec files, exit codes, reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,11 +52,31 @@ theta1 = poly:[0,1]
 theta2 = poly:[0,0,1]
 """
 
+SPEC_FAIL_PAIR = SPEC_FAIL + """
+[moduleB]
+base = hardy
+theta1 = poly:[1]
+theta2 = poly:[0,1]
+"""
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def stdout_report(text):
+    """The JSON report that ends standard output, after the human lines."""
+    return json.loads(text[text.index("\n{") + 1:])
+
+
+def assert_failed_at_origin(report):
+    """moduleA of SPEC_FAIL fails at the common zero 0 of z and z^2."""
+    witness = report["corona"]["moduleA"]["failed"]["witness"]
+    assert abs(complex(witness["re"], witness["im"])) < 1e-3
 
 
 # --- spec-file parsing ----------------------------------------------------
@@ -143,7 +167,9 @@ def test_corona_command_honors_target_gap(tmp_path, capsys):
 def test_corona_command_failure_witness(tmp_path, capsys):
     path = write(tmp_path, "fail.spec", SPEC_FAIL)
     assert main(["corona", path]) == 2
-    assert "FAILED" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAILED" in out
+    assert_failed_at_origin(stdout_report(out))
 
 
 def test_corona_command_parse_error(tmp_path, capsys):
@@ -198,9 +224,13 @@ def test_curvature_command_value_near_origin(tmp_path):
     assert nearest[2] == pytest.approx(-2.0, abs=1e-2)
 
 
-def test_curvature_command_certification_failure(tmp_path):
+def test_curvature_command_certification_failure(tmp_path, capsys):
     path = write(tmp_path, "fail.spec", SPEC_FAIL)
     assert main(["curvature", path, "--out", str(tmp_path / "x.csv")]) == 2
+    report = stdout_report(capsys.readouterr().out)
+    assert_failed_at_origin(report)
+    assert "curvature" not in report
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_decide_isomorphic_exit_zero(tmp_path):
@@ -230,6 +260,16 @@ def test_decide_needs_two_modules(tmp_path, capsys):
     assert main(["decide", path]) == 1
 
 
+def test_decide_certification_failure_writes_report(tmp_path):
+    path = write(tmp_path, "fail.spec", SPEC_FAIL_PAIR)
+    out = tmp_path / "r.json"
+    assert main(["decide", path, "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert_failed_at_origin(report)
+    assert report["corona"]["moduleB"]["epsilon"] > 0
+    assert "verdict" not in report
+
+
 def test_decide_inconclusive_exit_four(tmp_path):
     text = SPEC_A + """
 [moduleB]
@@ -253,7 +293,11 @@ def test_verify_command_all_green(tmp_path, capsys):
 def test_verify_uncertified_stops_before_oracle(tmp_path, capsys):
     path = write(tmp_path, "fail.spec", SPEC_FAIL)
     assert main(["verify", path]) == 2
-    assert "verify" not in capsys.readouterr().out.replace("corona", "")
+    out = capsys.readouterr().out
+    assert "verify" not in out.replace("corona", "")
+    report = stdout_report(out)
+    assert_failed_at_origin(report)
+    assert "oracle" not in report
 
 
 def test_grid_override_flag(tmp_path):
@@ -264,14 +308,80 @@ def test_grid_override_flag(tmp_path):
     assert rows.shape == (12, 3)
 
 
-def test_deterministic_reports(tmp_path):
+@pytest.mark.parametrize("command", ["corona", "curvature", "decide", "verify"])
+def test_deterministic_reports(tmp_path, capsys, command):
     path = write(tmp_path, "iso.spec", SPEC_ISO)
-    out1 = tmp_path / "r1.json"
-    out2 = tmp_path / "r2.json"
-    assert main(["decide", path, "--out", str(out1)]) == 0
-    assert main(["decide", path, "--out", str(out2)]) == 0
-    r1 = json.loads(out1.read_text())
-    r2 = json.loads(out2.read_text())
-    r1.pop("timing")
-    r2.pop("timing")
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+    out = tmp_path / ("field.csv" if command == "curvature" else "r.json")
+    runs = []
+    for _ in range(2):
+        assert main([command, path, "--out", str(out)]) == 0
+        if command == "curvature":
+            report = stdout_report(capsys.readouterr().out)
+            csv = out.read_bytes()
+        else:
+            report = json.loads(out.read_text())
+            csv = None
+        report.pop("timing")
+        runs.append((json.dumps(report, sort_keys=True), csv))
+    assert runs[0] == runs[1]
+
+
+# --- checked values and outputs ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "line", ["tol = inf", "tol = nan", "target_gap = inf", "target_gap = nan", "fd_step = inf"]
+)
+def test_non_finite_tolerance_in_file_exits_one(tmp_path, capsys, line):
+    path = write(tmp_path, "iso.spec", SPEC_ISO + f"\n[tolerances]\n{line}\n")
+    with pytest.raises(SystemExit) as info:
+        main(["decide", path])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite and positive" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--tol", "0"],
+        ["decide", "--tol", "-1"],
+        ["verify", "--fd-step", "0"],
+        ["verify", "--oracle-degree", "10"],
+    ],
+    ids=["tol-0", "tol-negative", "fd-step-0", "oracle-degree-10"],
+)
+def test_bad_flag_value_exits_one_before_certifying(tmp_path, capsys, argv):
+    path = write(tmp_path, "iso.spec", SPEC_ISO)
+    command, *flag = argv
+    with pytest.raises(SystemExit) as info:
+        main([command, path, *flag])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("command, name", [("decide", "r.json"), ("curvature", "f.csv")])
+def test_unwritable_out_exits_one(tmp_path, capsys, command, name):
+    path = write(tmp_path, "iso.spec", SPEC_ISO)
+    out = tmp_path / "missing" / name
+    with pytest.raises(SystemExit) as info:
+        main([command, path, "--grid", "0.5,2,3", "--out", str(out)])
+    assert info.value.code == 1
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, code", [(SPEC_A, 0), (SPEC_FAIL, 2)])
+def test_module_entry_point_exit_code(tmp_path, text, code):
+    path = write(tmp_path, "a.spec", text)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diskmod.cli", "corona", path],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith("corona moduleA: ")
+    assert "moduleA" in stdout_report(proc.stdout)["corona"]

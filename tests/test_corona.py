@@ -1,5 +1,7 @@
 """Certified corona bounds: soundness, failure witnesses, monotonicity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -114,8 +116,9 @@ def test_certify_spec_attaches_certificate():
 
 
 def test_certify_rejects_bad_target():
-    with pytest.raises(ValueError):
-        certify(PAIR_1Z, target_gap=0.0)
+    for gap in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            certify(PAIR_1Z, target_gap=gap)
 
 
 def test_depth_exceeded_on_sharp_dip():

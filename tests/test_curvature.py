@@ -1,6 +1,7 @@
 """Curvature engines: Wirtinger Laplacian, finite differences, quotient identity."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,12 @@ def test_fd_laplacian_richardson_improves():
 def test_fd_laplacian_stencil_domain():
     with pytest.raises(StencilOutsideDomain):
         fd_laplacian(lambda z: abs(z) ** 2, 0.9995, 1e-3)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.inf, math.nan])
+def test_fd_laplacian_rejects_bad_step(h):
+    with pytest.raises(ValueError):
+        fd_laplacian(lambda z: abs(z) ** 2, 0.2, h)
 
 
 @pytest.mark.parametrize(

@@ -120,8 +120,9 @@ def test_decide_requires_certificates():
 
 def test_decide_rejects_bad_tolerance():
     a = make_spec(HARDY, PAIR_1Z)
-    with pytest.raises(ValueError):
-        decide_equivalence(a, a, tol=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            decide_equivalence(a, a, tol=tol)
 
 
 def test_reflexivity_on_corpus(corpus):
