@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -43,6 +44,7 @@ from .errors import (
     DiskModError,
     FunctionParseError,
     SpecFileError,
+    _RangeError,
 )
 from .holofun import MultiplierPair, format_function, parse_function, poly
 from .oracle import (
@@ -65,6 +67,9 @@ EXIT_TOLERANCE = 5
 _MODULE_KEYS = ("base", "theta1", "theta2")
 _GRID_KEYS = ("r_max", "n_r", "n_theta")
 _TOL_KEYS = ("tol", "target_gap", "fd_step", "oracle_degree")
+# radii of the points where verify compares the analytic and oracle curvature;
+# the finite-difference stencil, fd_step wide, must stay inside the disk there
+_VERIFY_RADII = (0.1, 0.25, 0.4, 0.55, 0.7)
 
 
 @dataclass(frozen=True)
@@ -83,10 +88,19 @@ class ProblemSpec:
         for key in ("tol", "target_gap", "fd_step"):
             value = getattr(self, key)
             if not 0.0 < value < math.inf:
-                raise ValueError(f"{key} must be finite and positive, got {value!r}")
+                raise _RangeError(key, f"{key} must be finite and positive, got {value!r}")
         if self.oracle_degree < 60:
-            raise ValueError(
-                f"oracle_degree must be at least 60, got {self.oracle_degree}"
+            raise _RangeError(
+                "oracle_degree",
+                f"oracle_degree must be at least 60, got {self.oracle_degree}",
+            )
+        radius = max(self.grid.r_max, *_VERIFY_RADII)
+        if not radius + self.fd_step < 1.0:
+            raise _RangeError(
+                "fd_step",
+                f"fd_step must be below 1 - {radius!r}, the largest radius of the "
+                "grid and the verify points, so that the finite-difference "
+                f"stencil stays inside the disk; got {self.fd_step!r}",
             )
 
 
@@ -172,6 +186,7 @@ def parse_problem(text):
                 f"bad value for {key!r}: {value!r}", line=lineno, column=col
             ) from None
 
+    # a value out of range is reported at the line that set it
     grid_defaults = DiskGrid()
     try:
         grid = DiskGrid(
@@ -179,22 +194,19 @@ def parse_problem(text):
             n_r=number("grid", "n_r", int, grid_defaults.n_r),
             n_theta=number("grid", "n_theta", int, grid_defaults.n_theta),
         )
-    except ValueError as exc:
-        raise SpecFileError(f"bad grid: {exc}") from None
-
-    fields = dict(
-        module_a=build_module("moduleA"),
-        module_b=build_module("moduleB") if "moduleB" in sections else None,
-        grid=grid,
-        tol=number("tolerances", "tol", float, DEFAULT_TOL),
-        target_gap=number("tolerances", "target_gap", float, DEFAULT_TARGET_GAP),
-        fd_step=number("tolerances", "fd_step", float, 1e-3),
-        oracle_degree=number("tolerances", "oracle_degree", int, DEFAULT_DEGREE),
-    )
-    try:
-        return ProblemSpec(**fields)
-    except ValueError as exc:
-        raise SpecFileError(str(exc)) from None
+        return ProblemSpec(
+            module_a=build_module("moduleA"),
+            module_b=build_module("moduleB") if "moduleB" in sections else None,
+            grid=grid,
+            tol=number("tolerances", "tol", float, DEFAULT_TOL),
+            target_gap=number("tolerances", "target_gap", float, DEFAULT_TARGET_GAP),
+            fd_step=number("tolerances", "fd_step", float, 1e-3),
+            oracle_degree=number("tolerances", "oracle_degree", int, DEFAULT_DEGREE),
+        )
+    except _RangeError as exc:
+        section = sections.get("grid" if exc.key in _GRID_KEYS else "tolerances", {})
+        _, line, column = section.get(exc.key, (None, None, None))
+        raise SpecFileError(str(exc), line=line, column=column) from None
 
 
 def canonical_problem_text(spec):
@@ -387,9 +399,8 @@ def _decide(prob, specs, args, report):
 
 
 def _verify_points():
-    radii = (0.1, 0.25, 0.4, 0.55, 0.7)
     angles = np.exp(2j * np.pi * np.arange(5) / 5)
-    return np.array([r * a for r in radii for a in angles])
+    return np.array([r * a for r in _VERIFY_RADII for a in angles])
 
 
 def _verify(prob, specs, args, report):
@@ -504,6 +515,7 @@ def _load(path, args):
         sys.exit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(
         prog="diskmod",

@@ -20,6 +20,7 @@ from .errors import (
     PointOutsideDomain,
     StencilOutsideDomain,
     UncertifiedSpec,
+    _RangeError,
 )
 from .holofun import MultiplierPair, derivative, format_function
 from .rkhs import ModuleKind, base_curvature, format_module_kind
@@ -48,9 +49,12 @@ class DiskGrid:
 
     def __post_init__(self):
         if not (0.0 < self.r_max < 1.0):
-            raise ValueError(f"r_max must lie in (0, 1), got {self.r_max}")
+            raise _RangeError("r_max", f"r_max must lie in (0, 1), got {self.r_max}")
         if self.n_r < 1 or self.n_theta < 1:
-            raise ValueError("grid must have at least one radius and one angle")
+            raise _RangeError(
+                "n_r" if self.n_r < 1 else "n_theta",
+                "grid must have at least one radius and one angle",
+            )
 
     def points(self, rotate=0.0):
         """Flat complex array of grid points, radius-major order."""

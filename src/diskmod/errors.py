@@ -77,6 +77,15 @@ class TailBoundExceeded(DiskModError):
     """Taylor truncation of a rational multiplier has a tail above tolerance."""
 
 
+class _RangeError(ValueError):
+    """A field value out of range; ``key`` names the field, so that a problem
+    file can report the line that set it."""
+
+    def __init__(self, key, message):
+        self.key = key
+        super().__init__(message)
+
+
 class SpecFileError(DiskModError, ValueError):
     """A problem spec file is malformed."""
 

@@ -3,10 +3,13 @@
 Functions are stored as coefficient sequences in ascending powers.  A rational
 function is verified at construction to have a denominator with no zero of
 modulus <= 1 + 1e-9, so every instance is holomorphic on the closed disk and
-evaluates a little beyond it (up to |z| = 1.25).  Denominator zeros should stay
-well away from the unit circle; a zero within roughly 1e-6 of it may be
-rejected conservatively because numeric root isolation cannot separate it from
-the gate.
+evaluates a little beyond it (up to |z| = 1.25).  Roots are the eigenvalues of
+the companion matrix (``numpy.polynomial``), with no Newton polish, which jumps
+off double roots.  The squared denominator that ``derivative`` builds has double
+zeros, which come out within about 3e-8 (single poles at |z| = 1 + d,
+d = 1e-2 ... 1e-7, 200 angles each); simple zeros come out far more accurately.
+So differentiating a function with a pole within about 3e-8 of the unit circle
+may be rejected conservatively.
 
 Instances are immutable; arithmetic returns new instances.  Everything here is
 safe to share between threads.
@@ -29,8 +32,6 @@ EVAL_MARGIN = 0.25
 DISK_ROOT_TOL = 1e-9
 # remainder-is-zero threshold for the numeric GCD, relative to the largest input coefficient
 GCD_REL_TOL = 1e-10
-# simultaneous-iteration stopping residual for root isolation
-ROOT_RESIDUAL = 1e-12
 
 
 def _trim(coeffs):
@@ -56,76 +57,28 @@ def _horner(coeffs, z):
     return acc
 
 
-def _poly_derivative(coeffs):
-    if len(coeffs) <= 1:
-        return [0j]
-    return [k * coeffs[k] for k in range(1, len(coeffs))]
-
-
 def poly_mul(a, b):
     """Coefficient convolution of two ascending coefficient sequences."""
     return list(np.convolve(np.asarray(a, complex), np.asarray(b, complex)))
 
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [0j] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
-
-
-def polynomial_roots(coeffs, residual_tol=ROOT_RESIDUAL, max_iter=400):
+def polynomial_roots(coeffs):
     """All complex roots of a polynomial given by ascending coefficients.
 
-    Uses simultaneous (Durand-Kerner) iteration down to residual
-    ``residual_tol`` relative to the coefficient scale, followed by a short
-    Newton polish.  Roots at the origin are split off exactly beforehand.
-    Multiplicities are returned as repeated (clustered) values.
+    Roots at the origin are split off exactly; the others are the eigenvalues
+    of the companion matrix of the monic remainder (``npp.polyroots``).
+    Multiplicities are returned as repeated (clustered) values.  There is no
+    Newton polish: the eigenvalues of a double root can come out bit-identical,
+    where the derivative is rounding noise and a Newton step jumps far off.
     """
     c = _trim(coeffs)
     if len(c) == 1:
         return np.empty(0, complex)
-
-    # exact roots at the origin
     m = 0
-    while m < len(c) - 1 and c[m] == 0:
+    while c[m] == 0:
         m += 1
-    c = c[m:]
-    origin = np.zeros(m, complex)
-
-    n = len(c) - 1
-    if n == 0:
-        return origin
-    a = np.asarray(c, complex) / c[-1]
-    if n == 1:
-        return np.concatenate([origin, [-a[0]]])
-
-    scale = max(1.0, float(np.max(np.abs(a))))
-    radius = 1.0 + float(np.max(np.abs(a[:-1])))
-    z = radius * (0.4 + 0.9j) ** np.arange(1, n + 1)
-    for _ in range(max_iter):
-        p = npp.polyval(z, a)
-        if np.max(np.abs(p)) <= residual_tol * scale:
-            break
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = np.prod(diff, axis=1)
-        denom[denom == 0] = 1e-300
-        step = p / denom
-        z = z - step
-        if np.max(np.abs(step)) <= 1e-15 * max(1.0, np.max(np.abs(z))):
-            break
-
-    da = np.asarray(_poly_derivative(list(a)), complex)
-    for _ in range(3):
-        dp = npp.polyval(z, da)
-        mask = np.abs(dp) > 1e-30
-        z = np.where(mask, z - npp.polyval(z, a) / np.where(mask, dp, 1.0), z)
-
-    return np.concatenate([origin, z])
+    a = np.asarray(c[m:], complex)
+    return np.concatenate([np.zeros(m, complex), npp.polyroots(a / a[-1])])
 
 
 def _trim_threshold(coeffs, thresh):
@@ -146,10 +99,6 @@ def polynomial_gcd(a, b, rel_tol=GCD_REL_TOL):
     )
     f = _trim_threshold(_trim(a), 0.0)
     g = _trim_threshold(_trim(b), 0.0)
-    if not f or f == [0j]:
-        f = []
-    if not g or g == [0j]:
-        g = []
     if not f:
         f, g = g, f
     if not g:
@@ -273,12 +222,13 @@ def rational(numer, denom):
 @lru_cache(maxsize=256)
 def derivative(f):
     """Exact formal derivative; quotient rule with squared denominator for rationals."""
-    dnum = _poly_derivative(list(f.numer))
+    dnum = npp.polyder(f.numer)
     if f.is_polynomial:
         return HoloFun(tuple(dnum))
-    dden = _poly_derivative(list(f.denom))
-    top = _poly_sub(poly_mul(dnum, f.denom), poly_mul(f.numer, dden))
-    return HoloFun(tuple(top), tuple(poly_mul(f.denom, f.denom)))
+    top = npp.polysub(
+        npp.polymul(dnum, f.denom), npp.polymul(f.numer, npp.polyder(f.denom))
+    )
+    return HoloFun(tuple(top), tuple(npp.polymul(f.denom, f.denom)))
 
 
 @dataclass(frozen=True)
@@ -307,14 +257,7 @@ def common_zeros_in_disk(pair):
     followed by root isolation.  Multiplicity is ignored; clustered roots are
     merged.  Returns a list sorted by (re, im).
     """
-    p1 = _trim(pair.theta1.numer)
-    p2 = _trim(pair.theta2.numer)
-    if p1 == [0j]:
-        g = p2
-    elif p2 == [0j]:
-        g = p1
-    else:
-        g = polynomial_gcd(p1, p2)
+    g = polynomial_gcd(pair.theta1.numer, pair.theta2.numer)
     if len(g) == 1:
         return []
     roots = [complex(r) for r in polynomial_roots(g) if abs(r) < 1.0]

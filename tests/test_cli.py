@@ -142,6 +142,18 @@ def test_parse_reports_line_and_column_of_bad_literal():
     assert "1..5" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "lines",
+    ["[tolerances]\ntol = inf", "[grid]\nn_r = abc", "[grid]\nr_max = 1.5"],
+    ids=["tol-inf", "n-r-abc", "r-max-1.5"],
+)
+def test_parse_reports_line_of_bad_value_once(lines):
+    with pytest.raises(SpecFileError) as info:
+        parse_problem(SPEC_A + lines + "\n")
+    assert info.value.line == 6
+    assert str(info.value).count("line 6") == 1
+
+
 # --- subcommands ----------------------------------------------------------
 
 
@@ -343,16 +355,23 @@ def test_non_finite_tolerance_in_file_exits_one(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, key",
     [
-        ["decide", "--tol", "0"],
-        ["decide", "--tol", "-1"],
-        ["verify", "--fd-step", "0"],
-        ["verify", "--oracle-degree", "10"],
+        (["decide", "--tol", "0"], "tol"),
+        (["decide", "--tol", "-1"], "tol"),
+        (["verify", "--fd-step", "0"], "fd_step"),
+        (["verify", "--oracle-degree", "10"], "oracle_degree"),
+        # the stencil must fit around the grid and around the verify points
+        (["verify", "--fd-step", "0.5"], "fd_step"),
+        (["verify", "--grid", "0.8,4,8", "--fd-step", "0.25"], "fd_step"),
+        (["verify", "--grid", "0.2,4,8", "--fd-step", "0.35"], "fd_step"),
     ],
-    ids=["tol-0", "tol-negative", "fd-step-0", "oracle-degree-10"],
+    ids=[
+        "tol-0", "tol-negative", "fd-step-0", "oracle-degree-10",
+        "fd-step-0.5", "fd-step-0.25-r-max-0.8", "fd-step-0.35-r-max-0.2",
+    ],
 )
-def test_bad_flag_value_exits_one_before_certifying(tmp_path, capsys, argv):
+def test_bad_flag_value_exits_one_before_certifying(tmp_path, capsys, argv, key):
     path = write(tmp_path, "iso.spec", SPEC_ISO)
     command, *flag = argv
     with pytest.raises(SystemExit) as info:
@@ -360,7 +379,19 @@ def test_bad_flag_value_exits_one_before_certifying(tmp_path, capsys, argv):
     assert info.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.startswith(f"error: {path}: {key} ")
+
+
+def test_flags_do_not_reach_the_next_call(tmp_path, capsys):
+    # the argument parser is built once per process
+    path = write(tmp_path, "iso.spec", SPEC_ISO)
+    out = tmp_path / "r.json"
+    main(["decide", path, "--tol", "1e-4", "--grid", "0.5,4,8", "--out", str(out)])
+    first = json.loads(out.read_text())["verdict"]
+    main(["decide", path, "--out", str(out)])
+    second = json.loads(out.read_text())["verdict"]
+    assert (first["tol"], first["grid"]) == (1e-4, {"r_max": 0.5, "n_r": 4, "n_theta": 8})
+    assert (second["tol"], second["grid"]) == (1e-6, {"r_max": 0.8, "n_r": 24, "n_theta": 48})
 
 
 @pytest.mark.parametrize("command, name", [("decide", "r.json"), ("curvature", "f.csv")])

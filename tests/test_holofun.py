@@ -213,14 +213,27 @@ def test_polynomial_roots_basic():
 
 def test_polynomial_roots_randomized_reconstruction():
     rng = np.random.default_rng(3)
-    for _ in range(30):
-        true = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    cases = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(30)]
+    # a double root, and roots at the origin, which are split off exactly
+    cases += [[0.5 - 0.25j, 0.5 - 0.25j, -1.5], [0, 0, 0.75, -2j]]
+    for true in cases:
         coeffs = [1.0 + 0j]
         for r in true:
             coeffs = poly_mul(coeffs, [-r, 1.0])
         found = polynomial_roots(coeffs)
+        assert len(found) == len(true)
         for r in true:
             assert min(abs(found - r)) < 1e-7
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_pole_near_the_circle_survives_the_quotient_rule(delta):
+    # the derivative squares the denominator, so the root gate sees a double
+    # root just outside the closed disk; a Newton step there can jump far off
+    for t in range(200):
+        r = (1 + delta) * np.exp(2j * np.pi * t / 200)
+        df = derivative(rational([1], [1, -1 / r]))
+        assert max(abs(polynomial_roots(df.denom) - r)) < 1e-6
 
 
 def test_polynomial_gcd_coprime_is_constant():
