@@ -36,14 +36,12 @@ from .rkhs import (
     base_curvature,
     format_module_kind,
     kernel_eval,
-    monomial_norm_sq,
     monomial_norms_sq,
     parse_module_kind,
-    shift_weight,
+    shift_weights,
     weighted_bergman,
 )
 from .curvature import (
-    DEFAULT_GRID,
     CurvatureField,
     DiskGrid,
     QuotientSpec,
@@ -69,7 +67,6 @@ from .equivalence import (
 )
 from .oracle import (
     GammaSection,
-    TruncatedOperator,
     build_multiplier,
     build_shift,
     dim_ker_estimate,

@@ -65,8 +65,10 @@ EXIT_INCONCLUSIVE = 4
 EXIT_TOLERANCE = 5
 
 _MODULE_KEYS = ("base", "theta1", "theta2")
-_GRID_KEYS = ("r_max", "n_r", "n_theta")
-_TOL_KEYS = ("tol", "target_gap", "fd_step", "oracle_degree")
+# section keys with the cast of their values; absent keys keep the defaults of
+# DiskGrid and ProblemSpec
+_GRID_KEYS = {"r_max": float, "n_r": int, "n_theta": int}
+_TOL_KEYS = {"tol": float, "target_gap": float, "fd_step": float, "oracle_degree": int}
 # radii of the points where verify compares the analytic and oracle curvature;
 # the finite-difference stencil, fd_step wide, must stay inside the disk there
 _VERIFY_RADII = (0.1, 0.25, 0.4, 0.55, 0.7)
@@ -105,12 +107,16 @@ class ProblemSpec:
 
 
 def parse_problem(text):
-    """Parse a problem spec file; unknown sections or keys are rejected."""
+    """Parse a problem spec file; unknown sections or keys are rejected.
+
+    ``#`` starts a comment that runs to the end of the line; no legal value
+    contains it.
+    """
     sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
@@ -175,33 +181,26 @@ def parse_problem(text):
             raise SpecFileError(str(exc), line=data["theta1"][1]) from None
         return QuotientSpec(base=base, theta=pair)
 
-    def number(section, key, cast, default):
-        if section not in sections or key not in sections[section]:
-            return default
-        value, lineno, col = sections[section][key]
-        try:
-            return cast(value)
-        except ValueError:
-            raise SpecFileError(
-                f"bad value for {key!r}: {value!r}", line=lineno, column=col
-            ) from None
+    def numbers(section, casts):
+        # only the keys the file sets, so the dataclasses supply the defaults
+        out = {}
+        for key, (value, lineno, col) in sections.get(section, {}).items():
+            try:
+                out[key] = casts[key](value)
+            except ValueError:
+                raise SpecFileError(
+                    f"bad value for {key!r}: {value!r}", line=lineno, column=col
+                ) from None
+        return out
 
     # a value out of range is reported at the line that set it
-    grid_defaults = DiskGrid()
     try:
-        grid = DiskGrid(
-            r_max=number("grid", "r_max", float, grid_defaults.r_max),
-            n_r=number("grid", "n_r", int, grid_defaults.n_r),
-            n_theta=number("grid", "n_theta", int, grid_defaults.n_theta),
-        )
+        grid = DiskGrid(**numbers("grid", _GRID_KEYS))
         return ProblemSpec(
             module_a=build_module("moduleA"),
             module_b=build_module("moduleB") if "moduleB" in sections else None,
             grid=grid,
-            tol=number("tolerances", "tol", float, DEFAULT_TOL),
-            target_gap=number("tolerances", "target_gap", float, DEFAULT_TARGET_GAP),
-            fd_step=number("tolerances", "fd_step", float, 1e-3),
-            oracle_degree=number("tolerances", "oracle_degree", int, DEFAULT_DEGREE),
+            **numbers("tolerances", _TOL_KEYS),
         )
     except _RangeError as exc:
         section = sections.get("grid" if exc.key in _GRID_KEYS else "tolerances", {})

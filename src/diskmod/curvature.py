@@ -66,9 +66,6 @@ class DiskGrid:
         return self.n_r * self.n_theta
 
 
-DEFAULT_GRID = DiskGrid()
-
-
 @dataclass(frozen=True)
 class QuotientSpec:
     """A base module together with a multiplier pair.

@@ -254,20 +254,15 @@ def common_zeros_in_disk(pair):
     """All points of the open disk where both components vanish.
 
     Works on numerators (denominators are zero-free on the disk): numeric GCD
-    followed by root isolation.  Multiplicity is ignored; clustered roots are
-    merged.  Returns a list sorted by (re, im).
+    g, then the roots of its square-free part g / gcd(g, g'), so a multiple
+    common zero is listed once.  Returns a list sorted by (re, im).
     """
     g = polynomial_gcd(pair.theta1.numer, pair.theta2.numer)
     if len(g) == 1:
         return []
-    roots = [complex(r) for r in polynomial_roots(g) if abs(r) < 1.0]
-    roots.sort(key=lambda r: (r.real, r.imag))
-    merged = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) < 1e-8:
-            continue
-        merged.append(r)
-    return merged
+    square_free, _ = npp.polydiv(g, polynomial_gcd(g, npp.polyder(g)))
+    roots = [complex(r) for r in polynomial_roots(square_free) if abs(r) < 1.0]
+    return sorted(roots, key=lambda r: (r.real, r.imag))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Everything here recomputes a claim of `rkhs`/`curvature` without using its
 closed form: finite weighted-shift truncations, multiplication-operator
 matrices in orthonormalized monomial bases, exact section Gram matrices, and a
 finite-difference curvature that never touches the quotient-curvature
-identity.  Truncation degrees default to 120 and evaluation points stay within
-|w| <= 0.6-0.7 so geometric kernel tails are negligible against the 1e-6
+identity.  The truncated shift is held as its weight vector
+(``rkhs.shift_weights``) and applied by weighted slice moves; no dense shift
+matrix is built.  Truncation degrees default to 120 and evaluation points stay
+within |w| <= 0.6-0.7 so geometric kernel tails are negligible against the 1e-6
 assertions made downstream.
 """
 
@@ -18,7 +20,7 @@ import numpy as np
 from .curvature import _require_certified, fd_laplacian
 from .errors import NoSpectralGap, PointOutsideDomain, TailBoundExceeded
 from .holofun import taylor_coefficients, taylor_tail_bound
-from .rkhs import ModuleKind, kernel_eval, monomial_norms_sq, shift_weight
+from .rkhs import kernel_eval, monomial_norms_sq, shift_weights
 
 RATIONAL_TAYLOR_DEGREE = 64
 TAIL_TOL = 1e-10
@@ -27,31 +29,12 @@ GAP_FACTOR = 10.0
 DEFAULT_DEGREE = 120
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """A finite matrix in orthonormalized monomial bases e_k = z^k / |z^k|.
-
-    ``components`` is 1 for operators on the scalar space and 2 when the
-    codomain is doubled; rows are ordered component-major.
-    """
-
-    matrix: np.ndarray
-    kind: ModuleKind
-    domain_degree: int
-    codomain_degree: int
-    components: int = 1
-
-
 def build_shift(kind, n):
-    """Degree-n truncation of multiplication by z: a weighted subdiagonal shift."""
+    """Dense degree-n truncation of multiplication by z, the weighted subdiagonal
+    shift; a reference only, since the oracle applies the shift by its weights."""
     if n < 1:
         raise ValueError("truncation degree must be at least 1")
-    m = np.zeros((n + 1, n + 1))
-    for k in range(n):
-        m[k + 1, k] = shift_weight(kind, k)
-    return TruncatedOperator(
-        matrix=m, kind=kind, domain_degree=n, codomain_degree=n
-    )
+    return np.diag(shift_weights(kind, n), -1)
 
 
 def _component_coefficients(f):
@@ -89,19 +72,14 @@ def build_multiplier(theta, kind, n):
 
     Polynomial components enter exactly; rational ones by degree-64 Taylor
     truncation guarded by a certified tail bound.  The codomain degree is
-    n plus the largest component degree, rows stacked component-major.
+    n plus the largest component degree, so the array has 2 (cod + 1) rows,
+    stacked component-major, and n + 1 columns.
     """
     if n < 0:
         raise ValueError("domain degree must be nonnegative")
     coeffs = [_component_coefficients(f) for f in theta]
     cod = n + max(len(c) for c in coeffs) - 1
-    return TruncatedOperator(
-        matrix=_multiplier_matrix(coeffs, kind, n, cod),
-        kind=kind,
-        domain_degree=n,
-        codomain_degree=cod,
-        components=2,
-    )
+    return _multiplier_matrix(coeffs, kind, n, cod)
 
 
 def gamma_gram(spec, points):
@@ -183,10 +161,11 @@ def eigenvector_residual(spec, w, n=DEFAULT_DEGREE):
     if abs(w) > 0.7:
         raise ValueError("truncation error grows near the boundary; need |w| <= 0.7")
     gamma = gamma_section(spec, w, n).coords
-    s = build_shift(spec.base, n).matrix
-    s_adj = s.conj().T
-    top, bottom = gamma[: n + 1], gamma[n + 1 :]
-    applied = np.concatenate([s_adj @ top, s_adj @ bottom])
+    # the adjoint shift moves row k + 1 of each block to row k, weighted
+    weights = shift_weights(spec.base, n)
+    applied = np.zeros_like(gamma)
+    for base in (0, n + 1):
+        applied[base : base + n] = weights * gamma[base + 1 : base + n + 1]
     return float(
         np.linalg.norm(applied - np.conj(w) * gamma) / np.linalg.norm(gamma)
     )
@@ -248,7 +227,7 @@ def _compressed_shift_adjoint(spec, n):
     q_perp = q[:, rank:]
 
     # the doubled shift moves row k of each block to row k + 1, weighted
-    weights = np.diag(build_shift(spec.base, n).matrix, -1)[:, None]
+    weights = shift_weights(spec.base, n)[:, None]
     shifted = np.zeros_like(q_perp)
     for base in (0, n + 1):
         shifted[base + 1 : base + n + 1] = weights * q_perp[base : base + n]

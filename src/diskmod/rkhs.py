@@ -72,33 +72,25 @@ def kernel_eval(kind, z, w):
     return out
 
 
-def monomial_norm_sq(kind, k):
-    """Squared norm of z^k: 1 for Hardy, prod_{j<=k} j/(j+1+alpha) otherwise."""
-    if k < 0:
-        raise ValueError("monomial exponent must be nonnegative")
+def _norm_ratios(kind, n):
+    # |z^j|^2 / |z^(j-1)|^2 for j = 1..n: the one weight table behind the
+    # monomial norms and the weighted shift
     if kind.is_hardy:
-        return 1.0
-    out = 1.0
-    for j in range(1, k + 1):
-        out *= j / (j + 1.0 + kind.alpha)
-    return out
+        return np.ones(n)
+    j = np.arange(1, n + 1, dtype=float)
+    return j / (j + 1.0 + kind.alpha)
 
 
 def monomial_norms_sq(kind, n):
-    """Array of squared monomial norms for exponents 0..n."""
-    if kind.is_hardy:
-        return np.ones(n + 1)
-    j = np.arange(1, n + 1, dtype=float)
-    return np.concatenate([[1.0], np.cumprod(j / (j + 1.0 + kind.alpha))])
+    """Squared norms of z^k for k = 0..n: 1 for Hardy, prod_{j<=k} j/(j+1+alpha)
+    otherwise."""
+    return np.concatenate([[1.0], np.cumprod(_norm_ratios(kind, n))])
 
 
-def shift_weight(kind, k):
-    """Norm ratio |z^{k+1}| / |z^k|: 1 for Hardy, sqrt((k+1)/(k+2+alpha)) otherwise."""
-    if k < 0:
-        raise ValueError("shift index must be nonnegative")
-    if kind.is_hardy:
-        return 1.0
-    return float(np.sqrt((k + 1.0) / (k + 2.0 + kind.alpha)))
+def shift_weights(kind, n):
+    """Weights |z^{k+1}| / |z^k| for k = 0..n-1 of the degree-n truncated shift:
+    1 for Hardy, sqrt((k+1)/(k+2+alpha)) otherwise."""
+    return np.sqrt(_norm_ratios(kind, n))
 
 
 def base_curvature(kind, z):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diskmod import SpecFileError, base_curvature, HARDY
+from diskmod import SpecFileError, base_curvature, HARDY, poly
 from diskmod.cli import canonical_problem_text, main, parse_problem
 
 SPEC_A = """\
@@ -152,6 +152,42 @@ def test_parse_reports_line_of_bad_value_once(lines):
         parse_problem(SPEC_A + lines + "\n")
     assert info.value.line == 6
     assert str(info.value).count("line 6") == 1
+
+
+def readme_problem_block():
+    """The ``ini`` example of the README's problem-file section, verbatim."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("```ini\n") + len("```ini\n")
+    return text[start : text.index("```", start)]
+
+
+def test_parse_readme_problem_block(tmp_path):
+    block = readme_problem_block()
+    assert "# or bergman" in block  # trailing comments on value lines
+    prob = parse_problem(block)
+    assert prob.module_a.base == HARDY
+    assert prob.module_b.theta.theta2 == poly([0, 2, 1])
+    assert (prob.grid.r_max, prob.grid.n_r, prob.grid.n_theta) == (0.8, 24, 48)
+    assert (prob.tol, prob.target_gap, prob.fd_step, prob.oracle_degree) == (
+        1e-6, 1e-6, 1e-3, 120
+    )
+    path = write(tmp_path, "readme.spec", block)
+    assert main(["decide", path, "--out", str(tmp_path / "report.json")]) == 0
+
+
+def test_parse_comment_after_section_header_and_value():
+    text = SPEC_A.replace("[moduleA]", "[moduleA]   # the first module").replace(
+        "hardy", "hardy#no space"
+    )
+    assert parse_problem(text) == parse_problem(SPEC_A)
+    # line and column of an error still count from the raw line
+    bad = "[moduleA]\nbase = hardy\ntheta1 = poly:[1..5]   # bad\ntheta2 = poly:[0,1]\n"
+    with pytest.raises(SpecFileError) as info:
+        parse_problem(bad)
+    assert (info.value.line, info.value.column) == (3, 9)
+    with pytest.raises(SpecFileError) as info:
+        parse_problem(SPEC_A + "  # note\n  thetaX = poly:[1]  # unknown\n")
+    assert (info.value.line, info.value.column) == (6, 3)
 
 
 # --- subcommands ----------------------------------------------------------

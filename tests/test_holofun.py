@@ -201,6 +201,26 @@ def test_common_zeros_with_zero_component():
     assert common_zeros_in_disk(p) == [0]
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_common_zeros_lists_a_multiple_zero_once(m):
+    # (z-a)^m (z-b) against the same times (2+z): the eigenvalues of an m-fold
+    # root spread to about eps^(1/m), far beyond any fixed merge radius
+    rng = np.random.default_rng(109 + m)
+    done = 0
+    while done < 200:
+        a, b = 0.8 * np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
+        if abs(a - b) <= 0.1:
+            continue
+        g = [-b, 1]
+        for _ in range(m):
+            g = poly_mul(g, [-a, 1])
+        zeros = common_zeros_in_disk(MultiplierPair(poly(g), poly(poly_mul(g, [2, 1]))))
+        assert len(zeros) == 2
+        assert min(abs(z - a) for z in zeros) < 1e-9
+        assert min(abs(z - b) for z in zeros) < 1e-9
+        done += 1
+
+
 def test_multiplier_pair_rejects_double_zero():
     with pytest.raises(InvalidFunction):
         MultiplierPair(poly([0]), poly([0]))

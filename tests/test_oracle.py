@@ -16,16 +16,17 @@ from diskmod import (
     dim_ker_estimate,
     eigenvector_residual,
     gamma_gram,
+    gamma_section,
     kernel_eval,
     make_spec,
-    monomial_norm_sq,
+    monomial_norms_sq,
     multiplier_min_singular_value,
     oracle_curvature,
     poly,
     quotient_curvature,
     rational,
     reproducing_check,
-    shift_weight,
+    shift_weights,
     weighted_bergman,
 )
 from diskmod.oracle import _compressed_shift_adjoint
@@ -34,47 +35,47 @@ PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
 
 
 def test_shift_hardy_subdiagonal():
-    m = build_shift(HARDY, 2).matrix
+    m = build_shift(HARDY, 2)
     assert np.array_equal(np.diag(m, -1), [1.0, 1.0])
     assert np.count_nonzero(m) == 2
 
 
 def test_shift_bergman_subdiagonal():
-    m = build_shift(BERGMAN, 2).matrix
+    m = build_shift(BERGMAN, 2)
     assert np.allclose(np.diag(m, -1), [np.sqrt(1 / 2), np.sqrt(2 / 3)])
 
 
 def test_shift_contractive():
     for kind in (HARDY, BERGMAN, weighted_bergman(0.7), weighted_bergman(3.0)):
-        m = build_shift(kind, 40).matrix
+        m = build_shift(kind, 40)
         assert np.linalg.norm(m, 2) <= 1.0 + 1e-12
 
 
 def test_shift_matches_monomial_action():
     # S e_k must equal (|z^{k+1}|/|z^k|) e_{k+1}
     for kind in (HARDY, weighted_bergman(1.5)):
-        m = build_shift(kind, 10).matrix
+        m = build_shift(kind, 10)
+        weights = shift_weights(kind, 10)
         for k in range(10):
             e = np.zeros(11)
             e[k] = 1.0
             out = m @ e
-            assert out[k + 1] == pytest.approx(shift_weight(kind, k), rel=1e-14)
+            assert out[k + 1] == weights[k]
+            assert np.count_nonzero(out) == 1
 
 
 def test_multiplier_1_0_blocks():
     pair = MultiplierPair(poly([1]), poly([0]))
-    op = build_multiplier(pair, HARDY, 3)
-    top = op.matrix[: op.codomain_degree + 1]
-    bottom = op.matrix[op.codomain_degree + 1 :]
+    m = build_multiplier(pair, HARDY, 3)
+    top, bottom = np.split(m, 2)
     assert np.allclose(top, np.eye(4))
     assert np.count_nonzero(bottom) == 0
 
 
 def test_multiplier_1z_hardy_blocks():
-    op = build_multiplier(PAIR_1Z, HARDY, 1)
-    m = op.matrix.real
-    cod = op.codomain_degree + 1
-    assert cod == 3
+    m = build_multiplier(PAIR_1Z, HARDY, 1).real
+    cod = m.shape[0] // 2
+    assert m.shape == (6, 2)
     assert np.allclose(m[:cod], [[1, 0], [0, 1], [0, 0]])
     assert np.allclose(m[cod:], [[0, 0], [1, 0], [0, 1]])
 
@@ -85,18 +86,17 @@ def test_multiplier_columns_evaluate_correctly():
     rng = np.random.default_rng(67)
     pair = MultiplierPair(poly([0.5, -1, 2]), poly([1j, 0, 0, 1]))
     for kind in (HARDY, BERGMAN):
-        op = build_multiplier(pair, kind, 4)
-        cod = op.codomain_degree
-        norms = np.sqrt(
-            [monomial_norm_sq(kind, m) for m in range(cod + 1)]
-        )
+        m = build_multiplier(pair, kind, 4)
+        cod = m.shape[0] // 2 - 1
+        assert cod == 4 + 3
+        norms = np.sqrt(monomial_norms_sq(kind, cod))
         for k in (0, 2, 4):
-            col = op.matrix[:, k]
+            col = m[:, k]
             c1 = col[: cod + 1] / norms
             c2 = col[cod + 1 :] / norms
             for _ in range(4):
                 z = 0.8 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-                ek = z**k / np.sqrt(monomial_norm_sq(kind, k))
+                ek = z**k / norms[k]
                 img1 = np.polynomial.polynomial.polyval(z, c1)
                 img2 = np.polynomial.polynomial.polyval(z, c2)
                 assert img1 == pytest.approx(pair.theta1(z) * ek, rel=1e-12)
@@ -105,11 +105,11 @@ def test_multiplier_columns_evaluate_correctly():
 
 def test_multiplier_rational_component_within_tail_bound():
     pair = MultiplierPair(rational([1], [1, 0.5]), poly([0, 1]))
-    op = build_multiplier(pair, HARDY, 5)
+    m = build_multiplier(pair, HARDY, 5)
     # codomain covers the degree-64 Taylor expansion
-    assert op.codomain_degree == 5 + 64
+    assert m.shape == (2 * (5 + 64 + 1), 6)
     # spot-check: column 0 of the rational block encodes (-1/2)^k coefficients
-    col = op.matrix[: op.codomain_degree + 1, 0]
+    col = m[: m.shape[0] // 2, 0]
     assert col[3] == pytest.approx((-0.5) ** 3)
 
 
@@ -206,8 +206,6 @@ def test_oracle_curvature_requires_certification():
 
 def test_gamma_section_norm_matches_truncated_coords(corpus):
     # the coordinate norm converges to the closed-form section norm
-    from diskmod import gamma_section
-
     for spec in corpus:
         for w in (0.2, -0.35j, 0.3 + 0.3j):
             sec = gamma_section(spec, w, 160)
@@ -244,20 +242,32 @@ def test_eigenvector_residual_monotone_in_degree(corpus):
         assert all(b < a for a, b in zip(res, res[1:]))
 
 
+@pytest.mark.parametrize("base", [BERGMAN, weighted_bergman(1.5)])
+def test_eigenvector_residual_matches_dense_reference(base):
+    # the weighted slice moves against the dense doubled shift, at the points
+    # where verify evaluates the residual
+    n = 80
+    spec = make_spec(base, MultiplierPair(poly([-0.5, 1]), poly([1, 0.5])))
+    doubled = np.kron(np.eye(2), build_shift(base, n))
+    for w in (0, 0.3, -0.4j, 0.25 + 0.25j, 0.5):
+        gamma = gamma_section(spec, w, n).coords
+        ref = np.linalg.norm(doubled.T @ gamma - np.conj(w) * gamma) / np.linalg.norm(gamma)
+        got = eigenvector_residual(spec, w, n)
+        assert abs(got - ref) <= 1e-15 * ref
+
+
 def test_adjoint_shift_kills_kernel_vector():
     # M_phi^* k_w = conj(phi(w)) k_w at truncation scale, relative residual <= 1e-6
     rng = np.random.default_rng(83)
     n = 120
     for kind in (HARDY, BERGMAN, weighted_bergman(0.5)):
-        from diskmod import monomial_norms_sq
-
         for _ in range(5):
             coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             phi = poly(coeffs)
             w = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            op = build_multiplier(MultiplierPair(phi, poly([1])), kind, n)
-            cod = op.codomain_degree
-            mphi = op.matrix[: cod + 1]  # block acting as multiplication by phi
+            m = build_multiplier(MultiplierPair(phi, poly([1])), kind, n)
+            cod = m.shape[0] // 2 - 1
+            mphi = m[: cod + 1]  # block acting as multiplication by phi
             norms = np.sqrt(monomial_norms_sq(kind, cod))
             kvec_cod = np.conj(w) ** np.arange(cod + 1) / norms
             kvec_dom = kvec_cod[: n + 1]
@@ -271,23 +281,19 @@ def test_gamma_orthogonal_to_multiplier_range(corpus):
     # <M_Theta v, gamma_w> = 0 at truncation scale
     rng = np.random.default_rng(89)
     n = 120
-    from diskmod import monomial_norms_sq
-
     for spec in corpus:
         t1, t2 = spec.theta
         d = max(t1.degree, t2.degree)
-        op = build_multiplier(spec.theta, spec.base, n - d)
-        cod = op.codomain_degree
+        m = build_multiplier(spec.theta, spec.base, n - d)
+        cod = m.shape[0] // 2 - 1
         norms = np.sqrt(monomial_norms_sq(spec.base, cod))
         for w in (0.4, -0.3 + 0.2j):
             kvec = np.conj(w) ** np.arange(cod + 1) / norms
             gamma = np.concatenate(
                 [np.conj(t2(w)) * kvec, -np.conj(t1(w)) * kvec]
             )
-            v = rng.standard_normal(op.matrix.shape[1]) + 1j * rng.standard_normal(
-                op.matrix.shape[1]
-            )
-            inner = np.vdot(gamma, op.matrix @ v)
+            v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
+            inner = np.vdot(gamma, m @ v)
             assert abs(inner) <= 1e-6 * np.linalg.norm(v) * np.linalg.norm(gamma)
 
 
@@ -328,11 +334,11 @@ def test_compressed_shift_matches_dense_reference(base):
     n = 80
     spec = make_spec(base, MultiplierPair(poly([-0.5, 1]), poly([1, 0.5])))
     full = build_multiplier(spec.theta, base, n)
-    cod = full.codomain_degree
-    mult = full.matrix[np.r_[0 : n + 1, cod + 1 : cod + n + 2]]
+    cod = full.shape[0] // 2 - 1
+    mult = full[np.r_[0 : n + 1, cod + 1 : cod + n + 2]]
     u, sv, _ = np.linalg.svd(mult)
     q_perp = u[:, int(np.sum(sv > 1e-10 * sv[0])) :]
-    shift = build_shift(base, n).matrix
+    shift = build_shift(base, n)
     doubled = np.kron(np.eye(2), shift)
     dense = q_perp.conj().T @ doubled @ q_perp
 

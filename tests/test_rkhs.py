@@ -11,10 +11,9 @@ from diskmod import (
     fd_laplacian,
     format_module_kind,
     kernel_eval,
-    monomial_norm_sq,
     monomial_norms_sq,
     parse_module_kind,
-    shift_weight,
+    shift_weights,
     weighted_bergman,
 )
 
@@ -96,51 +95,47 @@ def test_kernel_series_consistency():
 
 
 def test_monomial_norms_hardy_all_one():
-    assert monomial_norm_sq(HARDY, 7) == 1.0
+    assert monomial_norms_sq(HARDY, 7)[7] == 1.0
     assert np.all(monomial_norms_sq(HARDY, 50) == 1.0)
+    assert monomial_norms_sq(BERGMAN, 0).tolist() == [1.0]
 
 
 def test_monomial_norms_bergman_derived():
     # reciprocal kernel coefficients: 1/2 at k=1 and 1/4 at k=3 for alpha=0
-    assert monomial_norm_sq(BERGMAN, 1) == pytest.approx(0.5, abs=1e-15)
-    assert monomial_norm_sq(BERGMAN, 3) == pytest.approx(0.25, abs=1e-15)
+    norms = monomial_norms_sq(BERGMAN, 3)
+    assert norms[1] == pytest.approx(0.5, abs=1e-15)
+    assert norms[3] == pytest.approx(0.25, abs=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8])
 def test_monomial_norms_match_area_integral(alpha, k):
     kind = weighted_bergman(alpha)
-    assert monomial_norm_sq(kind, k) == pytest.approx(
+    assert monomial_norms_sq(kind, k)[k] == pytest.approx(
         weighted_norm_quadrature(alpha, k), rel=1e-12
     )
 
 
-def test_monomial_norms_array_matches_scalar():
-    for kind in ALL_KINDS:
-        arr = monomial_norms_sq(kind, 30)
-        for k in range(31):
-            assert arr[k] == pytest.approx(monomial_norm_sq(kind, k), rel=1e-14)
-
-
 def test_shift_weight_hardy_isometry():
-    assert all(shift_weight(HARDY, k) == 1.0 for k in range(20))
+    assert np.all(shift_weights(HARDY, 20) == 1.0)
+    assert shift_weights(HARDY, 20).shape == (20,)
 
 
 def test_shift_weight_bergman_values():
-    assert shift_weight(BERGMAN, 0) == pytest.approx(np.sqrt(0.5))
-    assert shift_weight(weighted_bergman(2.0), 1) == pytest.approx(np.sqrt(2 / 5))
+    assert shift_weights(BERGMAN, 1)[0] == pytest.approx(np.sqrt(0.5))
+    assert shift_weights(weighted_bergman(2.0), 2)[1] == pytest.approx(np.sqrt(2 / 5))
 
 
 def test_shift_weight_is_norm_ratio():
     for kind in ALL_KINDS:
-        for k in range(15):
-            ratio = np.sqrt(monomial_norm_sq(kind, k + 1) / monomial_norm_sq(kind, k))
-            assert shift_weight(kind, k) == pytest.approx(ratio, rel=1e-13)
+        norms = monomial_norms_sq(kind, 15)
+        ratio = np.sqrt(norms[1:] / norms[:-1])
+        assert shift_weights(kind, 15) == pytest.approx(ratio, rel=1e-13)
 
 
 def test_shift_weight_contractive():
     for kind in ALL_KINDS:
-        assert all(shift_weight(kind, k) <= 1.0 for k in range(200))
+        assert np.all(shift_weights(kind, 200) <= 1.0)
 
 
 def test_base_curvature_values():
