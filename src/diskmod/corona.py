@@ -28,7 +28,7 @@ import numpy as np
 
 from .curvature import QuotientSpec
 from .errors import CoronaFailure, DepthExceeded
-from .holofun import common_zeros_in_disk
+from .holofun import MultiplierPair, common_zeros_in_disk
 
 MAX_DEPTH = 24
 # hard cap on processed boxes; certification that needs more is hopeless anyway
@@ -50,11 +50,16 @@ def _gamma(k):
 
 @dataclass(frozen=True)
 class CoronaCertificate:
-    """A certified bound inf |theta1|^2 + |theta2|^2 >= epsilon > 0."""
+    """A certified bound inf |theta1|^2 + |theta2|^2 >= epsilon > 0.
+
+    ``theta`` is the pair the bound was proved for; a spec counts as
+    certified only while its own pair equals it.
+    """
 
     epsilon: float
     depth: int
     boxes_checked: int
+    theta: MultiplierPair
 
 
 class _BoxBounds:
@@ -210,7 +215,10 @@ def certify(theta, target_gap=DEFAULT_TARGET_GAP):
             accepted_depth = depth
         if passed.all():
             return CoronaCertificate(
-                epsilon=accepted_min, depth=accepted_depth, boxes_checked=checked
+                epsilon=accepted_min,
+                depth=accepted_depth,
+                boxes_checked=checked,
+                theta=theta,
             )
         cx, cy, lower, values = cx[~passed], cy[~passed], lower[~passed], values[~passed]
         # sound global bound: accepted boxes plus every open box of this level

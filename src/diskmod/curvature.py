@@ -71,7 +71,9 @@ class QuotientSpec:
     """A base module together with a multiplier pair.
 
     Curvature and equivalence operations require ``certified`` to be true;
-    the certificate is attached only by ``corona.certify_spec``.
+    the certificate is attached only by ``corona.certify_spec``, and binds
+    only the pair it was proved for (replacing ``theta`` voids it; replacing
+    ``base`` does not, since the corona condition does not involve it).
     """
 
     base: ModuleKind
@@ -80,7 +82,7 @@ class QuotientSpec:
 
     @property
     def certified(self):
-        return self.certificate is not None
+        return self.certificate is not None and self.certificate.theta == self.theta
 
     def label(self):
         return (
@@ -91,10 +93,16 @@ class QuotientSpec:
 
 
 def _require_certified(spec):
-    if not spec.certified:
+    if spec.certified:
+        return
+    if spec.certificate is not None:
         raise UncertifiedSpec(
-            f"spec '{spec.label()}' must pass corona certification first"
+            f"spec '{spec.label()}' carries a certificate for a different "
+            f"multiplier pair; certify this pair first"
         )
+    raise UncertifiedSpec(
+        f"spec '{spec.label()}' must pass corona certification first"
+    )
 
 
 def laplacian_log_sumsq(theta, z):

@@ -6,9 +6,12 @@ matrices in orthonormalized monomial bases, exact section Gram matrices, and a
 finite-difference curvature that never touches the quotient-curvature
 identity.  The truncated shift is held as its weight vector
 (``rkhs.shift_weights``) and applied by weighted slice moves; no dense shift
-matrix is built.  Truncation degrees default to 120 and evaluation points stay
-within |w| <= 0.6-0.7 so geometric kernel tails are negligible against the 1e-6
-assertions made downstream.
+matrix is built.  Kernel counts compress that shift to the truncated
+quotient, whose basis comes from the multiplier blocks themselves, and settle
+the expected count of 1 at each point by a Cholesky certificate, falling back
+to the singular values of the compression.  Truncation degrees default to
+120 and evaluation points stay within |w| <= 0.6-0.7 so geometric kernel
+tails are negligible against the 1e-6 assertions made downstream.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ RATIONAL_TAYLOR_DEGREE = 64
 TAIL_TOL = 1e-10
 QR_RANK_REL_TOL = 1e-10
 GAP_FACTOR = 10.0
+# unit roundoff of IEEE double precision
+_UNIT = 2.0**-53
 DEFAULT_DEGREE = 120
 
 
@@ -190,14 +195,18 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     (ambient-aligned) truncated multiplication range: columns P_n(theta z^k)
     for every k <= n, so the complement models the quotient with no seam of
     forgotten range directions even when a component's Taylor degree is
-    comparable to n.  Rank is decided at 1e-10 of the largest column norm;
-    singular values below gap_tol times the largest are counted, and a
-    factor-10 gap must separate that group from the rest (NoSpectralGap
-    otherwise).  The expected count is 1.
+    comparable to n.  The complement's basis comes from the multiplier blocks
+    (see ``_quotient_basis``).  The count is defined by the singular values
+    of the compression: those below gap_tol times the largest are counted,
+    and a factor-10 gap must separate that group from the rest (NoSpectralGap
+    otherwise).  The expected count is 1; at each point a Cholesky
+    certificate built on the truncated section gamma_w proves that this rule
+    gives exactly 1, and only where it cannot does the point fall back to
+    the singular values themselves.
 
     ``w`` is a point (returns an int) or a sequence of points (returns a list
     of ints).  The compression is computed once per call; only the final
-    singular values depend on the point.
+    certificate or singular values depend on the point.
     """
     _require_certified(spec)
     scalar = np.ndim(w) == 0
@@ -207,31 +216,116 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     if n < 60:
         raise ValueError("truncation degree must be at least 60")
 
-    adj = _compressed_shift_adjoint(spec, n)
-    counts = [_kernel_count(adj, p, gap_tol) for p in points]
+    q_perp = _quotient_basis(spec, n)
+    adj = _compressed_shift_adjoint(spec, n, q_perp)
+    gram = adj.conj().T @ adj
+    counts = []
+    for p in points:
+        v = q_perp.conj().T @ gamma_section(spec, p, n).coords
+        if _certifies_one(adj, gram, v, p, gap_tol):
+            counts.append(1)
+        else:
+            counts.append(_kernel_count(adj, p, gap_tol))
     return counts[0] if scalar else counts
 
 
-def _compressed_shift_adjoint(spec, n):
-    """Adjoint of the doubled shift compressed to the truncated quotient.
+def _quotient_basis(spec, n):
+    """Orthonormal basis of the complement of the P_n-truncated multiplier range.
 
-    Q_perp^H (S (+) S)^H Q_perp, where Q_perp spans the orthogonal complement
-    of the P_n-truncated multiplication range in the doubled degree-n space.
+    The truncated multiplier is M = [M1; M2] with M_i = D T_i D^-1, T_i lower
+    triangular Toeplitz and D the diagonal of monomial norms.  Lower
+    triangular Toeplitz matrices commute, so M1 M2 = M2 M1 and the columns of
+    N = [M2^H; -M1^H] lie in ker M^H.  N has full rank n + 1 whenever
+    (theta1(0), theta2(0)) != 0, as the corona certificate guarantees, and
+    then spans all of ker M^H; its reduced QR gives the basis.
     """
     coeffs = [_component_coefficients(f) for f in spec.theta]
     mult = _multiplier_matrix(coeffs, spec.base, n, n)
-    q, r = np.linalg.qr(mult, mode="complete")
-    col_scale = float(np.max(np.linalg.norm(mult, axis=0)))
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > QR_RANK_REL_TOL * col_scale))
-    q_perp = q[:, rank:]
+    kernel = np.concatenate([mult[n + 1 :].conj().T, -mult[: n + 1].conj().T])
+    q_perp, r = np.linalg.qr(kernel)
+    col_scale = float(np.max(np.linalg.norm(kernel, axis=0)))
+    smallest = float(np.min(np.abs(np.diag(r))))
+    if smallest <= QR_RANK_REL_TOL * col_scale:
+        raise NoSpectralGap(
+            f"the quotient basis is rank-deficient at degree {n}: smallest QR "
+            f"pivot {smallest:.3e} against column scale {col_scale:.3e}, since "
+            f"theta1(0) and theta2(0) nearly vanish together"
+        )
+    return q_perp
 
+
+def _compressed_shift_adjoint(spec, n, q_perp=None):
+    """Adjoint of the doubled shift compressed to the truncated quotient.
+
+    Q_perp^H (S (+) S)^H Q_perp, where Q_perp (``_quotient_basis`` unless
+    given) spans the orthogonal complement of the P_n-truncated
+    multiplication range in the doubled degree-n space.
+    """
+    if q_perp is None:
+        q_perp = _quotient_basis(spec, n)
     # the doubled shift moves row k of each block to row k + 1, weighted
     weights = shift_weights(spec.base, n)[:, None]
     shifted = np.zeros_like(q_perp)
     for base in (0, n + 1):
         shifted[base + 1 : base + n + 1] = weights * q_perp[base : base + n]
     return shifted.conj().T @ q_perp
+
+
+def _certifies_one(adj, gram, v, w, gap_tol):
+    """True when Cholesky proves that ``_kernel_count(adj, w, gap_tol)`` is 1.
+
+    With X = adj - conj(w) I, H = X^H X is assembled from gram = adj^H adj,
+    and r = |X v| / |v| bounds the smallest singular value from above.  The
+    largest one lies between lo, the largest column norm, and hi, the square
+    root of |H|_1.  If r < gap_tol lo and H + hi^2 v v^H - (t^2 + delta) I
+    has a Cholesky factor, Weyl interlacing gives sigma_{m-1}(X) > t, where
+    t exceeds both gap_tol hi and GAP_FACTOR r: the rule counts exactly one
+    singular value, and the factor-10 gap holds.  A failed check proves
+    nothing; the caller then runs the rule itself.
+
+    Rounding is covered by two margins, with m the order, u the unit
+    roundoff, g = 4 (m + 8) u and F = |adj|_F + sqrt(m) |w|, so that
+    |(|adj| + |w| I)^H (|adj| + |w| I)|_2 <= F^2:
+    - delta = 2 g (F^2 + hi^2) bounds in the 2-norm the rounding of H
+      (entrywise within gamma_{m+8} of that product, complex arithmetic
+      included), of the rank-one update and the shift, and the backward
+      error of Cholesky (gamma_{m+1} times the trace).  hi^2 adds g F^2 to
+      the computed |H|_1 and lo^2 takes delta off the largest diagonal entry,
+      so lo <= sigma_1 <= hi hold for the matrix the rule factors.
+    - e = g (F + hi) bounds the rounding of r and, taking LAPACK's backward
+      error as at most 4 m u sigma_1, the error of every singular value the
+      rule would compute; the comparisons below widen r, lo and t by it.
+    """
+    m = adj.shape[0]
+    norm_v = np.linalg.norm(v)
+    if not norm_v > 0:
+        return False
+    v = v / norm_v
+    g = 4.0 * (m + 8) * _UNIT
+    f = np.linalg.norm(adj) + np.sqrt(m) * abs(w)
+    # H = A^H A - conj(w) A^H - w A + |w|^2 I, and conj(w) A^H = (w A)^H
+    wa = w * adj
+    h = gram - wa - wa.conj().T
+    h[np.diag_indices(m)] += abs(w) ** 2
+    hi2 = float(np.max(np.sum(np.abs(h), axis=0))) * (1.0 + g) + g * f * f
+    hi = np.sqrt(hi2)
+    delta = 2.0 * g * (f * f + hi2)
+    lo = np.sqrt(max(float(np.max(h.diagonal().real)) - delta, 0.0))
+    e = g * (f + hi)
+    r = float(np.linalg.norm(adj @ v - np.conj(w) * v))
+    if not r + 2.0 * e < gap_tol * (lo - e):
+        return False
+    t = max(gap_tol * (hi + e), GAP_FACTOR * (r + 2.0 * e)) + e
+    # no sigma_{m-1} exceeds hi; the bound on t also keeps the shift within delta
+    if not t < hi:
+        return False
+    h += hi2 * np.outer(v, v.conj())
+    h[np.diag_indices(m)] -= t * t + delta
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _kernel_count(adj, w, gap_tol):

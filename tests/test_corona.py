@@ -1,5 +1,6 @@
 """Certified corona bounds: soundness, failure witnesses, monotonicity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -113,6 +114,39 @@ def test_certify_spec_attaches_certificate():
     assert done.certified
     assert done.certificate.epsilon > 0
     assert not bare.certified  # original untouched
+
+
+def test_certificate_binds_its_pair():
+    # a certificate proved for {1, z} must not vouch for (z - 0.5) {1, z},
+    # whose components share a zero at 0.5
+    from diskmod import (
+        BERGMAN,
+        HARDY,
+        UncertifiedSpec,
+        decide_equivalence,
+        dim_ker_estimate,
+        oracle_curvature,
+        quotient_curvature,
+    )
+
+    spec = certify_spec(QuotientSpec(base=HARDY, theta=PAIR_1Z))
+    moved = dataclasses.replace(spec, theta=PAIR_1Z.scale(poly([-0.5, 1])))
+    assert not moved.certified
+    for call in (
+        lambda: quotient_curvature(moved, 0.2),
+        lambda: decide_equivalence(spec, moved),
+        lambda: oracle_curvature(moved, 0.2),
+        lambda: dim_ker_estimate(moved, 0.3, 120),
+    ):
+        with pytest.raises(UncertifiedSpec, match="different multiplier pair"):
+            call()
+    # an equal pair and a new base keep the certificate: the corona condition
+    # is about the pair alone
+    same = dataclasses.replace(spec, theta=MultiplierPair(poly([1]), poly([0, 1])))
+    assert same.certified
+    rebased = dataclasses.replace(spec, base=BERGMAN)
+    assert rebased.certified
+    assert quotient_curvature(rebased, 0) == pytest.approx(-3.0)
 
 
 def test_certify_rejects_bad_target():

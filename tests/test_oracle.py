@@ -1,5 +1,7 @@
 """Matrix-truncation oracle: shifts, multipliers, Gram sections, kernel counts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,13 @@ from diskmod import (
     shift_weights,
     weighted_bergman,
 )
-from diskmod.oracle import _compressed_shift_adjoint
+from diskmod.oracle import (
+    GAP_FACTOR,
+    _certifies_one,
+    _compressed_shift_adjoint,
+    _kernel_count,
+    _quotient_basis,
+)
 
 PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
 
@@ -349,6 +357,126 @@ def test_compressed_shift_matches_dense_reference(base):
         ref = np.linalg.svd(dense - w * eye, compute_uv=False)
         got = np.linalg.svd(adj - np.conj(w) * eye, compute_uv=False)
         assert np.max(np.abs(got - ref)) <= 1e-10 * ref[0]
+
+
+def _truncated_multiplier(spec, n):
+    # the P_n truncation [M1; M2]: the first n + 1 rows of each block
+    full = build_multiplier(spec.theta, spec.base, n)
+    cod = full.shape[0] // 2 - 1
+    return full[np.r_[0 : n + 1, cod + 1 : cod + n + 2]]
+
+
+BASIS_BASES = (HARDY, BERGMAN, weighted_bergman(1.5))
+BASIS_PAIRS = (
+    MultiplierPair(poly([-0.5, 1]), poly([1, 0.5])),
+    MultiplierPair(rational([1], [1, 0.5]), poly([0, 1])),
+)
+
+
+@pytest.mark.parametrize("n", [60, 120, 300])
+@pytest.mark.parametrize("pair", BASIS_PAIRS)
+@pytest.mark.parametrize("base", BASIS_BASES)
+def test_quotient_basis_spans_kernel_of_multiplier_adjoint(base, pair, n):
+    # n + 1 orthonormal columns orthogonal to the n + 1 independent columns of
+    # M span all of ker M^H
+    spec = make_spec(base, pair)
+    mult = _truncated_multiplier(spec, n)
+    q_perp = _quotient_basis(spec, n)
+    assert q_perp.shape == (2 * (n + 1), n + 1)
+    scale = np.linalg.norm(mult, 2)
+    assert np.linalg.norm(mult.conj().T @ q_perp, 2) <= 1e-13 * scale
+    assert np.linalg.norm(q_perp.conj().T @ q_perp - np.eye(n + 1), 2) <= 1e-13
+
+
+def test_quotient_basis_rejects_vanishing_constant_terms():
+    # theta1(0) = theta2(0) = 0 leaves N rank-deficient; only a certificate
+    # re-bound by hand lets such a pair reach the oracle
+    theta = MultiplierPair(poly([0, 1]), poly([0, 0, 1]))
+    spec = make_spec(HARDY, PAIR_1Z)
+    cert = dataclasses.replace(spec.certificate, theta=theta)
+    spec = dataclasses.replace(spec, theta=theta, certificate=cert)
+    with pytest.raises(NoSpectralGap, match="rank-deficient"):
+        _quotient_basis(spec, 60)
+
+
+def _planted(rng, sigma, w):
+    # adj with adj - conj(w) I = U diag(sigma) V^H; returns adj and V
+    m = len(sigma)
+    u, v = (
+        np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+        for _ in range(2)
+    )
+    x = (u * sigma) @ v.conj().T
+    return x + np.conj(w) * np.eye(m), v
+
+
+def _spectra(rng, m, gap_tol):
+    """(sigma, kind) with sigma descending from 1 and the small end planted."""
+    bulk = np.sort(rng.uniform(0.05, 1.0, m - 3))[::-1]
+    out = []
+    for floor in (rng.uniform(1e-10, 1e-7), rng.uniform(1.5e-5, 5e-5)):
+        # tau is the smallest sigma_{m-1} the rule accepts for this sigma_m
+        tau = max(gap_tol, GAP_FACTOR * floor)
+        for c in (0.5, 0.99, 1.01, 2.0, 20.0):
+            out.append((np.r_[1.0, bulk, c * tau, floor], "one"))
+    out.append((np.r_[1.0, bulk, rng.uniform(1e-9, 1e-6), 1e-10], "two"))
+    # sigma_m within a factor 10 of sigma_{m-1}, on either side of the cut
+    out.append((np.r_[1.0, bulk, 3e-5, 1e-5], "two"))
+    out.append((np.r_[1.0, bulk, 2e-4, 5e-5], "close"))
+    # nothing below the cut: the rule counts 0
+    for c in (1.2, 3.0):
+        out.append((np.r_[1.0, bulk, 0.04, c * gap_tol], "zero"))
+    return out
+
+
+def test_kernel_certificate_is_sound_on_planted_spectra():
+    # whenever the certificate says 1, the SVD rule says 1 without
+    # NoSpectralGap; it never accepts a kernel of dimension 0 or 2
+    rng = np.random.default_rng(103)
+    gap_tol = 1e-4
+    cases = accepted = 0
+    for _ in range(8):
+        m = int(rng.integers(40, 121))
+        w = (0, 0.3 - 0.2j)[int(rng.integers(2))]
+        for sigma, kind in _spectra(rng, m, gap_tol):
+            adj, v = _planted(rng, sigma, w)
+            gram = adj.conj().T @ adj
+            bottom = v[:, -1]
+            noise = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            trials = [bottom, 3j * bottom] + [
+                bottom + eta * noise / np.linalg.norm(noise) for eta in (1e-8, 1e-4, 1e-2)
+            ] + [noise]
+            try:
+                count = _kernel_count(adj, w, gap_tol)
+            except NoSpectralGap:
+                count = None
+            for trial in trials:
+                cases += 1
+                if _certifies_one(adj, gram, trial, w, gap_tol):
+                    accepted += 1
+                    assert kind == "one"
+                    assert count == 1
+                elif kind == "one" and sigma[-2] >= 20 * gap_tol and trial is bottom:
+                    pytest.fail("an exact trial vector with a wide gap was refused")
+    assert cases >= 500
+    assert accepted >= 100
+
+
+@pytest.mark.parametrize("n", [60, 120, 300])
+def test_kernel_certificate_settles_the_verify_points(corpus, n):
+    near = MultiplierPair(poly([-0.5, 1]), poly([-0.51, 1]))
+    specs = [make_spec(b, p) for b in BASIS_BASES for p in BASIS_PAIRS + (near,)]
+    if n == 120:
+        specs += list(corpus)
+    for spec in specs:
+        q_perp = _quotient_basis(spec, n)
+        adj = _compressed_shift_adjoint(spec, n, q_perp)
+        gram = adj.conj().T @ adj
+        for w in DIM_KER_POINTS:
+            trial = q_perp.conj().T @ gamma_section(spec, w, n).coords
+            assert _certifies_one(adj, gram, trial, w, 1e-4)
+            assert _kernel_count(adj, w, 1e-4) == 1
+        assert dim_ker_estimate(spec, DIM_KER_POINTS, n) == [1] * len(DIM_KER_POINTS)
 
 
 def test_dim_ker_array_preconditions():
