@@ -260,16 +260,23 @@ def _certify(name, module, target_gap, entries):
     """Certify one module, record its ``corona`` entry and print its line.
 
     Returns the certified spec, or None when certification fails; the entry
-    then holds the witness under ``failed``.
+    then holds the witness under ``failed``, and for a CoronaFailure whether
+    the witness is a common zero of the numerators.
     """
     try:
         spec = certify_spec(module, target_gap)
     except CoronaFailure as exc:
-        entries[name] = {"failed": {"witness": _cnum(exc.witness), "value": exc.value}}
+        entries[name] = {
+            "failed": {
+                "witness": _cnum(exc.witness),
+                "value": exc.value,
+                "common_zero": exc.common_zero,
+            }
+        }
         print(
             f"corona {name}: FAILED witness="
             f"({exc.witness.real:.6g}, {exc.witness.imag:.6g}) "
-            f"u={exc.value:.6g}"
+            f"u={exc.value:.6g}" + (" (common zero)" if exc.common_zero else "")
         )
         return None
     except DepthExceeded as exc:

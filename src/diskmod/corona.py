@@ -16,6 +16,13 @@ reduce to polynomials: u = (|p1 q2|^2 + |p2 q1|^2) / |q1 q2|^2, and the same
 Taylor data bound max |q1 q2| over each box.  Certification runs over the
 closed disk; for this function class the infimum over the open disk equals
 the minimum there.
+
+A pair fails by one of two routes once some open box center has u below the
+target.  If the numerators have a common zero in the open disk (their numeric
+GCD, see ``common_zeros_in_disk``) where u is below ten times the target, the
+failure is reported at that zero.  Otherwise the search follows the smallest
+center value down to maximal depth: this is the route of sharp dips, zeros on
+the circle and pairs that merely come close to a common zero.
 """
 
 from __future__ import annotations
@@ -177,17 +184,31 @@ def _descend(boxes, cx, cy, value, half, depth):
     return complex(_project(cx, cy)), float(value)
 
 
+def _fail_at_common_zero(boxes, theta, target_gap):
+    """Raise CoronaFailure at the common zero of the numerators with the
+    smallest u, if u there is below 10 * target_gap; return otherwise."""
+    zeros = common_zeros_in_disk(theta)
+    if not zeros:
+        return
+    values = boxes.center_values(np.array(zeros))
+    k = int(np.argmin(values))
+    if values[k] < 10.0 * target_gap:
+        raise CoronaFailure(witness=zeros[k], value=float(values[k]), common_zero=True)
+
+
 def certify(theta, target_gap=DEFAULT_TARGET_GAP):
     """Certify the corona condition for a multiplier pair.
 
     Returns a CoronaCertificate whose epsilon is a sound lower bound for
     u = |theta1|^2 + |theta2|^2 over the closed disk (and at least
     ``target_gap``).  Once a box center has u below ``target_gap`` no
-    certificate is possible, and the search follows the smallest center value
-    down to maximal depth.  Raises CoronaFailure with a witness point when u
-    there is below 10 * target_gap, and DepthExceeded (with the best bound
-    found so far) when subdivision runs out of depth or budget without either
-    outcome.
+    certificate is possible.  If the numerators then have a common zero in
+    the disk with u below 10 * target_gap, CoronaFailure is raised there with
+    ``common_zero`` True.  Otherwise the search follows the smallest center
+    value down to maximal depth and raises CoronaFailure (``common_zero``
+    False) when u there is below 10 * target_gap.  DepthExceeded (with the
+    best bound found so far) is raised when subdivision runs out of depth or
+    budget without either outcome.
     """
     if not 0.0 < target_gap < math.inf:
         raise ValueError(f"target_gap must be finite and positive, got {target_gap!r}")
@@ -224,10 +245,12 @@ def certify(theta, target_gap=DEFAULT_TARGET_GAP):
         # sound global bound: accepted boxes plus every open box of this level
         best_bound = min(accepted_min, float(lower.min()))
         k = int(np.argmin(values))
+        if values[k] < target_gap:
+            _fail_at_common_zero(boxes, theta, target_gap)
         if values[k] < target_gap or depth >= MAX_DEPTH:
             witness, value = _descend(boxes, cx[k], cy[k], values[k], half, depth)
             if value < 10.0 * target_gap:
-                raise CoronaFailure(witness=witness, value=value)
+                raise CoronaFailure(witness=witness, value=value, common_zero=False)
             raise DepthExceeded(best_bound, witness=witness, value=value)
         if checked + 4 * len(cx) > BOX_BUDGET:
             witness = complex(_project(cx[k], cy[k]))
@@ -242,9 +265,7 @@ def certify(theta, target_gap=DEFAULT_TARGET_GAP):
 
 
 def check_corona(theta):
-    """Fast boolean corona check: common-zero rejection, then certification."""
-    if common_zeros_in_disk(theta):
-        return False
+    """Boolean corona check: True exactly when ``certify`` succeeds."""
     try:
         certify(theta, DEFAULT_TARGET_GAP)
     except (CoronaFailure, DepthExceeded):

@@ -38,11 +38,18 @@ class DegeneratePoint(DiskModError, ArithmeticError):
 
 
 class CoronaFailure(DiskModError):
-    """Certification failed: a point with a near-vanishing modulus sum was found."""
+    """Certification failed: a point with a near-vanishing modulus sum was found.
 
-    def __init__(self, witness, value):
+    ``witness`` is that point and ``value`` is u there.  ``common_zero`` is
+    True when the witness is a common zero of the numerators, found from
+    their GCD, and False when the search descended to a point where u is
+    merely below ten times the target.
+    """
+
+    def __init__(self, witness, value, common_zero=False):
         self.witness = complex(witness)
         self.value = float(value)
+        self.common_zero = bool(common_zero)
         super().__init__(
             f"corona certification failed: u({self.witness}) = {self.value:.3e}"
         )

@@ -216,8 +216,24 @@ def test_corona_command_failure_witness(tmp_path, capsys):
     path = write(tmp_path, "fail.spec", SPEC_FAIL)
     assert main(["corona", path]) == 2
     out = capsys.readouterr().out
-    assert "FAILED" in out
-    assert_failed_at_origin(stdout_report(out))
+    assert "FAILED" in out and out.splitlines()[0].endswith("(common zero)")
+    report = stdout_report(out)
+    assert_failed_at_origin(report)
+    assert report["corona"]["moduleA"]["failed"]["common_zero"] is True
+
+
+def test_corona_command_failure_below_target_without_common_zero(tmp_path, capsys):
+    # z - 0.5 and z - 0.501 share no zero, but u = 5e-7 at 0.5005 is below
+    # the default target 1e-6: a failure of the descent, not a common zero
+    text = "[moduleA]\nbase = hardy\ntheta1 = poly:[-0.5,1]\ntheta2 = poly:[-0.501,1]\n"
+    path = write(tmp_path, "near.spec", text)
+    assert main(["corona", path]) == 2
+    out = capsys.readouterr().out
+    line = out.splitlines()[0]
+    assert "FAILED" in line and "common zero" not in line
+    failed = stdout_report(out)["corona"]["moduleA"]["failed"]
+    assert failed["common_zero"] is False
+    assert abs(complex(failed["witness"]["re"], failed["witness"]["im"]) - 0.5005) < 1e-6
 
 
 def test_corona_command_parse_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import diskmod.corona
 from diskmod import (
     CoronaFailure,
     DepthExceeded,
@@ -206,6 +207,68 @@ def test_planted_common_zero_fails_with_witness_at_zero():
         with pytest.raises(CoronaFailure) as info:
             certify(pair, target_gap=1e-3 if i % 2 else 1e-6)
         assert abs(info.value.witness - w) < 1e-6
+
+
+def test_common_zero_fails_at_the_zero_without_descent(monkeypatch):
+    # simple common zeros in |w| < 0.95 of polynomial and rational numerators
+    # are read from the numerator GCD: the witness is the zero itself
+    def no_descent(*args):
+        raise AssertionError("descended to a common zero")
+
+    monkeypatch.setattr(diskmod.corona, "_descend", no_descent)
+    rng = np.random.default_rng(79)
+    for i in range(80):
+        w = _disk_point(rng, 0.95)
+        factor = [-w, 1.0]
+        p1 = poly_mul(factor, _random_poly(rng, 2))
+        p2 = poly_mul(factor, _random_poly(rng, 3))
+        if i % 2:
+            pair = MultiplierPair(
+                rational(p1, _random_pole_factor(rng)),
+                rational(p2, poly_mul(_random_pole_factor(rng), _random_pole_factor(rng))),
+            )
+        else:
+            pair = MultiplierPair(poly(p1), poly(p2))
+        with pytest.raises(CoronaFailure) as info:
+            certify(pair, target_gap=1e-3 if i % 4 > 1 else 1e-6)
+        exc = info.value
+        assert exc.common_zero is True
+        assert abs(exc.witness - w) < 1e-10
+        t1, t2 = pair
+        u = abs(t1(exc.witness)) ** 2 + abs(t2(exc.witness)) ** 2
+        assert exc.value == pytest.approx(u, rel=1e-6, abs=1e-24)
+
+
+def test_near_common_zero_still_descends(monkeypatch):
+    # numerator zeros 1e-3 apart: u dips to 5e-7 between them, below the
+    # target, but the GCD is trivial, so the failure comes from the descent
+    descents = []
+    descend = diskmod.corona._descend
+
+    def counting(*args):
+        descents.append(args)
+        return descend(*args)
+
+    monkeypatch.setattr(diskmod.corona, "_descend", counting)
+    a = 0.3 - 0.4j
+    for target in (1e-6, 1e-3):
+        pair = MultiplierPair(poly([-a, 1]), poly(poly_mul([-(a + 1e-3), 1], [2, 1])))
+        assert common_zeros_in_disk(pair) == []
+        with pytest.raises(CoronaFailure) as info:
+            certify(pair, target_gap=target)
+        assert info.value.common_zero is False
+        assert abs(info.value.witness - (a + 5e-4)) < 1e-3
+    assert len(descents) == 2
+
+
+def test_certified_pairs_never_look_for_common_zeros(monkeypatch, corpus):
+    def no_gcd(theta):
+        raise AssertionError("common-zero search on a certified path")
+
+    monkeypatch.setattr(diskmod.corona, "common_zeros_in_disk", no_gcd)
+    for spec in corpus:
+        certify(spec.theta)
+    certify(PAIR_Z_1MZ, target_gap=0.25)
 
 
 def sampled_disk_min(theta, n=301, n_circle=4096):
