@@ -7,15 +7,26 @@ finite-difference curvature that never touches the quotient-curvature
 identity.  The truncated shift is held as its weight vector
 (``rkhs.shift_weights``) and applied by weighted slice moves; no dense shift
 matrix is built.  Kernel counts compress that shift to the truncated
-quotient, whose basis comes from the multiplier blocks themselves, and settle
-the expected count of 1 at each point by a Cholesky certificate, falling back
-to the singular values of the compression.  Truncation degrees default to
-120 and evaluation points stay within |w| <= 0.6-0.7 so geometric kernel
-tails are negligible against the 1e-6 assertions made downstream.
+quotient, the range of N = [M2^H; -M1^H] built from the multiplier blocks.
+The blocks commute with the shift, so the compression at w is similar to the
+bidiagonal S^H - conj(w) I through the factor R of G = N^H N, up to a
+rounding defect E.  With lam_min the smallest eigenvalue of G and beta_w a
+lower bound on sigma_{m-1} of that bidiagonal,
+
+    sigma_{m-1}(C_w) >= beta_w sqrt(lam_min / |G|_2) - |E|_F / sqrt(lam_min),
+
+and one Cholesky factorisation of G, shifted, settles the expected count of 1
+at every point of a call with no basis of the quotient (``dim_ker_estimate``
+states the whole chain and its rounding margins).  Points it leaves open fall
+back to a Cholesky certificate on the compression itself, and then to its
+singular values.  Truncation degrees default to 120 and evaluation points
+stay within |w| <= 0.6-0.7 so geometric kernel tails are negligible against
+the 1e-6 assertions made downstream.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,12 +74,16 @@ def _multiplier_matrix(coeffs, kind, n, cod):
     """
     norms = np.sqrt(monomial_norms_sq(kind, cod))
     m = np.zeros((len(coeffs) * (cod + 1), n + 1), complex)
+    k = np.arange(n + 1)[:, None]
     for block, comp in enumerate(coeffs):
-        base = block * (cod + 1)
-        for j, c in enumerate(comp[: cod + 1]):
-            if c != 0:
-                k = np.arange(min(n, cod - j) + 1)
-                m[base + k + j, k] = c * norms[k + j] / norms[k]
+        comp = np.asarray(comp[: cod + 1])
+        # one column of the grid per nonzero coefficient; entry (k, j) is
+        # kept while the product degree k + j stays within cod
+        j = np.flatnonzero(comp)[None, :]
+        keep = np.broadcast_to(k + j <= cod, (n + 1, j.size))
+        kk = np.broadcast_to(k, keep.shape)[keep]
+        jj = np.broadcast_to(j, keep.shape)[keep]
+        m[block * (cod + 1) + kk + jj, kk] = comp[jj] * norms[kk + jj] / norms[kk]
     return m
 
 
@@ -191,24 +206,100 @@ def multiplier_min_singular_value(theta, kind, n=DEFAULT_DEGREE):
 def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     """Kernel dimension of the compressed (shift - w) adjoint at truncation scale.
 
-    Compresses the doubled shift to the orthogonal complement of the
-    (ambient-aligned) truncated multiplication range: columns P_n(theta z^k)
-    for every k <= n, so the complement models the quotient with no seam of
-    forgotten range directions even when a component's Taylor degree is
-    comparable to n.  The complement's basis comes from the multiplier blocks
-    (see ``_quotient_basis``).  The count is defined by the singular values
-    of the compression: those below gap_tol times the largest are counted,
-    and a factor-10 gap must separate that group from the rest (NoSpectralGap
-    otherwise).  The expected count is 1; at each point a Cholesky
-    certificate built on the truncated section gamma_w proves that this rule
-    gives exactly 1, and only where it cannot does the point fall back to
-    the singular values themselves.
+    Compresses the doubled shift S2 = S (+) S to the orthogonal complement of
+    the (ambient-aligned) truncated multiplication range: columns
+    P_n(theta z^k) for every k <= n, so the complement models the quotient
+    with no seam of forgotten range directions even when a component's
+    Taylor degree is comparable to n.  With the truncated multiplier
+    M = [M1; M2], that complement is the range of N = [M2^H; -M1^H] (see
+    ``_quotient_basis``), and the compression is C = Q^H S2^H Q for an
+    orthonormal basis Q of it, of order m = n + 1.  The count is defined by
+    the singular values of C_w = C - conj(w) I: those below gap_tol times
+    the largest are counted, and a factor-10 gap must separate that group
+    from the rest (NoSpectralGap otherwise).  ``gap_tol`` must lie in the
+    open interval (0, 1).
+
+    The expected count is 1, and three routes settle it, each run only for
+    the points the one before leaves open:
+    1. The Gram certificate (``_gram_bounds``) settles all points of a call
+       from G = N^H N and one Cholesky factorisation, with no QR;
+    2. the section certificate (``_certifies_one``) builds Q by QR, the
+       compression and its Gram matrix, and tries a Cholesky certificate
+       built on the truncated section gamma_w at each point;
+    3. the singular values of C_w (``_kernel_count``) decide.
+    Only the third can return a count other than 1, and a rank-deficient N
+    (theta1(0) and theta2(0) both near 0) raises NoSpectralGap in the
+    second.  Route 1 leaves points open where G is ill-conditioned; route 2
+    still settles those without an SVD.
+
+    Route 1.  All claims are about the exact compression of the stored
+    arrays: N and the shift weights s of S as computed.  The singular values
+    of C do not depend on the choice of Q.  M1 and M2 are polynomials in S,
+    so S2^H N = N S^H + E, where E is exactly 0 in exact arithmetic and a
+    rounding defect of the stored entries otherwise, with
+    |E|_F = |M S - S2 M|_F (0 for Hardy, about 1e-16 relative for Bergman).
+    With N = Q R, R^H R = G and the bidiagonal B_w = S^H - conj(w) I,
+
+        C_w = Q^H (S2^H - conj(w)) N R^-1 = R B_w R^-1 + Q^H E R^-1,
+
+    so for tau <= lambda_min(G) and Lam >= |G|_2
+
+        sigma_{m-1}(C_w) >= beta_w sqrt(tau / Lam) - |E|_F / sqrt(tau).
+
+    Here beta_w <= sigma_{m-1}(B_w): deleting a row and a column does not
+    raise sigma_{m-1}, B_w[:m-1, 1:] = L is lower bidiagonal with diagonal s
+    and off-diagonal -conj(w), and beta_w = 1 / sqrt(|L^-1|_1 |L^-1|_inf),
+    whose row and column sums follow O(m) recurrences.  Lam is taken from
+    |G|_1 >= |G|_2.  The other singular values are bounded at O(m^2) cost:
+    - hi = max(s) + |w| >= sigma_1(C_w), since |C|_2 <= |S2|_2;
+    - lo = (|Z|_F - |E|_F) / |N|_F <= sigma_1(C_w) with
+      Z = (S2^H - conj(w)) N, because C_w R = Q^H Z and the part of Z
+      outside the range of Q is that of E; |Z|_F^2 = a + |w|^2 b - 2 Re(w c)
+      from three scalars, a = |M S|_F^2 = |S2^H N|_F^2, b = |M|_F^2 = |N|_F^2
+      and c = <N, S2^H N> = <M S, M>;
+    - r = |(S2^H - conj(w)) p| / |p| >= sigma_m(C_w) for p = N k_w, k_w
+      the kernel vector, since p = Q (R k_w) and |R k_w| = |p|.
+    A point is settled when r < gap_tol lo and the sigma_{m-1} bound
+    exceeds t = max(gap_tol hi, GAP_FACTOR r): the rule then counts sigma_m
+    alone, and the factor-10 gap holds.  tau is proved by one Cholesky
+    factorisation of G - sigma I.  sigma is the tau that the hardest point
+    needs, 1% over, plus the rounding margin below.  Points that need more
+    than the smallest diagonal entry of G are left open, and so are all
+    points when the factorisation fails.
+
+    Rounding margins of route 1, with u the unit roundoff,
+    gs = gamma_{8 m^2 + 64} for every sum of at most 4 m^2 terms (the
+    Frobenius norms and <M S, M>), gf = 4 (2m + 8) u for an inner product
+    of length 2m and gm = 4 (m + 8) u for one of length m (complex
+    arithmetic included):
+    - forming G = M1 M1^H + M2 M2^H from real products of the real and
+      imaginary parts: |G - fl(G)|_2 <= gf |N|_F^2 = gf b, so
+      Lam = |fl(G)|_1 (1 + gs) + sqrt(m) gf b;
+    - the Cholesky factorisation of fl(G) - sigma I: its backward error is
+      at most gm / (1 - gm) times the trace (Higham, Accuracy and Stability
+      of Numerical Algorithms, 2nd ed., Thm 10.3), the trace is at most 2b,
+      and shifting the diagonal adds u b, so tau = sigma - 4 gf b;
+    - E: M S and S2 M take one rounding per entry and their difference one
+      more, so |E|_F <= (1 + 2u) |fl(E)|_F + 2u (|fl(M S)|_F + |fl(S2 M)|_F),
+      widened by gs for the norms;
+    - |Z|_F: a, b and c carry relative errors of at most gs, so the formula
+      is off by at most 4 gs (sqrt(a) + |w| sqrt(b))^2 before the square
+      root, which is subtracted;
+    - r: fl(N k_w) is within gm |N|_F |k_w| of p, which adds hi times that
+      to the numerator and takes it off the denominator; applying the shift
+      adds 4 u hi |p|, and the norms gs;
+    - beta: each step of a recurrence takes at most five roundings, so the
+      computed sums are within gamma_{5m} of the exact ones, and beta is
+      taken down by gamma_{10m + 32}.
+    The remaining one- to four-rounding steps (hi, t, the comparisons) are
+    widened by 4u to 8u.
 
     ``w`` is a point (returns an int) or a sequence of points (returns a list
-    of ints).  The compression is computed once per call; only the final
-    certificate or singular values depend on the point.
+    of ints).
     """
     _require_certified(spec)
+    if not 0.0 < gap_tol < 1.0:
+        raise ValueError(f"gap_tol must lie strictly between 0 and 1, got {gap_tol!r}")
     scalar = np.ndim(w) == 0
     points = np.asarray(w, complex).ravel()
     if np.any(np.abs(points) > 0.6):
@@ -216,17 +307,170 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     if n < 60:
         raise ValueError("truncation degree must be at least 60")
 
-    q_perp = _quotient_basis(spec, n)
-    adj = _compressed_shift_adjoint(spec, n, q_perp)
-    gram = adj.conj().T @ adj
-    counts = []
-    for p in points:
-        v = q_perp.conj().T @ gamma_section(spec, p, n).coords
-        if _certifies_one(adj, gram, v, p, gap_tol):
-            counts.append(1)
-        else:
-            counts.append(_kernel_count(adj, p, gap_tol))
+    settled = _gram_bounds(spec, n, points, gap_tol).settled
+    counts = [1] * len(points)
+    open_points = [i for i, ok in enumerate(settled) if not ok]
+    if open_points:
+        q_perp = _quotient_basis(spec, n)
+        adj = _compressed_shift_adjoint(spec, n, q_perp)
+        gram = adj.conj().T @ adj
+        for i in open_points:
+            p = points[i]
+            v = q_perp.conj().T @ gamma_section(spec, p, n).coords
+            if not _certifies_one(adj, gram, v, p, gap_tol):
+                counts[i] = _kernel_count(adj, p, gap_tol)
     return counts[0] if scalar else counts
+
+
+def _gamma(k):
+    # Higham's gamma_k = k u / (1 - k u): the relative error of k roundings
+    return k * _UNIT / (1.0 - k * _UNIT)
+
+
+def _inverse_bidiagonal_peak(s, aw):
+    # max row sum of |L^-1| for L lower bidiagonal with diagonal s and
+    # off-diagonal of modulus aw: R_i = (1 + aw R_{i-1}) / s_i, R_{-1} = 0;
+    # with s reversed, the same recurrence gives the column sums
+    sums = itertools.accumulate(s, lambda acc, v: (1.0 + aw * acc) / v, initial=0.0)
+    return max(sums)
+
+
+def _commutator_norms(mult, s):
+    """|M S|_F, |M S - S2 M|_F and <M S, M> for the stored blocks M = [M1; M2].
+
+    The middle value is widened to a bound on |E|_F for the exact products
+    of the stored arrays (see ``dim_ker_estimate``).  The two shifted copies
+    of the blocks are the largest temporaries of route 1, so they live only
+    here.
+    """
+    n = s.size
+    m = n + 1
+    gs = _gamma(8 * m * m + 64)
+    # M S takes column k + 1 to column k, weighted s_k; S2 M takes row k of
+    # each block to row k + 1, weighted s_k.  Both scale real and imaginary
+    # parts alike, so they run on the real view, where columns 2k and 2k + 1
+    # hold column k
+    flat = mult.view(float)
+    ms = np.zeros_like(flat)
+    np.multiply(flat[:, 2:], np.repeat(s, 2), out=ms[:, : 2 * n])
+    sm = np.zeros_like(flat)
+    for base in (0, m):
+        np.multiply(s[:, None], flat[base : base + n], out=sm[base + 1 : base + m])
+    norm_ms = np.linalg.norm(ms)
+    norm_sm = np.linalg.norm(sm)
+    norm_e = np.linalg.norm(np.subtract(ms, sm, out=sm))
+    u = _UNIT
+    norm_e = (1.0 + gs) * ((1.0 + 2 * u) * norm_e + 2 * u * (norm_ms + norm_sm))
+    return norm_ms, norm_e, np.vdot(ms.view(complex), mult)
+
+
+def _multiplier_gram(mult):
+    """G = M1 M1^H + M2 M2^H = N^H N for the stored blocks M = [M1; M2].
+
+    One real symmetric product: with V = [[Re M1, Re M2], [Im M1, Im M2]],
+    V V^T holds Re G in the sum of its diagonal blocks and Im G in the
+    difference of its off-diagonal blocks.
+    """
+    m = mult.shape[1]
+    v = np.empty((2 * m, 2 * m))
+    v[:m, :m], v[:m, m:] = mult[:m].real, mult[m:].real
+    v[m:, :m], v[m:, m:] = mult[:m].imag, mult[m:].imag
+    h = v @ v.T
+    gram = np.empty((m, m), complex)
+    np.add(h[:m, :m], h[m:, m:], out=gram.real)
+    np.subtract(h[m:, :m], h[:m, m:], out=gram.imag)
+    return gram
+
+
+@dataclass(frozen=True)
+class _GramBounds:
+    """Per-point bounds of the Gram-matrix certificate, one array entry per point.
+
+    ``hi`` and ``lo`` bound sigma_1 of the compression C_w from above and
+    below, ``r`` bounds sigma_m from above and ``floor`` bounds sigma_{m-1}
+    from below (-inf where the Cholesky factorisation was not run or
+    failed); ``settled`` marks the points whose count is proved to be 1.
+    """
+
+    hi: np.ndarray
+    lo: np.ndarray
+    r: np.ndarray
+    floor: np.ndarray
+    settled: np.ndarray
+
+
+def _gram_bounds(spec, n, points, gap_tol):
+    """Route 1 of ``dim_ker_estimate``: bounds from G = N^H N and one Cholesky.
+
+    ``points`` is a 1-D complex array; the inequalities and rounding margins
+    are those stated in ``dim_ker_estimate``.
+    """
+    m = n + 1
+    coeffs = [_component_coefficients(f) for f in spec.theta]
+    mult = _multiplier_matrix(coeffs, spec.base, n, n)
+    s = shift_weights(spec.base, n)
+    u = _UNIT
+    gs = _gamma(8 * m * m + 64)
+    gf = 4.0 * (2 * m + 8) * u
+    gm = 4.0 * (m + 8) * u
+
+    norm_ms, norm_e, c = _commutator_norms(mult, s)
+    b = np.linalg.norm(mult) ** 2
+    b_up = b * (1.0 + gs)
+
+    aw = np.abs(points)
+    hi = (np.max(s) + aw) * (1.0 + 4 * u)
+    z2 = norm_ms**2 + aw**2 * b - 2.0 * (points * c).real
+    z2 -= 4.0 * gs * (norm_ms + aw * np.sqrt(b)) ** 2
+    lo = (np.sqrt(np.maximum(z2, 0.0)) - norm_e) / np.sqrt(b_up) * (1.0 - gs)
+
+    kvec = _kernel_vector(spec.base, points[:, None], n)
+    # p = N k_w, block by block as (k_w^H M_i)^H
+    kh = kvec.conj()
+    pk = np.concatenate([kh @ mult[m:], -(kh @ mult[:m])], axis=1).conj()
+    # (S2^H - conj(w)) p: entry k + 1 of each block moves to entry k, weighted s_k
+    resid = -np.conj(points)[:, None] * pk
+    for base in (0, m):
+        resid[:, base : base + n] += s * pk[:, base + 1 : base + m]
+    norm_p = np.linalg.norm(pk, axis=1)
+    dp = gm * np.sqrt(b_up) * np.linalg.norm(kvec, axis=1) * (1.0 + gs)
+    den = norm_p * (1.0 - gs) - dp
+    num = np.linalg.norm(resid, axis=1) * (1.0 + gs) + hi * (4 * u * norm_p + dp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(den > 0, num / den * (1.0 + 4 * u), np.inf)
+
+    gram = _multiplier_gram(mult)
+    lam = np.max(np.sum(np.abs(gram), axis=0)) * (1.0 + gs) + np.sqrt(m) * gf * b_up
+    margin = 4.0 * gf * b_up
+    cap = float(np.min(gram.diagonal().real)) - margin
+    weights = s.tolist()
+    gb = _gamma(10 * m + 32)
+    peaks = {
+        a: _inverse_bidiagonal_peak(weights, a)
+        * _inverse_bidiagonal_peak(weights[::-1], a)
+        for a in set(aw.tolist())
+    }
+    beta = (1.0 - gb) / np.sqrt([peaks[a] for a in aw.tolist()])
+    slope = beta / np.sqrt(lam)
+    t = np.maximum(gap_tol * hi, GAP_FACTOR * r) * (1.0 + 4 * u)
+    # the tau at which beta sqrt(tau / lam) - |E|_F / sqrt(tau) = t, 1% over;
+    # an infinite r or a zero beta (overflowed sums) makes it infinite
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = (t + np.sqrt(t * t + 4.0 * slope * norm_e)) / (2.0 * slope)
+        need = 1.01 * root * root
+    candidates = (r < gap_tol * lo * (1.0 - 4 * u)) & (need < cap)
+    floor = np.full(len(points), -np.inf)
+    if np.any(candidates):
+        tau = float(np.max(need[candidates]))
+        gram[np.diag_indices(m)] -= (tau + margin) * (1.0 + 4 * u)
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            root_tau = np.sqrt(tau)
+            floor = slope * root_tau * (1.0 - 8 * u) - norm_e / root_tau * (1.0 + 8 * u)
+    return _GramBounds(hi=hi, lo=lo, r=r, floor=floor, settled=candidates & (floor > t))
 
 
 def _quotient_basis(spec, n):

@@ -5,9 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import diskmod.oracle
 from diskmod import (
     BERGMAN,
     HARDY,
+    CoronaFailure,
+    DepthExceeded,
     MultiplierPair,
     NoSpectralGap,
     QuotientSpec,
@@ -34,8 +37,11 @@ from diskmod import (
 from diskmod.oracle import (
     GAP_FACTOR,
     _certifies_one,
+    _component_coefficients,
     _compressed_shift_adjoint,
+    _gram_bounds,
     _kernel_count,
+    _multiplier_matrix,
     _quotient_basis,
 )
 
@@ -109,6 +115,38 @@ def test_multiplier_columns_evaluate_correctly():
                 img2 = np.polynomial.polynomial.polyval(z, c2)
                 assert img1 == pytest.approx(pair.theta1(z) * ek, rel=1e-12)
                 assert img2 == pytest.approx(pair.theta2(z) * ek, rel=1e-12)
+
+
+def _multiplier_matrix_loop(coeffs, kind, n, cod):
+    # reference: one slice assignment per nonzero Taylor coefficient
+    norms = np.sqrt(monomial_norms_sq(kind, cod))
+    m = np.zeros((len(coeffs) * (cod + 1), n + 1), complex)
+    for block, comp in enumerate(coeffs):
+        base = block * (cod + 1)
+        for j, c in enumerate(comp[: cod + 1]):
+            if c != 0:
+                k = np.arange(min(n, cod - j) + 1)
+                m[base + k + j, k] = c * norms[k + j] / norms[k]
+    return m
+
+
+@pytest.mark.parametrize("base", [HARDY, BERGMAN, weighted_bergman(1.5)])
+def test_multiplier_matrix_matches_loop_reference(base):
+    # same operations in the same order, so the arrays agree bit for bit
+    pairs = (
+        MultiplierPair(poly([0.5, -1, 2]), poly([1j, 0, 0, 1])),
+        MultiplierPair(poly([-0.5, 1]), poly([1, 0.5])),
+        MultiplierPair(rational([1], [1, 0.5]), poly([0, 1])),
+        MultiplierPair(rational([1, 0.3j], [1, -0.4 + 0.2j]), rational([2], [1, 0.6])),
+    )
+    for pair in pairs:
+        coeffs = [_component_coefficients(f) for f in pair]
+        d = max(len(c) for c in coeffs) - 1
+        for n, cod in ((120, 120), (60, 60 + d), (5, 5 + d), (4, 2), (80, 100)):
+            got = _multiplier_matrix(coeffs, base, n, cod)
+            ref = _multiplier_matrix_loop(coeffs, base, n, cod)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_multiplier_rational_component_within_tail_bound():
@@ -333,6 +371,7 @@ def test_dim_ker_array_matches_scalar_calls(corpus):
         assert counts == [dim_ker_estimate(spec, w, 120) for w in DIM_KER_POINTS]
         assert all(type(c) is int for c in counts)
     assert dim_ker_estimate(specs[0], np.array([0.3]), 120) == [1]
+    assert dim_ker_estimate(specs[0], [], 120) == []
 
 
 @pytest.mark.parametrize("base", [BERGMAN, weighted_bergman(1.5)])
@@ -477,6 +516,139 @@ def test_kernel_certificate_settles_the_verify_points(corpus, n):
             assert _certifies_one(adj, gram, trial, w, 1e-4)
             assert _kernel_count(adj, w, 1e-4) == 1
         assert dim_ker_estimate(spec, DIM_KER_POINTS, n) == [1] * len(DIM_KER_POINTS)
+
+
+BOUND_BASES = (HARDY, BERGMAN, weighted_bergman(0.5), weighted_bergman(2.0))
+
+
+def _random_certified_specs(rng, count):
+    # random polynomial and rational pairs that certify, cycling the bases
+    def component():
+        if rng.uniform() < 0.3:
+            pole = 0.6 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            return rational([1, rng.standard_normal()], [1, pole])
+        deg = int(rng.integers(0, 4))
+        return poly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+
+    specs = []
+    while len(specs) < count:
+        base = BOUND_BASES[len(specs) % len(BOUND_BASES)]
+        try:
+            specs.append(make_spec(base, MultiplierPair(component(), component())))
+        except (CoronaFailure, DepthExceeded):
+            continue
+    return specs
+
+
+def test_gram_bounds_are_sound_against_the_singular_values():
+    # the bounds hold for the computed compression up to the rounding of its
+    # SVD in sigma_1, and every settled point has a count of 1 by the rule
+    rng = np.random.default_rng(107)
+    points = settled = 0
+    for spec in _random_certified_specs(rng, 24):
+        n = int(rng.integers(60, 131))
+        pts = np.r_[
+            np.array(DIM_KER_POINTS, complex),
+            0.6 * np.sqrt(rng.uniform(size=5)) * np.exp(2j * np.pi * rng.uniform(size=5)),
+        ]
+        bounds = _gram_bounds(spec, n, pts, 1e-4)
+        adj = _compressed_shift_adjoint(spec, n)
+        # lo against its dense definition |(S2^H - conj(w)) N|_F / |N|_F
+        mult = _truncated_multiplier(spec, n)
+        kernel = np.concatenate([mult[n + 1 :].conj().T, -mult[: n + 1].conj().T])
+        shifted = np.kron(np.eye(2), build_shift(spec.base, n)).T @ kernel
+        for i, w in enumerate(pts):
+            ref = np.linalg.norm(shifted - np.conj(w) * kernel) / np.linalg.norm(kernel)
+            assert ref * (1 - 1e-9) <= bounds.lo[i] <= ref
+            sv = np.linalg.svd(adj - np.conj(w) * np.eye(n + 1), compute_uv=False)
+            slack = 1e-12 * sv[0]
+            assert bounds.lo[i] <= sv[0] + slack and sv[0] <= bounds.hi[i] + slack
+            assert bounds.floor[i] <= sv[-2]
+            assert bounds.r[i] >= sv[-1]
+            points += 1
+            if bounds.settled[i]:
+                settled += 1
+                assert _kernel_count(adj, w, 1e-4) == 1
+    assert points == 240
+    assert settled >= 0.9 * points
+
+
+@pytest.mark.parametrize("gap_tol", [0.6, 1e-60])
+def test_gram_bounds_settle_nothing_the_rule_does_not_count_as_one(gap_tol):
+    # at 0.6 the rule finds no gap away from w = 0; at 1e-60 it counts 0
+    spec = make_spec(HARDY, PAIR_1Z)
+    adj = _compressed_shift_adjoint(spec, 120)
+    settled = _gram_bounds(spec, 120, np.array(DIM_KER_POINTS, complex), gap_tol).settled
+    for w, ok in zip(DIM_KER_POINTS, settled):
+        try:
+            count = _kernel_count(adj, w, gap_tol)
+        except NoSpectralGap:
+            count = None
+        assert not ok or count == 1
+    assert not settled[1:].any()
+    if gap_tol == 0.6:
+        with pytest.raises(NoSpectralGap):
+            dim_ker_estimate(spec, DIM_KER_POINTS, 120, gap_tol=gap_tol)
+    else:
+        assert 0 in dim_ker_estimate(spec, DIM_KER_POINTS, 120, gap_tol=gap_tol)
+
+
+def test_rank_deficient_pair_still_raises_through_dim_ker_estimate():
+    theta = MultiplierPair(poly([0, 1]), poly([0, 0, 1]))
+    spec = make_spec(HARDY, PAIR_1Z)
+    cert = dataclasses.replace(spec.certificate, theta=theta)
+    spec = dataclasses.replace(spec, theta=theta, certificate=cert)
+    assert not _gram_bounds(spec, 120, np.array(DIM_KER_POINTS, complex), 1e-4).settled.any()
+    with pytest.raises(NoSpectralGap, match="rank-deficient"):
+        dim_ker_estimate(spec, DIM_KER_POINTS, 120)
+
+
+@pytest.mark.parametrize(
+    "base, pair",
+    [
+        (weighted_bergman(1.5), MultiplierPair(poly([-0.5, 1]), poly([1e-4]))),
+        (weighted_bergman(4.0), MultiplierPair(poly([-0.5, 1]), poly([-0.501, 1]))),
+    ],
+)
+def test_ill_conditioned_pairs_fall_through_to_the_section_certificate(monkeypatch, base, pair):
+    # G = N^H N is too ill-conditioned for the Gram certificate here; the
+    # section certificate on the compression settles every point instead
+    spec = make_spec(base, pair, 1e-12)
+    calls = []
+
+    def recording(*args):
+        calls.append(_certifies_one(*args))
+        return calls[-1]
+
+    def no_svd(*args):
+        raise AssertionError("the singular values were computed")
+
+    monkeypatch.setattr(diskmod.oracle, "_certifies_one", recording)
+    monkeypatch.setattr(diskmod.oracle, "_kernel_count", no_svd)
+    for n in (60, 120):
+        settled = _gram_bounds(spec, n, np.array(DIM_KER_POINTS, complex), 1e-4).settled
+        assert not settled.any()
+        calls.clear()
+        assert dim_ker_estimate(spec, DIM_KER_POINTS, n) == [1] * len(DIM_KER_POINTS)
+        assert calls == [True] * len(DIM_KER_POINTS)
+
+
+def test_gram_certificate_settles_without_a_quotient_basis(monkeypatch, corpus):
+    # the corpus and the basis specs never need the QR route
+    def no_basis(*args):
+        raise AssertionError("the quotient basis was built")
+
+    monkeypatch.setattr(diskmod.oracle, "_quotient_basis", no_basis)
+    specs = list(corpus) + [make_spec(b, p) for b in BASIS_BASES for p in BASIS_PAIRS]
+    for spec in specs:
+        assert dim_ker_estimate(spec, DIM_KER_POINTS, 120) == [1] * len(DIM_KER_POINTS)
+
+
+@pytest.mark.parametrize("gap_tol", [float("nan"), 0.0, -1e-4, 2.0, float("inf")])
+def test_dim_ker_rejects_gap_tol_outside_the_unit_interval(gap_tol):
+    s = make_spec(HARDY, PAIR_1Z)
+    with pytest.raises(ValueError, match="gap_tol"):
+        dim_ker_estimate(s, [0, 0.3], 120, gap_tol=gap_tol)
 
 
 def test_dim_ker_array_preconditions():
