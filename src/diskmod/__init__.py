@@ -54,7 +54,6 @@ from .corona import (
     CoronaCertificate,
     certify,
     certify_spec,
-    check_corona,
     make_spec,
 )
 from .equivalence import (
@@ -62,7 +61,6 @@ from .equivalence import (
     Verdict,
     Witness,
     decide_equivalence,
-    harmonicity_defect,
     lemma46_probe,
 )
 from .oracle import (

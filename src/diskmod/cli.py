@@ -9,11 +9,12 @@ under section headers ``[moduleA]``, ``[moduleB]``, ``[grid]``,
 
 Every subcommand runs one pipeline: load the file and apply the flags, which
 ``ProblemSpec`` checks alike (tolerances finite and positive, oracle degree at
-least 60); certify each module the subcommand needs, printing one ``corona``
-line per module; run the subcommand's own part; write the JSON report.  The
-report is written once certification has run, also when it fails (exit 2),
-unless the subcommand's own part raises (exit 5).  It goes to ``--out``, or
-to stdout for ``curvature``, whose ``--out`` names the CSV.
+least ``oracle.MIN_DEGREE``); certify each module the subcommand needs,
+printing one ``corona`` line per module; run the subcommand's own part; write
+the JSON report.  The report is written once certification has run, also
+when it fails (exit 2), unless the subcommand's own part raises (exit 5).  It
+goes to ``--out``, or to stdout for ``curvature``, whose ``--out`` names the
+CSV.
 
 Exit codes: 0 success/Isomorphic, 1 parse or usage error (also an output path
 that cannot be written), 2 certification failure, 3 NotIsomorphic, 4
@@ -49,6 +50,7 @@ from .errors import (
 from .holofun import MultiplierPair, format_function, parse_function, poly
 from .oracle import (
     DEFAULT_DEGREE,
+    MIN_DEGREE,
     dim_ker_estimate,
     eigenvector_residual,
     multiplier_min_singular_value,
@@ -91,10 +93,10 @@ class ProblemSpec:
             value = getattr(self, key)
             if not 0.0 < value < math.inf:
                 raise _RangeError(key, f"{key} must be finite and positive, got {value!r}")
-        if self.oracle_degree < 60:
+        if self.oracle_degree < MIN_DEGREE:
             raise _RangeError(
                 "oracle_degree",
-                f"oracle_degree must be at least 60, got {self.oracle_degree}",
+                f"oracle_degree must be at least {MIN_DEGREE}, got {self.oracle_degree}",
             )
         radius = max(self.grid.r_max, *_VERIFY_RADII)
         if not radius + self.fd_step < 1.0:

@@ -264,15 +264,6 @@ def certify(theta, target_gap=DEFAULT_TARGET_GAP):
         cx, cy = cx[keep], cy[keep]
 
 
-def check_corona(theta):
-    """Boolean corona check: True exactly when ``certify`` succeeds."""
-    try:
-        certify(theta, DEFAULT_TARGET_GAP)
-    except (CoronaFailure, DepthExceeded):
-        return False
-    return True
-
-
 def certify_spec(spec, target_gap=DEFAULT_TARGET_GAP):
     """Certify a quotient spec's multiplier pair and attach the certificate.
 

@@ -60,24 +60,16 @@ class Verdict:
     max_deviation: float
 
 
-def harmonicity_defect(theta_a, theta_b, grid):
-    """Max over the grid of the Laplacian of the log-ratio of modulus sums.
-
-    Returns (max deviation, maximizing point).  Both pairs must satisfy the
-    corona condition on the grid (a degenerate point raises).
-    """
-    pts = grid.points()
-    _, _, diff, idx, _ = _deviation_data(theta_a, theta_b, pts)
-    return float(abs(diff[idx])), complex(pts[idx])
-
-
 def _deviation_data(theta_a, theta_b, pts):
+    """Laplacians of log u for both pairs on pts, the witness of their largest
+    difference, and the threshold scale 1 + the larger field magnitude."""
     la = laplacian_log_sumsq(theta_a, pts)
     lb = laplacian_log_sumsq(theta_b, pts)
     diff = la - lb
     idx = int(np.argmax(np.abs(diff)))
+    worst = Witness(point=complex(pts[idx]), obstruction=float(diff[idx]))
     scale = 1.0 + max(float(np.max(np.abs(la))), float(np.max(np.abs(lb))))
-    return la, lb, diff, idx, scale
+    return la, lb, worst, scale
 
 
 def _curvature_gap_witness(spec_a, spec_b, pts, la, lb):
@@ -107,8 +99,8 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
         _require_certified(spec)
 
     pts = grid.points()
-    la, lb, diff, idx, scale = _deviation_data(spec_a.theta, spec_b.theta, pts)
-    max_dev = float(np.abs(diff[idx]))
+    la, lb, worst, scale = _deviation_data(spec_a.theta, spec_b.theta, pts)
+    max_dev = abs(worst.obstruction)
 
     if spec_a.base.is_hardy != spec_b.base.is_hardy:
         return Verdict(
@@ -128,7 +120,7 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
     if max_dev > REJECT_FACTOR * tol * scale:
         return Verdict(
             outcome=Outcome.NOT_ISOMORPHIC,
-            witness=Witness(point=complex(pts[idx]), obstruction=float(diff[idx])),
+            witness=worst,
             detail=DETAIL_SAME_BASE,
             max_deviation=max_dev,
         )
@@ -136,8 +128,8 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
     # a grid aligned with a symmetry of the deviation field could hit an
     # accidental zero set, so acceptance requires a second, rotated grid
     off = grid.points(rotate=math.pi / grid.n_theta)
-    _, _, diff2, idx2, scale2 = _deviation_data(spec_a.theta, spec_b.theta, off)
-    both_dev = max(max_dev, float(np.abs(diff2[idx2])))
+    _, _, worst2, scale2 = _deviation_data(spec_a.theta, spec_b.theta, off)
+    both_dev = max(max_dev, abs(worst2.obstruction))
     both_scale = max(scale, scale2)
 
     if both_dev <= tol * both_scale:
@@ -148,19 +140,15 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
             max_deviation=both_dev,
         )
     if both_dev > REJECT_FACTOR * tol * both_scale:
-        if abs(diff2[idx2]) >= max_dev:
-            worst = Witness(point=complex(off[idx2]), obstruction=float(diff2[idx2]))
-        else:
-            worst = Witness(point=complex(pts[idx]), obstruction=float(diff[idx]))
         return Verdict(
             outcome=Outcome.NOT_ISOMORPHIC,
-            witness=worst,
+            witness=worst2 if abs(worst2.obstruction) >= max_dev else worst,
             detail=DETAIL_SAME_BASE,
             max_deviation=both_dev,
         )
     return Verdict(
         outcome=Outcome.INCONCLUSIVE,
-        witness=Witness(point=complex(pts[idx]), obstruction=float(diff[idx])),
+        witness=worst,
         detail=(
             f"{DETAIL_SAME_BASE}: deviation {both_dev:.3e} falls between "
             f"{tol:.1e} and {REJECT_FACTOR * tol:.1e} (relative); refine the "

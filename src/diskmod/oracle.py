@@ -17,9 +17,9 @@ lower bound on sigma_{m-1} of that bidiagonal,
 
 and one Cholesky factorisation of G, shifted, settles the expected count of 1
 at every point of a call with no basis of the quotient (``dim_ker_estimate``
-states the whole chain and its rounding margins).  Points it leaves open fall
-back to a Cholesky certificate on the compression itself, and then to its
-singular values.  Truncation degrees default to 120 and evaluation points
+states the whole chain and its rounding margins).  At points it leaves open,
+the singular values of the compression on a QR basis of the quotient define
+the count.  Truncation degrees default to 120 and evaluation points
 stay within |w| <= 0.6-0.7 so geometric kernel tails are negligible against
 the 1e-6 assertions made downstream.
 """
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corona import _UNIT, _gamma
 from .curvature import _require_certified, fd_laplacian
 from .errors import NoSpectralGap, PointOutsideDomain, TailBoundExceeded
 from .holofun import taylor_coefficients, taylor_tail_bound
@@ -40,9 +41,9 @@ RATIONAL_TAYLOR_DEGREE = 64
 TAIL_TOL = 1e-10
 QR_RANK_REL_TOL = 1e-10
 GAP_FACTOR = 10.0
-# unit roundoff of IEEE double precision
-_UNIT = 2.0**-53
 DEFAULT_DEGREE = 120
+# smallest truncation degree the kernel count accepts
+MIN_DEGREE = 60
 
 
 def build_shift(kind, n):
@@ -65,13 +66,18 @@ def _component_coefficients(f):
     return taylor_coefficients(f, RATIONAL_TAYLOR_DEGREE)
 
 
-def _multiplier_matrix(coeffs, kind, n, cod):
+def _multiplier_matrix(theta, kind, n, cod=None):
     """Columns theta_i e_k for k <= n in the doubled basis of degree cod.
 
-    ``coeffs`` holds the Taylor coefficients of each component; products
-    beyond degree cod are dropped, so cod < n + degree gives the P_cod
-    truncation of the range.  Rows are stacked component-major.
+    Each component enters by its Taylor coefficients
+    (``_component_coefficients``).  cod defaults to n plus the largest
+    Taylor degree, which keeps every product; a smaller cod drops the
+    products beyond it and gives the P_cod truncation of the range.  Rows
+    are stacked component-major.
     """
+    coeffs = [_component_coefficients(f) for f in theta]
+    if cod is None:
+        cod = n + max(len(c) for c in coeffs) - 1
     norms = np.sqrt(monomial_norms_sq(kind, cod))
     m = np.zeros((len(coeffs) * (cod + 1), n + 1), complex)
     k = np.arange(n + 1)[:, None]
@@ -97,16 +103,16 @@ def build_multiplier(theta, kind, n):
     """
     if n < 0:
         raise ValueError("domain degree must be nonnegative")
-    coeffs = [_component_coefficients(f) for f in theta]
-    cod = n + max(len(c) for c in coeffs) - 1
-    return _multiplier_matrix(coeffs, kind, n, cod)
+    return _multiplier_matrix(theta, kind, n)
 
 
 def gamma_gram(spec, points):
     """Exact Gram matrix of the eigenvector sections at the given points.
 
     Entry (i, j) is K(p_j, p_i) * (conj(theta1(p_i)) theta1(p_j) +
-    conj(theta2(p_i)) theta2(p_j)); no truncation is involved.
+    conj(theta2(p_i)) theta2(p_j)); no truncation is involved.  Its diagonal
+    is the section norm that ``oracle_curvature`` evaluates on arrays, and
+    this matrix, one point at a time, is the exact reference for it.
     """
     pts = np.asarray(points, complex)
     if np.any(np.abs(pts) >= 1):
@@ -181,11 +187,8 @@ def eigenvector_residual(spec, w, n=DEFAULT_DEGREE):
     if abs(w) > 0.7:
         raise ValueError("truncation error grows near the boundary; need |w| <= 0.7")
     gamma = gamma_section(spec, w, n).coords
-    # the adjoint shift moves row k + 1 of each block to row k, weighted
-    weights = shift_weights(spec.base, n)
     applied = np.zeros_like(gamma)
-    for base in (0, n + 1):
-        applied[base : base + n] = weights * gamma[base + 1 : base + n + 1]
+    _move_blocks(shift_weights(spec.base, n), gamma, applied, adjoint=True)
     return float(
         np.linalg.norm(applied - np.conj(w) * gamma) / np.linalg.norm(gamma)
     )
@@ -196,10 +199,9 @@ def multiplier_min_singular_value(theta, kind, n=DEFAULT_DEGREE):
 
     Reported as a monitored diagnostic of closed range; no threshold claimed.
     """
-    coeffs = [_component_coefficients(f) for f in theta]
-    d = max(len(c) for c in coeffs) - 1
-    dom = max(n - d, 1)
-    mat = _multiplier_matrix(coeffs, kind, dom, dom + d)
+    # the largest Taylor degree of the components (see _component_coefficients)
+    d = max(f.degree if f.is_polynomial else RATIONAL_TAYLOR_DEGREE for f in theta)
+    mat = _multiplier_matrix(theta, kind, max(n - d, 1))
     return float(np.linalg.svd(mat, compute_uv=False)[-1])
 
 
@@ -219,18 +221,16 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     from the rest (NoSpectralGap otherwise).  ``gap_tol`` must lie in the
     open interval (0, 1).
 
-    The expected count is 1, and three routes settle it, each run only for
-    the points the one before leaves open:
-    1. The Gram certificate (``_gram_bounds``) settles all points of a call
+    The expected count is 1, and two routes settle it:
+    1. the Gram certificate (``_gram_bounds``) settles all points of a call
        from G = N^H N and one Cholesky factorisation, with no QR;
-    2. the section certificate (``_certifies_one``) builds Q by QR, the
-       compression and its Gram matrix, and tries a Cholesky certificate
-       built on the truncated section gamma_w at each point;
-    3. the singular values of C_w (``_kernel_count``) decide.
-    Only the third can return a count other than 1, and a rank-deficient N
-    (theta1(0) and theta2(0) both near 0) raises NoSpectralGap in the
-    second.  Route 1 leaves points open where G is ill-conditioned; route 2
-    still settles those without an SVD.
+    2. at the points it leaves open, the singular values of C_w
+       (``_kernel_count``) decide, on the compression built from a QR
+       basis of the range of N (``_quotient_basis``).
+    Only the second can return a count other than 1, and a rank-deficient N
+    (theta1(0) and theta2(0) both near 0) raises NoSpectralGap there.
+    Route 1 leaves points open where G is ill-conditioned.  Both routes
+    read one P_n-truncated multiplier, built once per call.
 
     Route 1.  All claims are about the exact compression of the stored
     arrays: N and the shift weights s of S as computed.  The singular values
@@ -304,27 +304,32 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     points = np.asarray(w, complex).ravel()
     if np.any(np.abs(points) > 0.6):
         raise ValueError("kernel counting needs |w| <= 0.6 at this truncation scale")
-    if n < 60:
-        raise ValueError("truncation degree must be at least 60")
+    if n < MIN_DEGREE:
+        raise ValueError(f"truncation degree must be at least {MIN_DEGREE}")
 
-    settled = _gram_bounds(spec, n, points, gap_tol).settled
+    mult = _multiplier_matrix(spec.theta, spec.base, n, n)
+    settled = _gram_bounds(mult, spec.base, points, gap_tol).settled
     counts = [1] * len(points)
-    open_points = [i for i, ok in enumerate(settled) if not ok]
-    if open_points:
-        q_perp = _quotient_basis(spec, n)
-        adj = _compressed_shift_adjoint(spec, n, q_perp)
-        gram = adj.conj().T @ adj
-        for i in open_points:
-            p = points[i]
-            v = q_perp.conj().T @ gamma_section(spec, p, n).coords
-            if not _certifies_one(adj, gram, v, p, gap_tol):
-                counts[i] = _kernel_count(adj, p, gap_tol)
+    if not settled.all():
+        adj = _compressed_shift_adjoint(spec.base, _quotient_basis(mult))
+        for i in np.flatnonzero(~settled):
+            counts[i] = _kernel_count(adj, points[i], gap_tol)
     return counts[0] if scalar else counts
 
 
-def _gamma(k):
-    # Higham's gamma_k = k u / (1 - k u): the relative error of k roundings
-    return k * _UNIT / (1.0 - k * _UNIT)
+def _move_blocks(s, x, out, adjoint=False):
+    """The doubled shift S2 = S (+) S, or S2^H, along the last axis of x.
+
+    S2 moves entry k of each block to entry k + 1, weighted s_k, and S2^H
+    moves entry k + 1 to entry k.  The products are written into ``out``,
+    whose entries that receive none are left as they are.
+    """
+    n = s.size
+    src, dst = (1, 0) if adjoint else (0, 1)
+    for base in (0, n + 1):
+        np.multiply(
+            s, x[..., base + src : base + src + n], out=out[..., base + dst : base + dst + n]
+        )
 
 
 def _inverse_bidiagonal_peak(s, aw):
@@ -399,16 +404,16 @@ class _GramBounds:
     settled: np.ndarray
 
 
-def _gram_bounds(spec, n, points, gap_tol):
+def _gram_bounds(mult, kind, points, gap_tol):
     """Route 1 of ``dim_ker_estimate``: bounds from G = N^H N and one Cholesky.
 
-    ``points`` is a 1-D complex array; the inequalities and rounding margins
-    are those stated in ``dim_ker_estimate``.
+    ``mult`` is the P_n-truncated multiplier [M1; M2] over the base ``kind``
+    and ``points`` a 1-D complex array; the inequalities and rounding
+    margins are those stated in ``dim_ker_estimate``.
     """
-    m = n + 1
-    coeffs = [_component_coefficients(f) for f in spec.theta]
-    mult = _multiplier_matrix(coeffs, spec.base, n, n)
-    s = shift_weights(spec.base, n)
+    m = mult.shape[1]
+    n = m - 1
+    s = shift_weights(kind, n)
     u = _UNIT
     gs = _gamma(8 * m * m + 64)
     gf = 4.0 * (2 * m + 8) * u
@@ -424,14 +429,14 @@ def _gram_bounds(spec, n, points, gap_tol):
     z2 -= 4.0 * gs * (norm_ms + aw * np.sqrt(b)) ** 2
     lo = (np.sqrt(np.maximum(z2, 0.0)) - norm_e) / np.sqrt(b_up) * (1.0 - gs)
 
-    kvec = _kernel_vector(spec.base, points[:, None], n)
+    kvec = _kernel_vector(kind, points[:, None], n)
     # p = N k_w, block by block as (k_w^H M_i)^H
     kh = kvec.conj()
     pk = np.concatenate([kh @ mult[m:], -(kh @ mult[:m])], axis=1).conj()
-    # (S2^H - conj(w)) p: entry k + 1 of each block moves to entry k, weighted s_k
-    resid = -np.conj(points)[:, None] * pk
-    for base in (0, m):
-        resid[:, base : base + n] += s * pk[:, base + 1 : base + m]
+    # (S2^H - conj(w)) p
+    resid = np.zeros_like(pk)
+    _move_blocks(s, pk, resid, adjoint=True)
+    resid -= np.conj(points)[:, None] * pk
     norm_p = np.linalg.norm(pk, axis=1)
     dp = gm * np.sqrt(b_up) * np.linalg.norm(kvec, axis=1) * (1.0 + gs)
     den = norm_p * (1.0 - gs) - dp
@@ -473,103 +478,41 @@ def _gram_bounds(spec, n, points, gap_tol):
     return _GramBounds(hi=hi, lo=lo, r=r, floor=floor, settled=candidates & (floor > t))
 
 
-def _quotient_basis(spec, n):
+def _quotient_basis(mult):
     """Orthonormal basis of the complement of the P_n-truncated multiplier range.
 
-    The truncated multiplier is M = [M1; M2] with M_i = D T_i D^-1, T_i lower
-    triangular Toeplitz and D the diagonal of monomial norms.  Lower
-    triangular Toeplitz matrices commute, so M1 M2 = M2 M1 and the columns of
-    N = [M2^H; -M1^H] lie in ker M^H.  N has full rank n + 1 whenever
-    (theta1(0), theta2(0)) != 0, as the corona certificate guarantees, and
-    then spans all of ker M^H; its reduced QR gives the basis.
+    The truncated multiplier ``mult`` is M = [M1; M2] with M_i = D T_i D^-1,
+    T_i lower triangular Toeplitz and D the diagonal of monomial norms.
+    Lower triangular Toeplitz matrices commute, so M1 M2 = M2 M1 and the
+    columns of N = [M2^H; -M1^H] lie in ker M^H.  N has full rank n + 1
+    whenever (theta1(0), theta2(0)) != 0, as the corona certificate
+    guarantees, and then spans all of ker M^H; its reduced QR gives the basis.
     """
-    coeffs = [_component_coefficients(f) for f in spec.theta]
-    mult = _multiplier_matrix(coeffs, spec.base, n, n)
-    kernel = np.concatenate([mult[n + 1 :].conj().T, -mult[: n + 1].conj().T])
+    m = mult.shape[1]
+    kernel = np.concatenate([mult[m:].conj().T, -mult[:m].conj().T])
     q_perp, r = np.linalg.qr(kernel)
     col_scale = float(np.max(np.linalg.norm(kernel, axis=0)))
     smallest = float(np.min(np.abs(np.diag(r))))
     if smallest <= QR_RANK_REL_TOL * col_scale:
         raise NoSpectralGap(
-            f"the quotient basis is rank-deficient at degree {n}: smallest QR "
+            f"the quotient basis is rank-deficient at degree {m - 1}: smallest QR "
             f"pivot {smallest:.3e} against column scale {col_scale:.3e}, since "
             f"theta1(0) and theta2(0) nearly vanish together"
         )
     return q_perp
 
 
-def _compressed_shift_adjoint(spec, n, q_perp=None):
+def _compressed_shift_adjoint(kind, q_perp):
     """Adjoint of the doubled shift compressed to the truncated quotient.
 
-    Q_perp^H (S (+) S)^H Q_perp, where Q_perp (``_quotient_basis`` unless
-    given) spans the orthogonal complement of the P_n-truncated
-    multiplication range in the doubled degree-n space.
+    Q_perp^H (S (+) S)^H Q_perp, where Q_perp (``_quotient_basis``) spans the
+    orthogonal complement of the P_n-truncated multiplication range in the
+    doubled degree-n space over the base ``kind``.
     """
-    if q_perp is None:
-        q_perp = _quotient_basis(spec, n)
-    # the doubled shift moves row k of each block to row k + 1, weighted
-    weights = shift_weights(spec.base, n)[:, None]
     shifted = np.zeros_like(q_perp)
-    for base in (0, n + 1):
-        shifted[base + 1 : base + n + 1] = weights * q_perp[base : base + n]
+    # S2 Q_perp: the shift acts on the columns, the last axis of the transpose
+    _move_blocks(shift_weights(kind, q_perp.shape[1] - 1), q_perp.T, shifted.T)
     return shifted.conj().T @ q_perp
-
-
-def _certifies_one(adj, gram, v, w, gap_tol):
-    """True when Cholesky proves that ``_kernel_count(adj, w, gap_tol)`` is 1.
-
-    With X = adj - conj(w) I, H = X^H X is assembled from gram = adj^H adj,
-    and r = |X v| / |v| bounds the smallest singular value from above.  The
-    largest one lies between lo, the largest column norm, and hi, the square
-    root of |H|_1.  If r < gap_tol lo and H + hi^2 v v^H - (t^2 + delta) I
-    has a Cholesky factor, Weyl interlacing gives sigma_{m-1}(X) > t, where
-    t exceeds both gap_tol hi and GAP_FACTOR r: the rule counts exactly one
-    singular value, and the factor-10 gap holds.  A failed check proves
-    nothing; the caller then runs the rule itself.
-
-    Rounding is covered by two margins, with m the order, u the unit
-    roundoff, g = 4 (m + 8) u and F = |adj|_F + sqrt(m) |w|, so that
-    |(|adj| + |w| I)^H (|adj| + |w| I)|_2 <= F^2:
-    - delta = 2 g (F^2 + hi^2) bounds in the 2-norm the rounding of H
-      (entrywise within gamma_{m+8} of that product, complex arithmetic
-      included), of the rank-one update and the shift, and the backward
-      error of Cholesky (gamma_{m+1} times the trace).  hi^2 adds g F^2 to
-      the computed |H|_1 and lo^2 takes delta off the largest diagonal entry,
-      so lo <= sigma_1 <= hi hold for the matrix the rule factors.
-    - e = g (F + hi) bounds the rounding of r and, taking LAPACK's backward
-      error as at most 4 m u sigma_1, the error of every singular value the
-      rule would compute; the comparisons below widen r, lo and t by it.
-    """
-    m = adj.shape[0]
-    norm_v = np.linalg.norm(v)
-    if not norm_v > 0:
-        return False
-    v = v / norm_v
-    g = 4.0 * (m + 8) * _UNIT
-    f = np.linalg.norm(adj) + np.sqrt(m) * abs(w)
-    # H = A^H A - conj(w) A^H - w A + |w|^2 I, and conj(w) A^H = (w A)^H
-    wa = w * adj
-    h = gram - wa - wa.conj().T
-    h[np.diag_indices(m)] += abs(w) ** 2
-    hi2 = float(np.max(np.sum(np.abs(h), axis=0))) * (1.0 + g) + g * f * f
-    hi = np.sqrt(hi2)
-    delta = 2.0 * g * (f * f + hi2)
-    lo = np.sqrt(max(float(np.max(h.diagonal().real)) - delta, 0.0))
-    e = g * (f + hi)
-    r = float(np.linalg.norm(adj @ v - np.conj(w) * v))
-    if not r + 2.0 * e < gap_tol * (lo - e):
-        return False
-    t = max(gap_tol * (hi + e), GAP_FACTOR * (r + 2.0 * e)) + e
-    # no sigma_{m-1} exceeds hi; the bound on t also keeps the shift within delta
-    if not t < hi:
-        return False
-    h += hi2 * np.outer(v, v.conj())
-    h[np.diag_indices(m)] -= t * t + delta
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _kernel_count(adj, w, gap_tol):

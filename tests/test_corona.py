@@ -14,7 +14,6 @@ from diskmod import (
     QuotientSpec,
     certify,
     certify_spec,
-    check_corona,
     common_zeros_in_disk,
     poly,
     rational,
@@ -24,6 +23,8 @@ from diskmod.holofun import poly_mul
 PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
 PAIR_Z_1MZ = MultiplierPair(poly([0, 1]), poly([1, -1]))
 PAIR_Z_Z2 = MultiplierPair(poly([0, 1]), poly([0, 0, 1]))
+# distinct zeros at +-1/2: no common zero, u bounded below
+PAIR_PM_HALF = MultiplierPair(poly([-0.5, 1]), poly([0.5, 1]))
 
 
 def dense_disk_min(theta, n=2000):
@@ -59,7 +60,8 @@ def test_certify_failure_witness_near_origin():
 
 
 def test_certificate_never_exceeds_sampled_values():
-    for pair, target in ((PAIR_1Z, 0.5), (PAIR_Z_1MZ, 0.25), (PAIR_1Z, 1e-6)):
+    cases = ((PAIR_1Z, 0.5), (PAIR_Z_1MZ, 0.25), (PAIR_1Z, 1e-6), (PAIR_PM_HALF, 1e-6))
+    for pair, target in cases:
         cert = certify(pair, target_gap=target)
         assert cert.epsilon <= dense_disk_min(pair) + 1e-12
 
@@ -76,29 +78,6 @@ def test_monotone_under_scaling():
             eps = certify(pair, target_gap=1e-6).epsilon
             eps_scaled = certify(scaled, target_gap=1e-6).epsilon
             assert eps_scaled >= eps
-
-
-def test_check_corona_examples():
-    assert check_corona(PAIR_1Z) is True
-    assert check_corona(PAIR_Z_Z2) is False
-    # distinct zeros at +-1/2: no common zero, u bounded below
-    pair = MultiplierPair(poly([-0.5, 1]), poly([0.5, 1]))
-    assert check_corona(pair) is True
-    cert = certify(pair, target_gap=1e-6)
-    assert cert.epsilon > 0
-    assert cert.epsilon <= dense_disk_min(pair) + 1e-12
-
-
-def test_check_corona_false_with_planted_common_zero():
-    rng = np.random.default_rng(53)
-    for _ in range(25):
-        root = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        factor = [-root, 1.0]
-        p1 = poly(poly_mul(factor, rng.standard_normal(2) + 0.5))
-        p2 = poly(poly_mul(factor, rng.standard_normal(3) + 0.5))
-        pair = MultiplierPair(p1, p2)
-        assert common_zeros_in_disk(pair)
-        assert check_corona(pair) is False
 
 
 def test_common_zeros_empty_whenever_certified(corpus):
@@ -173,16 +152,6 @@ def test_flat_region_with_huge_high_degree_term_certifies():
     pair = MultiplierPair(poly([1]), poly([0] * 30 + [1e4]))
     cert = certify(pair, target_gap=1e-6)
     assert 1e-6 <= cert.epsilon <= dense_disk_min(pair)
-
-
-def test_check_corona_false_on_depth_exceeded(monkeypatch):
-    import diskmod.corona
-
-    def give_up(theta, target_gap):
-        raise DepthExceeded(0.0, witness=0.5, value=1.0)
-
-    monkeypatch.setattr(diskmod.corona, "certify", give_up)
-    assert check_corona(PAIR_1Z) is False
 
 
 def _random_poly(rng, degree):

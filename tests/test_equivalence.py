@@ -15,7 +15,6 @@ from diskmod import (
     UncertifiedSpec,
     decide_equivalence,
     fd_laplacian,
-    harmonicity_defect,
     laplacian_log_sumsq,
     lemma46_probe,
     make_spec,
@@ -38,30 +37,6 @@ def random_nonvanishing(rng, degree=2, lo=5.0, hi=25.0):
         root = rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.uniform())
         coeffs = poly_mul(coeffs, [-root, 1.0])
     return poly(coeffs)
-
-
-def test_defect_identical_pairs_is_zero():
-    dev, _ = harmonicity_defect(PAIR_1Z, PAIR_1Z, DiskGrid())
-    assert dev == 0.0
-
-
-def test_defect_harmonic_factor_small():
-    dev, _ = harmonicity_defect(PAIR_1Z, PAIR_SCALED, DiskGrid())
-    assert dev <= 1e-9
-
-
-def test_defect_scaled_coordinate_at_origin():
-    # Laplacians: 4/(1+|z|^2)^2 versus 16/(1+4|z|^2)^2, deviation 12 at 0
-    dev, point = harmonicity_defect(PAIR_1Z, PAIR_12Z, FINE_GRID)
-    assert abs(point) < 1e-3
-    assert dev == pytest.approx(12.0, abs=1e-3)
-    fd_a = fd_laplacian(
-        lambda z: float(np.log(1 + abs(z) ** 2)), 1e-4, 1e-3
-    )
-    fd_b = fd_laplacian(
-        lambda z: float(np.log(1 + 4 * abs(z) ** 2)), 1e-4, 1e-3
-    )
-    assert abs(fd_b - fd_a) == pytest.approx(12.0, abs=1e-3)
 
 
 def test_decide_cross_base_rejects():
@@ -99,6 +74,11 @@ def test_decide_rejects_scaled_coordinate():
     assert v.detail == "Theorem 4.4"
     assert abs(v.witness.point) <= 1e-3
     assert v.witness.obstruction == pytest.approx(-12.0, abs=1e-3)
+    # Laplacians 4/(1+|z|^2)^2 and 16/(1+4|z|^2)^2: the finite-difference
+    # stencil sees the same gap of 12 at the origin
+    fd_a = fd_laplacian(lambda z: float(np.log(1 + abs(z) ** 2)), 1e-4, 1e-3)
+    fd_b = fd_laplacian(lambda z: float(np.log(1 + 4 * abs(z) ** 2)), 1e-4, 1e-3)
+    assert fd_a - fd_b == pytest.approx(-12.0, abs=1e-3)
 
 
 def test_decide_inconclusive_band():

@@ -35,8 +35,6 @@ from diskmod import (
     weighted_bergman,
 )
 from diskmod.oracle import (
-    GAP_FACTOR,
-    _certifies_one,
     _component_coefficients,
     _compressed_shift_adjoint,
     _gram_bounds,
@@ -143,10 +141,13 @@ def test_multiplier_matrix_matches_loop_reference(base):
         coeffs = [_component_coefficients(f) for f in pair]
         d = max(len(c) for c in coeffs) - 1
         for n, cod in ((120, 120), (60, 60 + d), (5, 5 + d), (4, 2), (80, 100)):
-            got = _multiplier_matrix(coeffs, base, n, cod)
+            got = _multiplier_matrix(pair, base, n, cod)
             ref = _multiplier_matrix_loop(coeffs, base, n, cod)
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+        # the default codomain keeps every product
+        ref = _multiplier_matrix_loop(coeffs, base, 60, 60 + d)
+        assert _multiplier_matrix(pair, base, 60).tobytes() == ref.tobytes()
 
 
 def test_multiplier_rational_component_within_tail_bound():
@@ -389,13 +390,24 @@ def test_compressed_shift_matches_dense_reference(base):
     doubled = np.kron(np.eye(2), shift)
     dense = q_perp.conj().T @ doubled @ q_perp
 
-    adj = _compressed_shift_adjoint(spec, n)
+    adj = _compressed(spec, n)
     assert adj.shape == dense.shape
     eye = np.eye(dense.shape[0])
     for w in (0, 0.3, -0.2 + 0.4j, 0.55j):
         ref = np.linalg.svd(dense - w * eye, compute_uv=False)
         got = np.linalg.svd(adj - np.conj(w) * eye, compute_uv=False)
         assert np.max(np.abs(got - ref)) <= 1e-10 * ref[0]
+
+
+def _compressed(spec, n):
+    # the compression whose singular values define the kernel count
+    mult = _multiplier_matrix(spec.theta, spec.base, n, n)
+    return _compressed_shift_adjoint(spec.base, _quotient_basis(mult))
+
+
+def _bounds(spec, n, points, gap_tol=1e-4):
+    mult = _multiplier_matrix(spec.theta, spec.base, n, n)
+    return _gram_bounds(mult, spec.base, np.asarray(points, complex), gap_tol)
 
 
 def _truncated_multiplier(spec, n):
@@ -420,7 +432,7 @@ def test_quotient_basis_spans_kernel_of_multiplier_adjoint(base, pair, n):
     # M span all of ker M^H
     spec = make_spec(base, pair)
     mult = _truncated_multiplier(spec, n)
-    q_perp = _quotient_basis(spec, n)
+    q_perp = _quotient_basis(mult)
     assert q_perp.shape == (2 * (n + 1), n + 1)
     scale = np.linalg.norm(mult, 2)
     assert np.linalg.norm(mult.conj().T @ q_perp, 2) <= 1e-13 * scale
@@ -435,70 +447,7 @@ def test_quotient_basis_rejects_vanishing_constant_terms():
     cert = dataclasses.replace(spec.certificate, theta=theta)
     spec = dataclasses.replace(spec, theta=theta, certificate=cert)
     with pytest.raises(NoSpectralGap, match="rank-deficient"):
-        _quotient_basis(spec, 60)
-
-
-def _planted(rng, sigma, w):
-    # adj with adj - conj(w) I = U diag(sigma) V^H; returns adj and V
-    m = len(sigma)
-    u, v = (
-        np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
-        for _ in range(2)
-    )
-    x = (u * sigma) @ v.conj().T
-    return x + np.conj(w) * np.eye(m), v
-
-
-def _spectra(rng, m, gap_tol):
-    """(sigma, kind) with sigma descending from 1 and the small end planted."""
-    bulk = np.sort(rng.uniform(0.05, 1.0, m - 3))[::-1]
-    out = []
-    for floor in (rng.uniform(1e-10, 1e-7), rng.uniform(1.5e-5, 5e-5)):
-        # tau is the smallest sigma_{m-1} the rule accepts for this sigma_m
-        tau = max(gap_tol, GAP_FACTOR * floor)
-        for c in (0.5, 0.99, 1.01, 2.0, 20.0):
-            out.append((np.r_[1.0, bulk, c * tau, floor], "one"))
-    out.append((np.r_[1.0, bulk, rng.uniform(1e-9, 1e-6), 1e-10], "two"))
-    # sigma_m within a factor 10 of sigma_{m-1}, on either side of the cut
-    out.append((np.r_[1.0, bulk, 3e-5, 1e-5], "two"))
-    out.append((np.r_[1.0, bulk, 2e-4, 5e-5], "close"))
-    # nothing below the cut: the rule counts 0
-    for c in (1.2, 3.0):
-        out.append((np.r_[1.0, bulk, 0.04, c * gap_tol], "zero"))
-    return out
-
-
-def test_kernel_certificate_is_sound_on_planted_spectra():
-    # whenever the certificate says 1, the SVD rule says 1 without
-    # NoSpectralGap; it never accepts a kernel of dimension 0 or 2
-    rng = np.random.default_rng(103)
-    gap_tol = 1e-4
-    cases = accepted = 0
-    for _ in range(8):
-        m = int(rng.integers(40, 121))
-        w = (0, 0.3 - 0.2j)[int(rng.integers(2))]
-        for sigma, kind in _spectra(rng, m, gap_tol):
-            adj, v = _planted(rng, sigma, w)
-            gram = adj.conj().T @ adj
-            bottom = v[:, -1]
-            noise = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            trials = [bottom, 3j * bottom] + [
-                bottom + eta * noise / np.linalg.norm(noise) for eta in (1e-8, 1e-4, 1e-2)
-            ] + [noise]
-            try:
-                count = _kernel_count(adj, w, gap_tol)
-            except NoSpectralGap:
-                count = None
-            for trial in trials:
-                cases += 1
-                if _certifies_one(adj, gram, trial, w, gap_tol):
-                    accepted += 1
-                    assert kind == "one"
-                    assert count == 1
-                elif kind == "one" and sigma[-2] >= 20 * gap_tol and trial is bottom:
-                    pytest.fail("an exact trial vector with a wide gap was refused")
-    assert cases >= 500
-    assert accepted >= 100
+        _quotient_basis(_multiplier_matrix(theta, HARDY, 60, 60))
 
 
 @pytest.mark.parametrize("n", [60, 120, 300])
@@ -508,12 +457,8 @@ def test_kernel_certificate_settles_the_verify_points(corpus, n):
     if n == 120:
         specs += list(corpus)
     for spec in specs:
-        q_perp = _quotient_basis(spec, n)
-        adj = _compressed_shift_adjoint(spec, n, q_perp)
-        gram = adj.conj().T @ adj
+        adj = _compressed(spec, n)
         for w in DIM_KER_POINTS:
-            trial = q_perp.conj().T @ gamma_section(spec, w, n).coords
-            assert _certifies_one(adj, gram, trial, w, 1e-4)
             assert _kernel_count(adj, w, 1e-4) == 1
         assert dim_ker_estimate(spec, DIM_KER_POINTS, n) == [1] * len(DIM_KER_POINTS)
 
@@ -551,8 +496,8 @@ def test_gram_bounds_are_sound_against_the_singular_values():
             np.array(DIM_KER_POINTS, complex),
             0.6 * np.sqrt(rng.uniform(size=5)) * np.exp(2j * np.pi * rng.uniform(size=5)),
         ]
-        bounds = _gram_bounds(spec, n, pts, 1e-4)
-        adj = _compressed_shift_adjoint(spec, n)
+        bounds = _bounds(spec, n, pts)
+        adj = _compressed(spec, n)
         # lo against its dense definition |(S2^H - conj(w)) N|_F / |N|_F
         mult = _truncated_multiplier(spec, n)
         kernel = np.concatenate([mult[n + 1 :].conj().T, -mult[: n + 1].conj().T])
@@ -577,8 +522,8 @@ def test_gram_bounds_are_sound_against_the_singular_values():
 def test_gram_bounds_settle_nothing_the_rule_does_not_count_as_one(gap_tol):
     # at 0.6 the rule finds no gap away from w = 0; at 1e-60 it counts 0
     spec = make_spec(HARDY, PAIR_1Z)
-    adj = _compressed_shift_adjoint(spec, 120)
-    settled = _gram_bounds(spec, 120, np.array(DIM_KER_POINTS, complex), gap_tol).settled
+    adj = _compressed(spec, 120)
+    settled = _bounds(spec, 120, DIM_KER_POINTS, gap_tol).settled
     for w, ok in zip(DIM_KER_POINTS, settled):
         try:
             count = _kernel_count(adj, w, gap_tol)
@@ -598,39 +543,47 @@ def test_rank_deficient_pair_still_raises_through_dim_ker_estimate():
     spec = make_spec(HARDY, PAIR_1Z)
     cert = dataclasses.replace(spec.certificate, theta=theta)
     spec = dataclasses.replace(spec, theta=theta, certificate=cert)
-    assert not _gram_bounds(spec, 120, np.array(DIM_KER_POINTS, complex), 1e-4).settled.any()
+    assert not _bounds(spec, 120, DIM_KER_POINTS).settled.any()
     with pytest.raises(NoSpectralGap, match="rank-deficient"):
         dim_ker_estimate(spec, DIM_KER_POINTS, 120)
 
 
-@pytest.mark.parametrize(
-    "base, pair",
-    [
-        (weighted_bergman(1.5), MultiplierPair(poly([-0.5, 1]), poly([1e-4]))),
-        (weighted_bergman(4.0), MultiplierPair(poly([-0.5, 1]), poly([-0.501, 1]))),
-    ],
+ILL_CONDITIONED = (
+    (weighted_bergman(1.5), MultiplierPair(poly([-0.5, 1]), poly([1e-4]))),
+    (weighted_bergman(4.0), MultiplierPair(poly([-0.5, 1]), poly([-0.501, 1]))),
 )
-def test_ill_conditioned_pairs_fall_through_to_the_section_certificate(monkeypatch, base, pair):
+
+
+@pytest.mark.parametrize("base, pair", ILL_CONDITIONED)
+def test_ill_conditioned_pairs_fall_through_to_the_singular_values(base, pair):
     # G = N^H N is too ill-conditioned for the Gram certificate here; the
-    # section certificate on the compression settles every point instead
+    # singular values of the compression count every point instead
     spec = make_spec(base, pair, 1e-12)
-    calls = []
-
-    def recording(*args):
-        calls.append(_certifies_one(*args))
-        return calls[-1]
-
-    def no_svd(*args):
-        raise AssertionError("the singular values were computed")
-
-    monkeypatch.setattr(diskmod.oracle, "_certifies_one", recording)
-    monkeypatch.setattr(diskmod.oracle, "_kernel_count", no_svd)
-    for n in (60, 120):
-        settled = _gram_bounds(spec, n, np.array(DIM_KER_POINTS, complex), 1e-4).settled
-        assert not settled.any()
-        calls.clear()
+    for n in (60, 120, 300):
+        assert not _bounds(spec, n, DIM_KER_POINTS).settled.any()
         assert dim_ker_estimate(spec, DIM_KER_POINTS, n) == [1] * len(DIM_KER_POINTS)
-        assert calls == [True] * len(DIM_KER_POINTS)
+
+
+def test_a_call_with_open_points_builds_the_multiplier_once(monkeypatch):
+    spec = make_spec(*ILL_CONDITIONED[0], 1e-12)
+    built = []
+    counted = []
+    build = diskmod.oracle._multiplier_matrix
+    count = diskmod.oracle._kernel_count
+
+    def recording_build(*args):
+        built.append(args)
+        return build(*args)
+
+    def recording_count(*args):
+        counted.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(diskmod.oracle, "_multiplier_matrix", recording_build)
+    monkeypatch.setattr(diskmod.oracle, "_kernel_count", recording_count)
+    assert dim_ker_estimate(spec, DIM_KER_POINTS, 120) == [1] * len(DIM_KER_POINTS)
+    assert len(built) == 1
+    assert len(counted) == len(DIM_KER_POINTS)
 
 
 def test_gram_certificate_settles_without_a_quotient_basis(monkeypatch, corpus):
