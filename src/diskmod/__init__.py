@@ -65,13 +65,14 @@ from .equivalence import (
 )
 from .oracle import (
     GammaSection,
+    MultiplierBound,
     build_multiplier,
     build_shift,
     dim_ker_estimate,
     eigenvector_residual,
     gamma_gram,
     gamma_section,
-    multiplier_min_singular_value,
+    multiplier_lower_bound,
     oracle_curvature,
     reproducing_check,
 )

@@ -6,22 +6,28 @@ matrices in orthonormalized monomial bases, exact section Gram matrices, and a
 finite-difference curvature that never touches the quotient-curvature
 identity.  The truncated shift is held as its weight vector
 (``rkhs.shift_weights``) and applied by weighted slice moves; no dense shift
-matrix is built.  Kernel counts compress that shift to the truncated
-quotient, the range of N = [M2^H; -M1^H] built from the multiplier blocks.
-The blocks commute with the shift, so the compression at w is similar to the
-bidiagonal S^H - conj(w) I through the factor R of G = N^H N, up to a
-rounding defect E.  With lam_min the smallest eigenvalue of G and beta_w a
-lower bound on sigma_{m-1} of that bidiagonal,
+matrix is built.  Every multiplier block is a weighted Toeplitz matrix
+D T_i D^-1 of half-width d, d the largest Taylor degree, so its Gram
+matrices are bands of half-width d; ``_gram_band`` builds them from the
+Taylor coefficients and ratios of monomial norms alone.  Kernel counts
+compress the shift to the truncated quotient, the range of
+N = [M2^H; -M1^H].  The blocks commute with the shift, so the compression at
+w is similar to the bidiagonal S^H - conj(w) I through the factor R of
+G = N^H N, up to a rounding defect E.  With lam_min the smallest eigenvalue
+of G and beta_w a lower bound on sigma_{m-1} of that bidiagonal,
 
     sigma_{m-1}(C_w) >= beta_w sqrt(lam_min / |G|_2) - |E|_F / sqrt(lam_min),
 
-and one Cholesky factorisation of G, shifted, settles the expected count of 1
-at every point of a call with no basis of the quotient (``dim_ker_estimate``
-states the whole chain and its rounding margins).  At points it leaves open,
-the singular values of the compression on a QR basis of the quotient define
-the count.  Truncation degrees default to 120 and evaluation points
-stay within |w| <= 0.6-0.7 so geometric kernel tails are negligible against
-the 1e-6 assertions made downstream.
+and one Cholesky factorisation of the band G, shifted, settles the expected
+count of 1 at every point of a call with no multiplier matrix and no basis
+of the quotient (``dim_ker_estimate`` states the whole chain and its
+rounding margins).  At points it leaves open, the singular values of the
+compression on a QR basis of the quotient define the count.  Closed range
+of M_Theta is proved the same way: one Cholesky factorisation of the band
+M^H M shows sigma_min(M)^2 >= epsilon - slack for the certified epsilon of
+the corona certificate (``multiplier_lower_bound``).  Truncation degrees
+default to 120 and evaluation points stay within |w| <= 0.6-0.7 so geometric
+kernel tails are negligible against the 1e-6 assertions made downstream.
 """
 
 from __future__ import annotations
@@ -30,12 +36,13 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corona import _UNIT, _gamma
 from .curvature import _require_certified, fd_laplacian
 from .errors import NoSpectralGap, PointOutsideDomain, TailBoundExceeded
 from .holofun import taylor_coefficients, taylor_tail_bound
-from .rkhs import kernel_eval, monomial_norms_sq, shift_weights
+from .rkhs import _norm_ratios, kernel_eval, monomial_norms_sq, shift_weights
 
 RATIONAL_TAYLOR_DEGREE = 64
 TAIL_TOL = 1e-10
@@ -66,23 +73,35 @@ def _component_coefficients(f):
     return taylor_coefficients(f, RATIONAL_TAYLOR_DEGREE)
 
 
+def _taylor_table(theta):
+    """Taylor coefficients of the components, one row each, zero-padded to d + 1.
+
+    d is the largest Taylor degree; each component enters by
+    ``_component_coefficients``.
+    """
+    coeffs = [_component_coefficients(f) for f in theta]
+    table = np.zeros((len(coeffs), max(len(c) for c in coeffs)), complex)
+    for row, comp in zip(table, coeffs):
+        row[: len(comp)] = comp
+    return table
+
+
 def _multiplier_matrix(theta, kind, n, cod=None):
     """Columns theta_i e_k for k <= n in the doubled basis of degree cod.
 
-    Each component enters by its Taylor coefficients
-    (``_component_coefficients``).  cod defaults to n plus the largest
-    Taylor degree, which keeps every product; a smaller cod drops the
-    products beyond it and gives the P_cod truncation of the range.  Rows
-    are stacked component-major.
+    Each component enters by its Taylor coefficients (``_taylor_table``).
+    cod defaults to n plus the largest Taylor degree, which keeps every
+    product; a smaller cod drops the products beyond it and gives the P_cod
+    truncation of the range.  Rows are stacked component-major.
     """
-    coeffs = [_component_coefficients(f) for f in theta]
+    table = _taylor_table(theta)
     if cod is None:
-        cod = n + max(len(c) for c in coeffs) - 1
+        cod = n + table.shape[1] - 1
     norms = np.sqrt(monomial_norms_sq(kind, cod))
-    m = np.zeros((len(coeffs) * (cod + 1), n + 1), complex)
+    m = np.zeros((len(table) * (cod + 1), n + 1), complex)
     k = np.arange(n + 1)[:, None]
-    for block, comp in enumerate(coeffs):
-        comp = np.asarray(comp[: cod + 1])
+    for block, comp in enumerate(table):
+        comp = comp[: cod + 1]
         # one column of the grid per nonzero coefficient; entry (k, j) is
         # kept while the product degree k + j stays within cod
         j = np.flatnonzero(comp)[None, :]
@@ -91,6 +110,88 @@ def _multiplier_matrix(theta, kind, n, cod=None):
         jj = np.broadcast_to(j, keep.shape)[keep]
         m[block * (cod + 1) + kk + jj, kk] = comp[jj] * norms[kk + jj] / norms[kk]
     return m
+
+
+def _gram_band(table, kind, cod, size, columns=False, width=None):
+    """A Gram matrix of the multiplier as a band of half-width d, from ``table``.
+
+    M = [M1; M2] maps degree size - 1 into degree cod, with entries
+    c_{i,k-j} nu_k / nu_j (nu_k = |z^k|) and the products beyond cod dropped.
+    Entry (l, o) of the band is G[l + o, l] of G = M1 M1^H + M2 M2^H, or
+    with ``columns`` H[l - o, l] of H = M^H M, for offsets o < ``width``
+    (default d + 1, the whole band); entries outside the matrix are 0.
+    With P_o[t] = sum_i c_{i,t+o} conj(c_{i,t}),
+
+        G[l + o, l] = (nu_{l+o} / nu_l) sum_t P_o[t] (nu_l / nu_{l-t})^2,
+        H[l - o, l] = (nu_l / nu_{l-o}) sum_t conj(P_o[t]) (nu_{l+t} / nu_l)^2,
+
+    so the band is one product of a sliding window of norm ratios, running
+    backward for G and forward for H, with P^T.  Every ratio is a product
+    of at most d of the ratios |z^j|^2 / |z^(j-1)|^2 and no monomial norm
+    is formed, so a large weight alpha neither underflows nor overflows the
+    band.  Each entry is within ``_band_error(d)`` of its exact value,
+    relative to the same sum taken over |c| (see ``dim_ker_estimate``).
+    """
+    if width is not None and width > table.shape[1]:
+        # offsets beyond d hold zeros
+        table = np.pad(table, ((0, 0), (0, width - table.shape[1])))
+    d = table.shape[1] - 1
+    width = d + 1 if width is None else width
+    # P[o, t] = sum_i c_{i,t+o} conj(c_{i,t}), zero where t + o > d
+    padded = np.concatenate([table, np.zeros_like(table[:, :d])], axis=1)
+    pmat = np.einsum(
+        "iot,it->ot", sliding_window_view(padded, d + 1, axis=1)[:, :width], table.conj()
+    )
+    if columns:
+        pmat = pmat.conj()
+    # ratios r_j for j = 1..cod, padded with d zeros on each side so that a
+    # window reaching below degree 0 or beyond cod has a zero product;
+    # windows[l] holds r_{l-d+1} .. r_l and windows[l + d] holds
+    # r_{l+1} .. r_{l+d}
+    ratios = np.concatenate([np.zeros(d), _norm_ratios(kind, cod), np.zeros(d)])
+    windows = sliding_window_view(ratios, d)
+    ones = np.ones((size, 1))
+    # down[l, t] = (nu_l / nu_{l-t})^2, up[l, t] = (nu_{l+t} / nu_l)^2
+    down = np.concatenate([ones, np.cumprod(windows[:size, ::-1], axis=1)], axis=1)
+    up = np.concatenate([ones, np.cumprod(windows[d : d + size], axis=1)], axis=1)
+    window, scale = (up, down) if columns else (down, up)
+    # complex P^T through its real view: one real product
+    band = (window @ np.ascontiguousarray(pmat.T).view(float)).view(complex)
+    return band * np.sqrt(scale[:, :width])
+
+
+def _band_error(d):
+    # relative error of a band entry from _gram_band: d + 1 rounded ratios,
+    # their products and square roots, P and the window product
+    return _gamma(16 * (d + 2))
+
+
+def _band_spread(band, err):
+    """Upper bound on |A|_2 for A with the sparsity of ``band`` and |a_kl| <= sqrt(a_kk a_ll).
+
+    The diagonal a_kk is that of ``band`` up to the relative error ``err``;
+    a column holds at most min(2d + 1, m) entries, each at most the largest
+    diagonal entry.
+    """
+    size, width = band.shape
+    return min(2 * width - 1, size) * float(np.max(band[:, 0].real)) * (1.0 + err)
+
+
+def _dense_hermitian(band, columns=False):
+    """The Hermitian matrix of a band from ``_gram_band`` (G, or H with ``columns``)."""
+    size, width = band.shape
+    row = np.arange(size)[:, None]
+    off = np.arange(width)[None, :]
+    # band entry (l, o) sits at (l + o, l) of G, or at (l - o, l) of H
+    inside = (row + off < size) if not columns else (row >= off)
+    other = row + off if not columns else row - off
+    values = band[inside]
+    dense = np.zeros((size, size), complex)
+    flat = dense.reshape(-1)
+    flat[(other * size + row)[inside]] = values
+    flat[(row * size + other)[inside]] = values.conj()
+    flat[:: size + 1] = band[:, 0].real
+    return dense
 
 
 def build_multiplier(theta, kind, n):
@@ -180,29 +281,101 @@ def eigenvector_residual(spec, w, n=DEFAULT_DEGREE):
     """Relative residual of the truncated section under the adjoint shift.
 
     |(M_z (x) I)* gamma - conj(w) gamma| / |gamma| at truncation degree n;
-    exact zero at w = 0 and geometrically small in n for |w| <= 0.7.
+    exact zero at w = 0 and geometrically small in n for |w| <= 0.7.  ``w``
+    is a point (returns a float) or a sequence of points (returns an array).
     """
     _require_certified(spec)
-    w = complex(w)
-    if abs(w) > 0.7:
+    scalar = np.ndim(w) == 0
+    points = np.asarray(w, complex).ravel()
+    if np.any(np.abs(points) > 0.7):
         raise ValueError("truncation error grows near the boundary; need |w| <= 0.7")
-    gamma = gamma_section(spec, w, n).coords
+    gamma = np.empty((len(points), 2 * (n + 1)), complex)
+    for row, p in zip(gamma, points):
+        row[:] = gamma_section(spec, p, n).coords
     applied = np.zeros_like(gamma)
     _move_blocks(shift_weights(spec.base, n), gamma, applied, adjoint=True)
-    return float(
-        np.linalg.norm(applied - np.conj(w) * gamma) / np.linalg.norm(gamma)
-    )
+    applied -= np.conj(points)[:, None] * gamma
+    # one norm per row, as a single point takes it
+    res = np.array([np.linalg.norm(a) / np.linalg.norm(g) for a, g in zip(applied, gamma)])
+    return float(res[0]) if scalar else res
 
 
-def multiplier_min_singular_value(theta, kind, n=DEFAULT_DEGREE):
-    """Smallest singular value of the truncated multiplication operator.
+@dataclass(frozen=True)
+class MultiplierBound:
+    """Outcome of ``multiplier_lower_bound``.
 
-    Reported as a monitored diagnostic of closed range; no threshold claimed.
+    ``ok`` means sigma_min(M)^2 >= (sqrt(epsilon) - tail)^2 - slack > 0 is
+    proved for the truncated multiplier M; epsilon is the certified bound of
+    the corona certificate and tail that of the Taylor truncation.
     """
-    # the largest Taylor degree of the components (see _component_coefficients)
-    d = max(f.degree if f.is_polynomial else RATIONAL_TAYLOR_DEGREE for f in theta)
-    mat = _multiplier_matrix(theta, kind, max(n - d, 1))
-    return float(np.linalg.svd(mat, compute_uv=False)[-1])
+
+    epsilon: float
+    tail: float
+    slack: float
+    ok: bool
+
+
+def multiplier_lower_bound(spec, n=DEFAULT_DEGREE):
+    """Prove sigma_min(M)^2 >= epsilon - slack with one shifted Cholesky.
+
+    M is the multiplier f -> (theta1 f, theta2 f) from degree
+    dom = max(n - d, 1) into degree dom + d, d the largest Taylor degree, so
+    every product is kept.  For Hardy and every weighted Bergman space,
+    |f|^2 is integrated against a positive measure, so the certified
+    |theta1|^2 + |theta2|^2 >= epsilon of the corona certificate gives
+    |Theta f|^2 >= epsilon |f|^2, and sigma_min(M)^2 >= epsilon for a
+    polynomial pair.  A rational component enters by its degree-64 Taylor
+    polynomial, whose distance to it on the disk is at most its certified
+    tail bound; the pair's tail is the root sum of squares of the two, and
+    the target becomes (sqrt(epsilon) - tail)^2.  The computed Taylor
+    coefficients are taken as stored, as everywhere in the oracle.
+
+    H = M^H M comes from ``_gram_band``: each entry is within
+    err = ``_band_error(d)`` of the exact one, relative to the entry of
+    |M|^H |M|, whose 2-norm is at most ``_band_spread`` (a band of
+    half-width d with |entries| <= sqrt(h_kk h_ll)).  If the Cholesky
+    factorisation of fl(H - target I) runs through, its computed factor R
+    has R^H R = H - target I + F with |F| <= gw |R^H| |R| entrywise
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 10.3).  R keeps the band and zero terms add no rounding, so every
+    inner product has at most min(d, m) + 1 nonzero terms and
+    gw = 4 (min(d, m) + 10) u, complex arithmetic included; F has the same
+    band and |r_k|^2 <= h_kk / (1 - gw), so with the rounding of the shift
+    |F|_2 <= 2 gw spread.  Hence lambda_min(H) >= target - slack with
+
+        slack = (2 gw + err) spread.
+
+    The check is ok when the factorisation runs through and
+    target > slack.  A certificate that claims more than the operator
+    allows fails it.
+    """
+    _require_certified(spec)
+    table = _taylor_table(spec.theta)
+    d = table.shape[1] - 1
+    dom = max(n - d, 1)
+    m = dom + 1
+    band = _gram_band(table, spec.base, dom + d, m, columns=True)
+    tail = float(
+        np.hypot(*[
+            0.0 if f.is_polynomial else taylor_tail_bound(f, RATIONAL_TAYLOR_DEGREE)
+            for f in spec.theta
+        ])
+    )
+    epsilon = float(spec.certificate.epsilon)
+    root = max(np.sqrt(epsilon) - tail, 0.0)
+    target = root * root
+    err = _band_error(d)
+    gw = 4.0 * (min(d, m) + 10) * _UNIT
+    slack = (2.0 * gw + err) * _band_spread(band, err)
+    ok = target > slack
+    if ok:
+        gram = _dense_hermitian(band, columns=True)
+        gram[np.diag_indices(m)] -= target
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            ok = False
+    return MultiplierBound(epsilon=epsilon, tail=tail, slack=float(slack), ok=bool(ok))
 
 
 def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
@@ -223,22 +396,24 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
 
     The expected count is 1, and two routes settle it:
     1. the Gram certificate (``_gram_bounds``) settles all points of a call
-       from G = N^H N and one Cholesky factorisation, with no QR;
+       from G = N^H N and one Cholesky factorisation, with no QR and no
+       multiplier matrix: G and the other Gram quantities come as bands
+       from the Taylor coefficients (``_gram_band``);
     2. at the points it leaves open, the singular values of C_w
        (``_kernel_count``) decide, on the compression built from a QR
-       basis of the range of N (``_quotient_basis``).
+       basis of the range of N (``_quotient_basis``) of the P_n-truncated
+       multiplier, built once per call.
     Only the second can return a count other than 1, and a rank-deficient N
     (theta1(0) and theta2(0) both near 0) raises NoSpectralGap there.
-    Route 1 leaves points open where G is ill-conditioned.  Both routes
-    read one P_n-truncated multiplier, built once per call.
+    Route 1 leaves points open where G is ill-conditioned.
 
-    Route 1.  All claims are about the exact compression of the stored
-    arrays: N and the shift weights s of S as computed.  The singular values
-    of C do not depend on the choice of Q.  M1 and M2 are polynomials in S,
-    so S2^H N = N S^H + E, where E is exactly 0 in exact arithmetic and a
-    rounding defect of the stored entries otherwise, with
-    |E|_F = |M S - S2 M|_F (0 for Hardy, about 1e-16 relative for Bergman).
-    With N = Q R, R^H R = G and the bidiagonal B_w = S^H - conj(w) I,
+    Route 1.  All claims are about the exact compression of the arrays that
+    route 2 stores: N from ``_multiplier_matrix`` and the shift weights s of
+    S as computed.  The singular values of C do not depend on the choice of
+    Q.  M1 and M2 are polynomials in S, so S2^H N = N S^H + E, where E is
+    exactly 0 in exact arithmetic and a rounding defect of the stored
+    entries otherwise, with |E|_F = |M S - S2 M|_F.  With N = Q R,
+    R^H R = G and the bidiagonal B_w = S^H - conj(w) I,
 
         C_w = Q^H (S2^H - conj(w)) N R^-1 = R B_w R^-1 + Q^H E R^-1,
 
@@ -250,15 +425,19 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     raise sigma_{m-1}, B_w[:m-1, 1:] = L is lower bidiagonal with diagonal s
     and off-diagonal -conj(w), and beta_w = 1 / sqrt(|L^-1|_1 |L^-1|_inf),
     whose row and column sums follow O(m) recurrences.  Lam is taken from
-    |G|_1 >= |G|_2.  The other singular values are bounded at O(m^2) cost:
+    |G|_1 >= |G|_2.  The other singular values are bounded at O(m + d) cost
+    per point:
     - hi = max(s) + |w| >= sigma_1(C_w), since |C|_2 <= |S2|_2;
     - lo = (|Z|_F - |E|_F) / |N|_F <= sigma_1(C_w) with
       Z = (S2^H - conj(w)) N, because C_w R = Q^H Z and the part of Z
       outside the range of Q is that of E; |Z|_F^2 = a + |w|^2 b - 2 Re(w c)
-      from three scalars, a = |M S|_F^2 = |S2^H N|_F^2, b = |M|_F^2 = |N|_F^2
-      and c = <N, S2^H N> = <M S, M>;
-    - r = |(S2^H - conj(w)) p| / |p| >= sigma_m(C_w) for p = N k_w, k_w
-      the kernel vector, since p = Q (R k_w) and |R k_w| = |p|.
+      from three scalars, a = |M S|_F^2 = |S2^H N|_F^2, b = |M|_F^2 =
+      |N|_F^2 = trace G and c = <N, S2^H N> = <M S, M>, where a and c come
+      from the diagonal and first off-diagonal of the column Gram M^H M;
+    - r = |(S2^H - conj(w)) p| / |p| >= sigma_m(C_w) for p = N x, with
+      x_k = conj(w)^k / nu_k the kernel vector (any x would do), since
+      p = Q (R x) and |R x| = |p|; p comes from partial sums,
+      (x^H M_i)_l = conj(x_l) sum_{t <= n - l} c_{i,t} w^t.
     A point is settled when r < gap_tol lo and the sigma_{m-1} bound
     exceeds t = max(gap_tol hi, GAP_FACTOR r): the rule then counts sigma_m
     alone, and the factor-10 gap holds.  tau is proved by one Cholesky
@@ -267,27 +446,42 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     than the smallest diagonal entry of G are left open, and so are all
     points when the factorisation fails.
 
-    Rounding margins of route 1, with u the unit roundoff,
-    gs = gamma_{8 m^2 + 64} for every sum of at most 4 m^2 terms (the
-    Frobenius norms and <M S, M>), gf = 4 (2m + 8) u for an inner product
-    of length 2m and gm = 4 (m + 8) u for one of length m (complex
-    arithmetic included):
-    - forming G = M1 M1^H + M2 M2^H from real products of the real and
-      imaginary parts: |G - fl(G)|_2 <= gf |N|_F^2 = gf b, so
-      Lam = |fl(G)|_1 (1 + gs) + sqrt(m) gf b;
-    - the Cholesky factorisation of fl(G) - sigma I: its backward error is
-      at most gm / (1 - gm) times the trace (Higham, Accuracy and Stability
-      of Numerical Algorithms, 2nd ed., Thm 10.3), the trace is at most 2b,
-      and shifting the diagonal adds u b, so tau = sigma - 4 gf b;
-    - E: M S and S2 M take one rounding per entry and their difference one
-      more, so |E|_F <= (1 + 2u) |fl(E)|_F + 2u (|fl(M S)|_F + |fl(S2 M)|_F),
-      widened by gs for the norms;
-    - |Z|_F: a, b and c carry relative errors of at most gs, so the formula
-      is off by at most 4 gs (sqrt(a) + |w| sqrt(b))^2 before the square
-      root, which is subtracted;
-    - r: fl(N k_w) is within gm |N|_F |k_w| of p, which adds hi times that
-      to the numerator and takes it off the denominator; applying the shift
-      adds 4 u hi |p|, and the norms gs;
+    Rounding margins of route 1, with u the unit roundoff, gamma_k = k u /
+    (1 - k u), gn = gamma_{4m+8} for a sum of at most 4m real terms (the
+    norms of vectors of length 2m), d the largest Taylor degree and
+    gw = 4 (min(d, m) + 10) u for the inner products of a factor with the
+    band of G (complex arithmetic included):
+    - the stored entries of M: each ratio |z^j|^2 / |z^(j-1)|^2 takes two
+      roundings, the monomial norm nu_k their running product and a square
+      root, and the entry c nu_k / nu_j two more, so every entry is within
+      e_M = gamma_{4m} of c nu_k / nu_j, relatively; each shift weight is
+      within e_S = gamma_2 of its exact value;
+    - the bands: every entry is within gamma_{16(d+2)} (``_band_error``)
+      of its exact value relative to the same sum over |c|.  With the
+      stored entries, err = gamma_{16(d+2)} + 2.01 (e_M + e_S) + gamma_{4m}
+      bounds the relative error of a, b and c (of c against sqrt(a b)), and
+      |G_band - G|_2 <= err spread for G of the stored N, where spread
+      (``_band_spread``) bounds the 2-norm of |M| |M|^H: a band of
+      half-width d whose entries are at most the largest diagonal one;
+    - Lam = |G_band|_1 (1 + gn) + err spread;
+    - the Cholesky factorisation of fl(G_band) - sigma I: its computed
+      factor R has R^H R = A + F with |F| <= gw |R^H| |R| entrywise
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      Thm 10.3, with the inner products cut to the at most min(d, m) + 1
+      nonzero terms of the banded factor), so |F|_2 <= gw / (1 - gw)
+      spread, and shifting the diagonal adds u spread at most; with the
+      band error tau = sigma - (2 gw + err) spread;
+    - E, a priori: entry (k + 1, j) of M S and of S2 M is the same exact
+      value times one stored entry and one weight, so
+      |E|_F <= 2.01 (e_M + e_S) |M S|_F = 2.01 (e_M + e_S) sqrt(a);
+    - |Z|_F: the formula is off by at most 4 err (sqrt(a) + |w| sqrt(b))^2
+      before the square root, which is subtracted;
+    - r: x takes at most six roundings per step of its recurrence, the
+      partial sums 4d + 10 more, so the computed p is within
+      gamma_{8(m+d+2)} |x| (sum_i (sum_t |c_{i,t}| |w|^t)^2)^(1/2) of
+      N_exact x, and the stored N within 2.01 e_M sqrt(b) |x| of N_exact;
+      hi times that distance goes to the numerator and it is taken off
+      the denominator; applying the shift adds 4 u hi |p|, and the norms gn;
     - beta: each step of a recurrence takes at most five roundings, so the
       computed sums are within gamma_{5m} of the exact ones, and beta is
       taken down by gamma_{10m + 32}.
@@ -307,10 +501,10 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     if n < MIN_DEGREE:
         raise ValueError(f"truncation degree must be at least {MIN_DEGREE}")
 
-    mult = _multiplier_matrix(spec.theta, spec.base, n, n)
-    settled = _gram_bounds(mult, spec.base, points, gap_tol).settled
+    settled = _gram_bounds(_taylor_table(spec.theta), spec.base, n, points, gap_tol).settled
     counts = [1] * len(points)
     if not settled.all():
+        mult = _multiplier_matrix(spec.theta, spec.base, n, n)
         adj = _compressed_shift_adjoint(spec.base, _quotient_basis(mult))
         for i in np.flatnonzero(~settled):
             counts[i] = _kernel_count(adj, points[i], gap_tol)
@@ -340,51 +534,23 @@ def _inverse_bidiagonal_peak(s, aw):
     return max(sums)
 
 
-def _commutator_norms(mult, s):
-    """|M S|_F, |M S - S2 M|_F and <M S, M> for the stored blocks M = [M1; M2].
+def _range_vectors(table, s, points):
+    """The kernel vectors x and p = N x, one row per point, from the coefficients.
 
-    The middle value is widened to a bound on |E|_F for the exact products
-    of the stored arrays (see ``dim_ker_estimate``).  The two shifted copies
-    of the blocks are the largest temporaries of route 1, so they live only
-    here.
+    x_k = conj(w)^k / nu_k by the recurrence x_{k+1} = x_k conj(w) / s_k,
+    and N = [M2^H; -M1^H] for the P_n-truncated multiplier, n = s.size:
+    block i of N^H x holds (M_i^H x)_l = x_l conj(sum_{t <= n - l} c_{i,t} w^t).
     """
     n = s.size
-    m = n + 1
-    gs = _gamma(8 * m * m + 64)
-    # M S takes column k + 1 to column k, weighted s_k; S2 M takes row k of
-    # each block to row k + 1, weighted s_k.  Both scale real and imaginary
-    # parts alike, so they run on the real view, where columns 2k and 2k + 1
-    # hold column k
-    flat = mult.view(float)
-    ms = np.zeros_like(flat)
-    np.multiply(flat[:, 2:], np.repeat(s, 2), out=ms[:, : 2 * n])
-    sm = np.zeros_like(flat)
-    for base in (0, m):
-        np.multiply(s[:, None], flat[base : base + n], out=sm[base + 1 : base + m])
-    norm_ms = np.linalg.norm(ms)
-    norm_sm = np.linalg.norm(sm)
-    norm_e = np.linalg.norm(np.subtract(ms, sm, out=sm))
-    u = _UNIT
-    norm_e = (1.0 + gs) * ((1.0 + 2 * u) * norm_e + 2 * u * (norm_ms + norm_sm))
-    return norm_ms, norm_e, np.vdot(ms.view(complex), mult)
-
-
-def _multiplier_gram(mult):
-    """G = M1 M1^H + M2 M2^H = N^H N for the stored blocks M = [M1; M2].
-
-    One real symmetric product: with V = [[Re M1, Re M2], [Im M1, Im M2]],
-    V V^T holds Re G in the sum of its diagonal blocks and Im G in the
-    difference of its off-diagonal blocks.
-    """
-    m = mult.shape[1]
-    v = np.empty((2 * m, 2 * m))
-    v[:m, :m], v[:m, m:] = mult[:m].real, mult[m:].real
-    v[m:, :m], v[m:, m:] = mult[:m].imag, mult[m:].imag
-    h = v @ v.T
-    gram = np.empty((m, m), complex)
-    np.add(h[:m, :m], h[m:, m:], out=gram.real)
-    np.subtract(h[m:, :m], h[:m, m:], out=gram.imag)
-    return gram
+    d = table.shape[1] - 1
+    ones = np.ones((len(points), 1))
+    x = np.concatenate([ones, np.cumprod(np.conj(points)[:, None] / s, axis=1)], axis=1)
+    powers = np.concatenate(
+        [ones, np.cumprod(np.broadcast_to(points[:, None], (len(points), d)), axis=1)], axis=1
+    )
+    partial = np.cumsum(table[:, None, :] * powers, axis=2)
+    conj_sums = partial[:, :, np.minimum(n - np.arange(n + 1), d)].conj()
+    return x, np.concatenate([x * conj_sums[1], -(x * conj_sums[0])], axis=1)
 
 
 @dataclass(frozen=True)
@@ -404,58 +570,70 @@ class _GramBounds:
     settled: np.ndarray
 
 
-def _gram_bounds(mult, kind, points, gap_tol):
+def _gram_bounds(table, kind, n, points, gap_tol):
     """Route 1 of ``dim_ker_estimate``: bounds from G = N^H N and one Cholesky.
 
-    ``mult`` is the P_n-truncated multiplier [M1; M2] over the base ``kind``
-    and ``points`` a 1-D complex array; the inequalities and rounding
-    margins are those stated in ``dim_ker_estimate``.
+    ``table`` holds the Taylor coefficients of the pair (``_taylor_table``),
+    ``kind`` is the base, n the truncation degree and ``points`` a 1-D
+    complex array; the inequalities and rounding margins are those stated in
+    ``dim_ker_estimate``.  No multiplier matrix is built.
     """
-    m = mult.shape[1]
-    n = m - 1
+    m = n + 1
+    d = table.shape[1] - 1
     s = shift_weights(kind, n)
     u = _UNIT
-    gs = _gamma(8 * m * m + 64)
-    gf = 4.0 * (2 * m + 8) * u
-    gm = 4.0 * (m + 8) * u
+    gn = _gamma(4 * m + 8)
+    gw = 4.0 * (min(d, m) + 10) * u
+    # relative errors of the stored multiplier entries and shift weights, and
+    # of the band entries and the m-term sums a, b and c taken from them
+    e_m = _gamma(4 * m)
+    e_s = _gamma(2)
+    err = _band_error(d) + 2.01 * (e_m + e_s) + _gamma(4 * m)
 
-    norm_ms, norm_e, c = _commutator_norms(mult, s)
-    b = np.linalg.norm(mult) ** 2
-    b_up = b * (1.0 + gs)
+    gram = _gram_band(table, kind, n, m)
+    cols = _gram_band(table, kind, n, m, columns=True, width=2)
+    b = float(np.sum(gram[:, 0].real))
+    b_up = b * (1.0 + err)
+    # a = |M S|_F^2 = sum_k s_k^2 H[k+1, k+1], c = <M S, M> = sum_k s_k H[k+1, k]
+    a = float(np.dot(_norm_ratios(kind, n), cols[1:, 0].real))
+    c = np.dot(s, cols[1:, 1].conj())
+    norm_e = 2.01 * (e_m + e_s) * np.sqrt(a * (1.0 + err)) * (1.0 + 4 * u)
 
     aw = np.abs(points)
     hi = (np.max(s) + aw) * (1.0 + 4 * u)
-    z2 = norm_ms**2 + aw**2 * b - 2.0 * (points * c).real
-    z2 -= 4.0 * gs * (norm_ms + aw * np.sqrt(b)) ** 2
-    lo = (np.sqrt(np.maximum(z2, 0.0)) - norm_e) / np.sqrt(b_up) * (1.0 - gs)
+    z2 = a + aw**2 * b - 2.0 * (points * c).real
+    z2 -= 4.0 * err * (np.sqrt(a) + aw * np.sqrt(b)) ** 2
+    lo = (np.sqrt(np.maximum(z2, 0.0)) - norm_e) / np.sqrt(b_up) * (1.0 - gn)
 
-    kvec = _kernel_vector(kind, points[:, None], n)
-    # p = N k_w, block by block as (k_w^H M_i)^H
-    kh = kvec.conj()
-    pk = np.concatenate([kh @ mult[m:], -(kh @ mult[:m])], axis=1).conj()
+    x, pk = _range_vectors(table, s, points)
     # (S2^H - conj(w)) p
     resid = np.zeros_like(pk)
     _move_blocks(s, pk, resid, adjoint=True)
     resid -= np.conj(points)[:, None] * pk
     norm_p = np.linalg.norm(pk, axis=1)
-    dp = gm * np.sqrt(b_up) * np.linalg.norm(kvec, axis=1) * (1.0 + gs)
-    den = norm_p * (1.0 - gs) - dp
-    num = np.linalg.norm(resid, axis=1) * (1.0 + gs) + hi * (4 * u * norm_p + dp)
+    # the distance of the computed p to N x: the partial sums against the
+    # sums of |c_{i,t}| |w|^t, and the stored entries against the exact ones
+    reach = np.linalg.norm(np.abs(table) @ (aw[None, :] ** np.arange(d + 1)[:, None]), axis=0)
+    norm_x = np.linalg.norm(x, axis=1) * (1.0 + _gamma(6 * m)) * (1.0 + gn)
+    dp = (_gamma(8 * (m + d + 2)) * reach + 2.01 * e_m * np.sqrt(b_up)) * norm_x * (1.0 + gn)
+    den = norm_p * (1.0 - gn) - dp
+    num = np.linalg.norm(resid, axis=1) * (1.0 + gn) + hi * (4 * u * norm_p + dp)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(den > 0, num / den * (1.0 + 4 * u), np.inf)
 
-    gram = _multiplier_gram(mult)
-    lam = np.max(np.sum(np.abs(gram), axis=0)) * (1.0 + gs) + np.sqrt(m) * gf * b_up
-    margin = 4.0 * gf * b_up
-    cap = float(np.min(gram.diagonal().real)) - margin
+    dense = _dense_hermitian(gram)
+    spread = _band_spread(gram, err)
+    lam = np.max(np.sum(np.abs(dense), axis=0)) * (1.0 + gn) + err * spread
+    margin = (2.0 * gw + err) * spread
+    cap = float(np.min(gram[:, 0].real)) - margin
     weights = s.tolist()
     gb = _gamma(10 * m + 32)
     peaks = {
-        a: _inverse_bidiagonal_peak(weights, a)
-        * _inverse_bidiagonal_peak(weights[::-1], a)
-        for a in set(aw.tolist())
+        v: _inverse_bidiagonal_peak(weights, v)
+        * _inverse_bidiagonal_peak(weights[::-1], v)
+        for v in set(aw.tolist())
     }
-    beta = (1.0 - gb) / np.sqrt([peaks[a] for a in aw.tolist()])
+    beta = (1.0 - gb) / np.sqrt([peaks[v] for v in aw.tolist()])
     slope = beta / np.sqrt(lam)
     t = np.maximum(gap_tol * hi, GAP_FACTOR * r) * (1.0 + 4 * u)
     # the tau at which beta sqrt(tau / lam) - |E|_F / sqrt(tau) = t, 1% over;
@@ -467,9 +645,9 @@ def _gram_bounds(mult, kind, points, gap_tol):
     floor = np.full(len(points), -np.inf)
     if np.any(candidates):
         tau = float(np.max(need[candidates]))
-        gram[np.diag_indices(m)] -= (tau + margin) * (1.0 + 4 * u)
+        dense[np.diag_indices(m)] -= (tau + margin) * (1.0 + 4 * u)
         try:
-            np.linalg.cholesky(gram)
+            np.linalg.cholesky(dense)
         except np.linalg.LinAlgError:
             pass
         else:

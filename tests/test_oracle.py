@@ -1,6 +1,7 @@
 """Matrix-truncation oracle: shifts, multipliers, Gram sections, kernel counts."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from diskmod import (
     kernel_eval,
     make_spec,
     monomial_norms_sq,
-    multiplier_min_singular_value,
+    multiplier_lower_bound,
     oracle_curvature,
     poly,
     quotient_curvature,
@@ -34,13 +35,20 @@ from diskmod import (
     shift_weights,
     weighted_bergman,
 )
+from diskmod.corona import _UNIT, _gamma
 from diskmod.oracle import (
+    _band_error,
+    _band_spread,
     _component_coefficients,
     _compressed_shift_adjoint,
+    _dense_hermitian,
+    _gram_band,
     _gram_bounds,
     _kernel_count,
     _multiplier_matrix,
     _quotient_basis,
+    _range_vectors,
+    _taylor_table,
 )
 
 PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
@@ -406,8 +414,8 @@ def _compressed(spec, n):
 
 
 def _bounds(spec, n, points, gap_tol=1e-4):
-    mult = _multiplier_matrix(spec.theta, spec.base, n, n)
-    return _gram_bounds(mult, spec.base, np.asarray(points, complex), gap_tol)
+    table = _taylor_table(spec.theta)
+    return _gram_bounds(table, spec.base, n, np.asarray(points, complex), gap_tol)
 
 
 def _truncated_multiplier(spec, n):
@@ -656,7 +664,175 @@ def test_reproducing_check_rejects_rational():
         reproducing_check(HARDY, rational([1], [1, 0.5]), 0.2)
 
 
-def test_multiplier_min_singular_value_positive(corpus):
-    for spec in corpus:
-        sv = multiplier_min_singular_value(spec.theta, spec.base, 120)
-        assert sv > 0.1  # monitored diagnostic: comfortably away from zero here
+def _sampled_min_u(theta):
+    # u on a polar grid of the closed disk, centre and rim included
+    r = np.linspace(0.0, 1.0, 65)
+    z = (r[:, None] * np.exp(2j * np.pi * np.arange(256) / 256)).ravel()
+    return float(np.min(np.abs(theta.theta1(z)) ** 2 + np.abs(theta.theta2(z)) ** 2))
+
+
+def _with_certificate(spec, theta=None, epsilon=None):
+    # the spec with its pair or its certified epsilon replaced, the
+    # certificate re-bound by hand so that the oracle accepts it
+    theta = spec.theta if theta is None else theta
+    epsilon = spec.certificate.epsilon if epsilon is None else epsilon
+    cert = dataclasses.replace(spec.certificate, theta=theta, epsilon=epsilon)
+    return dataclasses.replace(spec, theta=theta, certificate=cert)
+
+
+def test_multiplier_bound_holds_on_the_corpus_and_ill_conditioned_pairs(corpus):
+    specs = list(corpus) + [make_spec(base, pair, 1e-12) for base, pair in ILL_CONDITIONED]
+    for spec in specs:
+        for n in (60, 120):
+            bound = multiplier_lower_bound(spec, n)
+            assert bound.ok
+            assert bound.epsilon == spec.certificate.epsilon
+            assert bound.tail == 0.0
+            assert 0.0 < bound.slack < 0.1 * bound.epsilon
+
+
+# {(1 + s z) / den, t z + p z^2}, the shape of the benchmark's verify pairs:
+# sigma_min^2 of the multiplier lies within 1% of the sampled minimum of u
+MILD_PAIRS = (
+    MultiplierPair(poly([1, 0.2]), poly([0, 0.5, 0.1])),
+    MultiplierPair(poly([1, -0.15j]), poly([0, 0.3j, -0.05])),
+    MultiplierPair(rational([1, 0.1], [1, -0.15]), poly([0, 0.4, 0.08j])),
+    MultiplierPair(rational([1, 0.2j], [1, 0.125j]), poly([0, -0.2, 0.1])),
+)
+FIVE_BASES = (HARDY, BERGMAN, weighted_bergman(0.5), weighted_bergman(1.5), weighted_bergman(4.0))
+
+
+@pytest.mark.parametrize("base", FIVE_BASES)
+def test_multiplier_bound_rejects_a_certificate_above_the_operator(base):
+    for pair in MILD_PAIRS:
+        spec = make_spec(base, pair)
+        bound = multiplier_lower_bound(spec, 120)
+        assert bound.ok
+        if not pair.theta1.is_polynomial:
+            assert 0.0 < bound.tail <= 1e-10
+        planted = _with_certificate(spec, epsilon=1.2 * _sampled_min_u(pair))
+        assert not multiplier_lower_bound(planted, 120).ok
+
+
+@pytest.mark.parametrize("base", FIVE_BASES)
+def test_multiplier_bound_rejects_a_pair_that_lost_a_component(base):
+    # a certificate at 0.2 exceeds |theta2|^2 <= 0.1225 everywhere, so M_theta2
+    # alone cannot carry it
+    pair = MultiplierPair(poly([1, 0.2]), poly([0, 0.3, 0.05]))
+    spec = make_spec(base, pair, 0.2)
+    assert spec.certificate.epsilon >= 0.2
+    assert multiplier_lower_bound(spec, 120).ok
+    lost = _with_certificate(spec, theta=MultiplierPair(poly([0]), pair.theta2))
+    assert not multiplier_lower_bound(lost, 120).ok
+
+
+def test_multiplier_bound_requires_certification():
+    with pytest.raises(UncertifiedSpec):
+        multiplier_lower_bound(QuotientSpec(base=HARDY, theta=PAIR_1Z), 120)
+
+
+BAND_PAIRS = BASIS_PAIRS + (
+    MultiplierPair(rational([1, 0.3j], [1, -0.4 + 0.2j]), rational([2], [1, 0.6])),
+    MultiplierPair(poly([2]), poly([1j])),
+)
+
+
+def _band_margin(band, rows):
+    # the stated error of a band entry, the rounding of the stored entries of
+    # a multiplier with ``rows`` rows per block and that of the dense
+    # reference product, each against the 2-norm of |M| |M|^H (G) or
+    # |M|^H |M| (H), which ``_band_spread`` bounds
+    err = _band_error(band.shape[1] - 1)
+    scale = err + 2.01 * _gamma(4 * rows) + 4.0 * (2 * rows + 8) * _UNIT
+    return scale * _band_spread(band, err)
+
+
+@pytest.mark.parametrize("n", [60, 120, 300])
+@pytest.mark.parametrize("base", FIVE_BASES)
+def test_gram_bands_match_the_dense_products(base, n):
+    for pair in BAND_PAIRS:
+        table = _taylor_table(pair)
+        d = table.shape[1] - 1
+        m = n + 1
+        # G = M1 M1^H + M2 M2^H of the P_n-truncated multiplier
+        mult = _multiplier_matrix(pair, base, n, n)
+        ref = mult[:m] @ mult[:m].conj().T + mult[m:] @ mult[m:].conj().T
+        band = _gram_band(table, base, n, m)
+        assert band.shape == (m, d + 1)
+        err = np.linalg.norm(_dense_hermitian(band) - ref, 2)
+        assert err <= _band_margin(band, m)
+        # H = M^H M of the multiplier that keeps every product
+        dom = max(n - d, 1)
+        full = build_multiplier(pair, base, dom)
+        ref = full.conj().T @ full
+        band = _gram_band(table, base, dom + d, dom + 1, columns=True)
+        err = np.linalg.norm(_dense_hermitian(band, columns=True) - ref, 2)
+        assert err <= _band_margin(band, dom + d + 1)
+        # the two diagonals of the truncated column Gram that route 1 reads
+        cols = _gram_band(table, base, n, m, columns=True, width=2)
+        ref = mult.conj().T @ mult
+        assert np.allclose(cols[:, 0], ref.diagonal(), rtol=1e-13, atol=0)
+        scale = np.max(ref.diagonal().real)
+        assert np.allclose(cols[1:, 1], ref.diagonal(1), rtol=1e-12, atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("base", FIVE_BASES)
+def test_range_vectors_match_the_dense_product(base):
+    # p = N x from partial sums of the coefficients, against N of the stored
+    # P_n-truncated multiplier times x; x against the kernel vector
+    points = np.array([0, 0.3, -0.3, 0.45j, 0.6, 0.25 - 0.5j])
+    for pair in BAND_PAIRS:
+        table = _taylor_table(pair)
+        for n in (60, 120):
+            m = n + 1
+            mult = _multiplier_matrix(pair, base, n, n)
+            kernel = np.concatenate([mult[m:].conj().T, -mult[:m].conj().T])
+            x, pk = _range_vectors(table, shift_weights(base, n), points)
+            norms = np.sqrt(monomial_norms_sq(base, n))
+            for w, xw, pw in zip(points, x, pk):
+                ref = np.conj(w) ** np.arange(m) / norms
+                assert np.allclose(xw, ref, rtol=1e-13, atol=0)
+                ref = kernel @ xw
+                assert np.linalg.norm(pw - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("alpha, n", [(300.0, 120), (300.0, 300), (2000.0, 120)])
+def test_gram_bands_are_warning_free_at_large_alpha(alpha, n):
+    # the bands multiply at most d norm ratios and never form a monomial norm,
+    # which underflows here (monomial_norms_sq at alpha 2000 is 0 from about
+    # degree 250 on)
+    base = weighted_bergman(alpha)
+    for pair in BASIS_PAIRS:
+        table = _taylor_table(pair)
+        d = table.shape[1] - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            gram = _gram_band(table, base, n, n + 1)
+            full = _gram_band(table, base, n, max(n - d, 1) + 1, columns=True)
+        for band in (gram, full):
+            assert np.all(np.isfinite(band))
+            assert np.all(band[:, 0].real > 0)
+
+
+def test_eigenvector_residual_on_arrays_matches_single_points(corpus):
+    points = (0, 0.3, -0.4j, 0.25 + 0.25j, 0.5)
+    rational_pair = MultiplierPair(rational([1], [1, 0.5]), poly([0, 1]))
+    specs = list(corpus) + [make_spec(weighted_bergman(1.5), rational_pair)]
+    for spec in specs:
+        for n in (60, 120):
+            res = eigenvector_residual(spec, points, n)
+            assert res.shape == (len(points),)
+            single = [eigenvector_residual(spec, w, n) for w in points]
+            assert all(type(v) is float for v in single)
+            assert res.tobytes() == np.array(single).tobytes()
+            # the single-point computation, one section at a time
+            ref = []
+            for w in points:
+                gamma = gamma_section(spec, w, n).coords
+                applied = np.zeros_like(gamma)
+                diskmod.oracle._move_blocks(shift_weights(spec.base, n), gamma, applied, True)
+                ref.append(
+                    np.linalg.norm(applied - np.conj(w) * gamma) / np.linalg.norm(gamma)
+                )
+            assert res.tobytes() == np.array(ref).tobytes()
+    assert eigenvector_residual(specs[0], [], 60).shape == (0,)
