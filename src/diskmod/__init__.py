@@ -64,9 +64,7 @@ from .equivalence import (
     lemma46_probe,
 )
 from .oracle import (
-    GammaSection,
     MultiplierBound,
-    build_multiplier,
     build_shift,
     dim_ker_estimate,
     eigenvector_residual,

@@ -224,17 +224,11 @@ def canonical_problem_text(spec):
     module("moduleA", spec.module_a)
     if spec.module_b is not None:
         module("moduleB", spec.module_b)
-    out.append("[grid]")
-    out.append(f"r_max = {spec.grid.r_max!r}")
-    out.append(f"n_r = {spec.grid.n_r}")
-    out.append(f"n_theta = {spec.grid.n_theta}")
-    out.append("")
-    out.append("[tolerances]")
-    out.append(f"tol = {spec.tol!r}")
-    out.append(f"target_gap = {spec.target_gap!r}")
-    out.append(f"fd_step = {spec.fd_step!r}")
-    out.append(f"oracle_degree = {spec.oracle_degree}")
-    out.append("")
+    sections = (("grid", _GRID_KEYS, spec.grid), ("tolerances", _TOL_KEYS, spec))
+    for name, keys, values in sections:
+        out.append(f"[{name}]")
+        out.extend(f"{key} = {getattr(values, key)!r}" for key in keys)
+        out.append("")
     return "\n".join(out)
 
 

@@ -135,23 +135,19 @@ def laplacian_log_sumsq(theta, z):
     return out
 
 
-def fd_laplacian(field, z, h, richardson=False):
+def fd_laplacian(field, z, h):
     """5-point finite-difference Laplacian of a real-valued field at z.
 
     (f(z+h) + f(z-h) + f(z+ih) + f(z-ih) - 4 f(z)) / h^2, O(h^2) accurate for
-    C^4 fields.  ``richardson=True`` combines steps h and h/2 for an O(h^4)
-    estimate.  The whole stencil must lie in the open disk.  A scalar z gives
-    a float; an array z gives an array and needs a field that accepts arrays.
+    C^4 fields.  The whole stencil must lie in the open disk.  A scalar z
+    gives a float; an array z gives an array and needs a field that accepts
+    arrays.
     """
     scalar = np.ndim(z) == 0
     z = complex(z) if scalar else np.asarray(z, complex)
     h = float(h)
     if not 0.0 < h < math.inf:
         raise ValueError(f"step must be finite and positive, got {h!r}")
-    if richardson:
-        coarse = fd_laplacian(field, z, h)
-        fine = fd_laplacian(field, z, h / 2)
-        return (4.0 * fine - coarse) / 3.0
     stencil = (z + h, z - h, z + 1j * h, z - 1j * h)
     outside = np.max(np.abs(stencil), axis=0) >= 1
     if np.any(outside):

@@ -102,18 +102,12 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
     la, lb, worst, scale = _deviation_data(spec_a.theta, spec_b.theta, pts)
     max_dev = abs(worst.obstruction)
 
-    if spec_a.base.is_hardy != spec_b.base.is_hardy:
+    if spec_a.base != spec_b.base:
+        cross = spec_a.base.is_hardy != spec_b.base.is_hardy
         return Verdict(
             outcome=Outcome.NOT_ISOMORPHIC,
             witness=_curvature_gap_witness(spec_a, spec_b, pts, la, lb),
-            detail=DETAIL_CROSS_BASE,
-            max_deviation=max_dev,
-        )
-    if not spec_a.base.is_hardy and spec_a.base.alpha != spec_b.base.alpha:
-        return Verdict(
-            outcome=Outcome.NOT_ISOMORPHIC,
-            witness=_curvature_gap_witness(spec_a, spec_b, pts, la, lb),
-            detail=DETAIL_WEIGHT_MISMATCH,
+            detail=DETAIL_CROSS_BASE if cross else DETAIL_WEIGHT_MISMATCH,
             max_deviation=max_dev,
         )
 

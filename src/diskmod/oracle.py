@@ -21,13 +21,16 @@ of G and beta_w a lower bound on sigma_{m-1} of that bidiagonal,
 and one Cholesky factorisation of the band G, shifted, settles the expected
 count of 1 at every point of a call with no multiplier matrix and no basis
 of the quotient (``dim_ker_estimate`` states the whole chain and its
-rounding margins).  At points it leaves open, the singular values of the
-compression on a QR basis of the quotient define the count.  Closed range
-of M_Theta is proved the same way: one Cholesky factorisation of the band
-M^H M shows sigma_min(M)^2 >= epsilon - slack for the certified epsilon of
-the corona certificate (``multiplier_lower_bound``).  Truncation degrees
-default to 120 and evaluation points stay within |w| <= 0.6-0.7 so geometric
-kernel tails are negligible against the 1e-6 assertions made downstream.
+rounding margins, ``_BandCholesky`` the margin of the factorisation).  At
+points it leaves open, the singular values of the compression on a QR basis
+of the quotient define the count.  Closed range of M_Theta is proved by the
+same factorisation of the band M^H M: it shows sigma_min(M)^2 >= epsilon -
+slack for the certified epsilon of the corona certificate
+(``multiplier_lower_bound``).  Each component enters by its Taylor
+coefficients, which ``_taylor_table`` computes together with the pair's
+tail bound.  Truncation degrees default to 120 and evaluation points
+stay within |w| <= 0.6-0.7 so geometric kernel tails are negligible against
+the 1e-6 assertions made downstream.
 """
 
 from __future__ import annotations
@@ -53,50 +56,57 @@ DEFAULT_DEGREE = 120
 MIN_DEGREE = 60
 
 
+def _require_degree(n):
+    if n < 1:
+        raise ValueError("truncation degree must be at least 1")
+
+
 def build_shift(kind, n):
     """Dense degree-n truncation of multiplication by z, the weighted subdiagonal
     shift; a reference only, since the oracle applies the shift by its weights."""
-    if n < 1:
-        raise ValueError("truncation degree must be at least 1")
+    _require_degree(n)
     return np.diag(shift_weights(kind, n), -1)
 
 
-def _component_coefficients(f):
-    if f.is_polynomial:
-        return np.asarray(f.numer, complex)
-    tail = taylor_tail_bound(f, RATIONAL_TAYLOR_DEGREE)
-    if tail > TAIL_TOL:
-        raise TailBoundExceeded(
-            f"Taylor tail bound {tail:.3e} exceeds {TAIL_TOL:.0e} at degree "
-            f"{RATIONAL_TAYLOR_DEGREE}; denominator zeros sit too close to the disk"
-        )
-    return taylor_coefficients(f, RATIONAL_TAYLOR_DEGREE)
-
-
 def _taylor_table(theta):
-    """Taylor coefficients of the components, one row each, zero-padded to d + 1.
+    """Taylor coefficients of the pair, one row per component, and its tail.
 
-    d is the largest Taylor degree; each component enters by
-    ``_component_coefficients``.
+    A polynomial component enters exactly with tail 0; a rational one by its
+    degree-64 Taylor polynomial, whose distance to it on the disk is at most
+    its certified tail bound (TailBoundExceeded above ``TAIL_TOL``).  Rows
+    are zero-padded to d + 1, d the largest Taylor degree, and the pair's
+    tail is the root sum of squares of the two component tails.
     """
-    coeffs = [_component_coefficients(f) for f in theta]
+    coeffs = []
+    tails = []
+    for f in theta:
+        if f.is_polynomial:
+            coeffs.append(np.asarray(f.numer, complex))
+            tails.append(0.0)
+            continue
+        tail = taylor_tail_bound(f, RATIONAL_TAYLOR_DEGREE)
+        if tail > TAIL_TOL:
+            raise TailBoundExceeded(
+                f"Taylor tail bound {tail:.3e} exceeds {TAIL_TOL:.0e} at degree "
+                f"{RATIONAL_TAYLOR_DEGREE}; denominator zeros sit too close to the disk"
+            )
+        coeffs.append(taylor_coefficients(f, RATIONAL_TAYLOR_DEGREE))
+        tails.append(tail)
     table = np.zeros((len(coeffs), max(len(c) for c in coeffs)), complex)
     for row, comp in zip(table, coeffs):
         row[: len(comp)] = comp
-    return table
+    return table, float(np.hypot(*tails))
 
 
-def _multiplier_matrix(theta, kind, n, cod=None):
+def _multiplier_matrix(theta, kind, n, cod):
     """Columns theta_i e_k for k <= n in the doubled basis of degree cod.
 
     Each component enters by its Taylor coefficients (``_taylor_table``).
-    cod defaults to n plus the largest Taylor degree, which keeps every
-    product; a smaller cod drops the products beyond it and gives the P_cod
-    truncation of the range.  Rows are stacked component-major.
+    cod = n + d, d the largest Taylor degree, keeps every product; a smaller
+    cod drops the products beyond it and gives the P_cod truncation of the
+    range.  Rows are stacked component-major.
     """
-    table = _taylor_table(theta)
-    if cod is None:
-        cod = n + table.shape[1] - 1
+    table, _ = _taylor_table(theta)
     norms = np.sqrt(monomial_norms_sq(kind, cod))
     m = np.zeros((len(table) * (cod + 1), n + 1), complex)
     k = np.arange(n + 1)[:, None]
@@ -194,17 +204,43 @@ def _dense_hermitian(band, columns=False):
     return dense
 
 
-def build_multiplier(theta, kind, n):
-    """Matrix of f -> (theta1 f, theta2 f) from degree n into the doubled space.
+class _BandCholesky:
+    """A Cholesky proof of a lower bound on the smallest eigenvalue of a band Gram matrix.
 
-    Polynomial components enter exactly; rational ones by degree-64 Taylor
-    truncation guarded by a certified tail bound.  The codomain degree is
-    n plus the largest component degree, so the array has 2 (cod + 1) rows,
-    stacked component-major, and n + 1 columns.
+    ``band`` comes from ``_gram_band`` (G, or H with ``columns``), with m
+    rows and half-width d, and each of its entries is within ``err`` of that
+    of the exact matrix A, relative to the matching entry of |M| |M|^H or
+    |M|^H |M|, whose 2-norm is at most ``spread`` (``_band_spread``).  If
+    the Cholesky factorisation of fl(A) - s I runs through, its computed
+    factor R has R^H R = fl(A) - s I + F with |F| <= gw |R^H| |R| entrywise
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 10.3).  R keeps the band and zero terms add no rounding, so every
+    inner product has at most min(d, m) + 1 nonzero terms and
+    gw = 4 (min(d, m) + 10) u, complex arithmetic included.  F has the same
+    band and |r_k|^2 <= a_kk / (1 - gw), so |F|_2 <= gw / (1 - gw) spread,
+    and shifting the diagonal adds u spread at most.  With the band error,
+
+        lambda_min(A) >= s - margin,    margin = (2 gw + err) spread.
+
+    ``dense`` is fl(A) as a dense Hermitian matrix; ``factors(s)`` shifts
+    its diagonal in place, so it is called once.
     """
-    if n < 0:
-        raise ValueError("domain degree must be nonnegative")
-    return _multiplier_matrix(theta, kind, n)
+
+    def __init__(self, band, err, columns=False):
+        size, width = band.shape
+        gw = 4.0 * (min(width - 1, size) + 10) * _UNIT
+        self.spread = _band_spread(band, err)
+        self.margin = (2.0 * gw + err) * self.spread
+        self.dense = _dense_hermitian(band, columns)
+
+    def factors(self, shift):
+        """Whether the Cholesky factorisation of fl(A) - shift I runs through."""
+        self.dense[np.diag_indices(len(self.dense))] -= shift
+        try:
+            np.linalg.cholesky(self.dense)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
 
 def gamma_gram(spec, points):
@@ -250,31 +286,20 @@ def _kernel_vector(kind, w, n):
     return np.conj(w) ** np.arange(n + 1) / norms
 
 
-@dataclass(frozen=True)
-class GammaSection:
-    """The eigenvector section at a point: closed-form norm and truncated coordinates.
-
-    ``coords`` holds the degree-n truncation in the doubled orthonormal basis
-    (component-major); ``norm_sq`` is the exact K(w,w) (|theta1(w)|^2 +
-    |theta2(w)|^2), positive whenever the pair satisfies the corona condition.
-    """
-
-    w: complex
-    norm_sq: float
-    coords: np.ndarray
-
-
 def gamma_section(spec, w, n=DEFAULT_DEGREE):
-    """Truncated eigenvector section gamma_w with its exact squared norm."""
+    """Coordinates of the eigenvector section gamma_w, truncated at degree n.
+
+    The doubled orthonormal basis is stacked component-major; the exact
+    squared norm is the diagonal of ``gamma_gram``.
+    """
+    _require_degree(n)
     w = complex(w)
     if abs(w) >= 1:
         raise PointOutsideDomain("section points must lie in the open disk")
     kvec = _kernel_vector(spec.base, w, n)
     t1 = spec.theta.theta1(w)
     t2 = spec.theta.theta2(w)
-    coords = np.concatenate([np.conj(t2) * kvec, -np.conj(t1) * kvec])
-    norm_sq = kernel_eval(spec.base, w, w).real * (abs(t1) ** 2 + abs(t2) ** 2)
-    return GammaSection(w=w, norm_sq=float(norm_sq), coords=coords)
+    return np.concatenate([np.conj(t2) * kvec, -np.conj(t1) * kvec])
 
 
 def eigenvector_residual(spec, w, n=DEFAULT_DEGREE):
@@ -285,13 +310,14 @@ def eigenvector_residual(spec, w, n=DEFAULT_DEGREE):
     is a point (returns a float) or a sequence of points (returns an array).
     """
     _require_certified(spec)
+    _require_degree(n)
     scalar = np.ndim(w) == 0
     points = np.asarray(w, complex).ravel()
     if np.any(np.abs(points) > 0.7):
         raise ValueError("truncation error grows near the boundary; need |w| <= 0.7")
     gamma = np.empty((len(points), 2 * (n + 1)), complex)
     for row, p in zip(gamma, points):
-        row[:] = gamma_section(spec, p, n).coords
+        row[:] = gamma_section(spec, p, n)
     applied = np.zeros_like(gamma)
     _move_blocks(shift_weights(spec.base, n), gamma, applied, adjoint=True)
     applied -= np.conj(points)[:, None] * gamma
@@ -319,63 +345,37 @@ def multiplier_lower_bound(spec, n=DEFAULT_DEGREE):
     """Prove sigma_min(M)^2 >= epsilon - slack with one shifted Cholesky.
 
     M is the multiplier f -> (theta1 f, theta2 f) from degree
-    dom = max(n - d, 1) into degree dom + d, d the largest Taylor degree, so
-    every product is kept.  For Hardy and every weighted Bergman space,
-    |f|^2 is integrated against a positive measure, so the certified
-    |theta1|^2 + |theta2|^2 >= epsilon of the corona certificate gives
-    |Theta f|^2 >= epsilon |f|^2, and sigma_min(M)^2 >= epsilon for a
+    dom = max(n - d, n // 4, 1) into degree dom + d, d the largest Taylor
+    degree, so every product is kept.  The floor n // 4 keeps a real
+    truncation when d is close to n: over span{1, z} alone, a certificate
+    20% above the operator's bound passes.  For Hardy and every weighted
+    Bergman space, |f|^2 is integrated against a positive measure, so the
+    certified |theta1|^2 + |theta2|^2 >= epsilon of the corona certificate
+    gives |Theta f|^2 >= epsilon |f|^2, and sigma_min(M)^2 >= epsilon for a
     polynomial pair.  A rational component enters by its degree-64 Taylor
-    polynomial, whose distance to it on the disk is at most its certified
-    tail bound; the pair's tail is the root sum of squares of the two, and
-    the target becomes (sqrt(epsilon) - tail)^2.  The computed Taylor
-    coefficients are taken as stored, as everywhere in the oracle.
+    polynomial, and the pair's tail bound (``_taylor_table``) makes the
+    target (sqrt(epsilon) - tail)^2.  The computed Taylor coefficients are
+    taken as stored, as everywhere in the oracle.
 
-    H = M^H M comes from ``_gram_band``: each entry is within
-    err = ``_band_error(d)`` of the exact one, relative to the entry of
-    |M|^H |M|, whose 2-norm is at most ``_band_spread`` (a band of
-    half-width d with |entries| <= sqrt(h_kk h_ll)).  If the Cholesky
-    factorisation of fl(H - target I) runs through, its computed factor R
-    has R^H R = H - target I + F with |F| <= gw |R^H| |R| entrywise
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    Thm 10.3).  R keeps the band and zero terms add no rounding, so every
-    inner product has at most min(d, m) + 1 nonzero terms and
-    gw = 4 (min(d, m) + 10) u, complex arithmetic included; F has the same
-    band and |r_k|^2 <= h_kk / (1 - gw), so with the rounding of the shift
-    |F|_2 <= 2 gw spread.  Hence lambda_min(H) >= target - slack with
-
-        slack = (2 gw + err) spread.
-
-    The check is ok when the factorisation runs through and
-    target > slack.  A certificate that claims more than the operator
-    allows fails it.
+    H = M^H M comes from ``_gram_band``, each entry within
+    err = ``_band_error(d)`` of the exact one.  One Cholesky factorisation
+    of fl(H) - target I proves lambda_min(H) >= target - slack, with slack
+    the margin of ``_BandCholesky``.  The check is ok when the
+    factorisation runs through and target > slack.  A certificate that
+    claims more than the operator allows fails it.
     """
     _require_certified(spec)
-    table = _taylor_table(spec.theta)
+    _require_degree(n)
+    table, tail = _taylor_table(spec.theta)
     d = table.shape[1] - 1
-    dom = max(n - d, 1)
-    m = dom + 1
-    band = _gram_band(table, spec.base, dom + d, m, columns=True)
-    tail = float(
-        np.hypot(*[
-            0.0 if f.is_polynomial else taylor_tail_bound(f, RATIONAL_TAYLOR_DEGREE)
-            for f in spec.theta
-        ])
-    )
+    dom = max(n - d, n // 4, 1)
+    band = _gram_band(table, spec.base, dom + d, dom + 1, columns=True)
     epsilon = float(spec.certificate.epsilon)
     root = max(np.sqrt(epsilon) - tail, 0.0)
     target = root * root
-    err = _band_error(d)
-    gw = 4.0 * (min(d, m) + 10) * _UNIT
-    slack = (2.0 * gw + err) * _band_spread(band, err)
-    ok = target > slack
-    if ok:
-        gram = _dense_hermitian(band, columns=True)
-        gram[np.diag_indices(m)] -= target
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            ok = False
-    return MultiplierBound(epsilon=epsilon, tail=tail, slack=float(slack), ok=bool(ok))
+    chol = _BandCholesky(band, _band_error(d), columns=True)
+    ok = target > chol.margin and chol.factors(target)
+    return MultiplierBound(epsilon=epsilon, tail=tail, slack=float(chol.margin), ok=bool(ok))
 
 
 def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
@@ -448,9 +448,7 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
 
     Rounding margins of route 1, with u the unit roundoff, gamma_k = k u /
     (1 - k u), gn = gamma_{4m+8} for a sum of at most 4m real terms (the
-    norms of vectors of length 2m), d the largest Taylor degree and
-    gw = 4 (min(d, m) + 10) u for the inner products of a factor with the
-    band of G (complex arithmetic included):
+    norms of vectors of length 2m) and d the largest Taylor degree:
     - the stored entries of M: each ratio |z^j|^2 / |z^(j-1)|^2 takes two
       roundings, the monomial norm nu_k their running product and a square
       root, and the entry c nu_k / nu_j two more, so every entry is within
@@ -464,13 +462,8 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
       (``_band_spread``) bounds the 2-norm of |M| |M|^H: a band of
       half-width d whose entries are at most the largest diagonal one;
     - Lam = |G_band|_1 (1 + gn) + err spread;
-    - the Cholesky factorisation of fl(G_band) - sigma I: its computed
-      factor R has R^H R = A + F with |F| <= gw |R^H| |R| entrywise
-      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-      Thm 10.3, with the inner products cut to the at most min(d, m) + 1
-      nonzero terms of the banded factor), so |F|_2 <= gw / (1 - gw)
-      spread, and shifting the diagonal adds u spread at most; with the
-      band error tau = sigma - (2 gw + err) spread;
+    - the Cholesky factorisation of fl(G_band) - sigma I proves
+      tau = sigma - margin, with the margin of ``_BandCholesky``;
     - E, a priori: entry (k + 1, j) of M S and of S2 M is the same exact
       value times one stored entry and one weight, so
       |E|_F <= 2.01 (e_M + e_S) |M S|_F = 2.01 (e_M + e_S) sqrt(a);
@@ -501,7 +494,8 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     if n < MIN_DEGREE:
         raise ValueError(f"truncation degree must be at least {MIN_DEGREE}")
 
-    settled = _gram_bounds(_taylor_table(spec.theta), spec.base, n, points, gap_tol).settled
+    table, _ = _taylor_table(spec.theta)
+    settled = _gram_bounds(table, spec.base, n, points, gap_tol).settled
     counts = [1] * len(points)
     if not settled.all():
         mult = _multiplier_matrix(spec.theta, spec.base, n, n)
@@ -583,7 +577,6 @@ def _gram_bounds(table, kind, n, points, gap_tol):
     s = shift_weights(kind, n)
     u = _UNIT
     gn = _gamma(4 * m + 8)
-    gw = 4.0 * (min(d, m) + 10) * u
     # relative errors of the stored multiplier entries and shift weights, and
     # of the band entries and the m-term sums a, b and c taken from them
     e_m = _gamma(4 * m)
@@ -621,11 +614,9 @@ def _gram_bounds(table, kind, n, points, gap_tol):
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(den > 0, num / den * (1.0 + 4 * u), np.inf)
 
-    dense = _dense_hermitian(gram)
-    spread = _band_spread(gram, err)
-    lam = np.max(np.sum(np.abs(dense), axis=0)) * (1.0 + gn) + err * spread
-    margin = (2.0 * gw + err) * spread
-    cap = float(np.min(gram[:, 0].real)) - margin
+    chol = _BandCholesky(gram, err)
+    lam = np.max(np.sum(np.abs(chol.dense), axis=0)) * (1.0 + gn) + err * chol.spread
+    cap = float(np.min(gram[:, 0].real)) - chol.margin
     weights = s.tolist()
     gb = _gamma(10 * m + 32)
     peaks = {
@@ -645,12 +636,7 @@ def _gram_bounds(table, kind, n, points, gap_tol):
     floor = np.full(len(points), -np.inf)
     if np.any(candidates):
         tau = float(np.max(need[candidates]))
-        dense[np.diag_indices(m)] -= (tau + margin) * (1.0 + 4 * u)
-        try:
-            np.linalg.cholesky(dense)
-        except np.linalg.LinAlgError:
-            pass
-        else:
+        if chol.factors((tau + chol.margin) * (1.0 + 4 * u)):
             root_tau = np.sqrt(tau)
             floor = slope * root_tau * (1.0 - 8 * u) - norm_e / root_tau * (1.0 + 8 * u)
     return _GramBounds(hi=hi, lo=lo, r=r, floor=floor, settled=candidates & (floor > t))

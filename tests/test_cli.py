@@ -108,6 +108,12 @@ oracle_degree = 90
     assert prob.target_gap == 1e-8
     assert prob.fd_step == 5e-4
     assert prob.oracle_degree == 90
+    # every key of both sections, in schema order, floats by repr
+    assert canonical_problem_text(prob).endswith(
+        "[grid]\nr_max = 0.7\nn_r = 10\nn_theta = 20\n\n"
+        "[tolerances]\ntol = 1e-07\ntarget_gap = 1e-08\nfd_step = 0.0005\n"
+        "oracle_degree = 90\n"
+    )
 
 
 def test_parse_round_trips_on_canonical_form():

@@ -117,16 +117,6 @@ def test_fd_laplacian_log_kernel_frozen():
     assert fd_laplacian(logk, 0.5, 1e-3) == pytest.approx(64 / 9, abs=1e-3)
 
 
-def test_fd_laplacian_richardson_improves():
-    def f(z):
-        return float(np.log(kernel_eval(HARDY, z, z).real))
-
-    target = 4.0 / (1 - 0.25) ** 2
-    plain = abs(fd_laplacian(f, 0.5, 1e-2) - target)
-    extrap = abs(fd_laplacian(f, 0.5, 1e-2, richardson=True) - target)
-    assert extrap < plain
-
-
 def test_fd_laplacian_stencil_domain():
     with pytest.raises(StencilOutsideDomain):
         fd_laplacian(lambda z: abs(z) ** 2, 0.9995, 1e-3)
@@ -150,13 +140,10 @@ def test_fd_laplacian_array_matches_scalar_loop(field):
     # the fields use real arithmetic only, which rounds the same on scalars
     # and arrays, so any difference would come from the stencil itself
     pts = DiskGrid(r_max=0.9, n_r=7, n_theta=11).points().reshape(7, 11)
-    for richardson in (False, True):
-        got = fd_laplacian(field, pts, 1e-3, richardson=richardson)
-        assert got.shape == pts.shape
-        ref = np.array(
-            [fd_laplacian(field, complex(z), 1e-3, richardson=richardson) for z in pts.ravel()]
-        ).reshape(pts.shape)
-        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+    got = fd_laplacian(field, pts, 1e-3)
+    assert got.shape == pts.shape
+    ref = np.array([fd_laplacian(field, complex(z), 1e-3) for z in pts.ravel()]).reshape(pts.shape)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
 
 def test_fd_laplacian_array_stencil_domain():

@@ -17,7 +17,6 @@ from diskmod import (
     QuotientSpec,
     TailBoundExceeded,
     UncertifiedSpec,
-    build_multiplier,
     build_shift,
     dim_ker_estimate,
     eigenvector_residual,
@@ -38,8 +37,8 @@ from diskmod import (
 from diskmod.corona import _UNIT, _gamma
 from diskmod.oracle import (
     _band_error,
+    _BandCholesky,
     _band_spread,
-    _component_coefficients,
     _compressed_shift_adjoint,
     _dense_hermitian,
     _gram_band,
@@ -52,6 +51,12 @@ from diskmod.oracle import (
 )
 
 PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
+
+
+def _full_multiplier(pair, kind, n):
+    # the multiplier from degree n into degree n + d, which keeps every product
+    d = _taylor_table(pair)[0].shape[1] - 1
+    return _multiplier_matrix(pair, kind, n, n + d)
 
 
 def test_shift_hardy_subdiagonal():
@@ -86,14 +91,14 @@ def test_shift_matches_monomial_action():
 
 def test_multiplier_1_0_blocks():
     pair = MultiplierPair(poly([1]), poly([0]))
-    m = build_multiplier(pair, HARDY, 3)
+    m = _full_multiplier(pair, HARDY, 3)
     top, bottom = np.split(m, 2)
     assert np.allclose(top, np.eye(4))
     assert np.count_nonzero(bottom) == 0
 
 
 def test_multiplier_1z_hardy_blocks():
-    m = build_multiplier(PAIR_1Z, HARDY, 1).real
+    m = _full_multiplier(PAIR_1Z, HARDY, 1).real
     cod = m.shape[0] // 2
     assert m.shape == (6, 2)
     assert np.allclose(m[:cod], [[1, 0], [0, 1], [0, 0]])
@@ -106,7 +111,7 @@ def test_multiplier_columns_evaluate_correctly():
     rng = np.random.default_rng(67)
     pair = MultiplierPair(poly([0.5, -1, 2]), poly([1j, 0, 0, 1]))
     for kind in (HARDY, BERGMAN):
-        m = build_multiplier(pair, kind, 4)
+        m = _full_multiplier(pair, kind, 4)
         cod = m.shape[0] // 2 - 1
         assert cod == 4 + 3
         norms = np.sqrt(monomial_norms_sq(kind, cod))
@@ -146,21 +151,22 @@ def test_multiplier_matrix_matches_loop_reference(base):
         MultiplierPair(rational([1, 0.3j], [1, -0.4 + 0.2j]), rational([2], [1, 0.6])),
     )
     for pair in pairs:
-        coeffs = [_component_coefficients(f) for f in pair]
-        d = max(len(c) for c in coeffs) - 1
+        coeffs, _ = _taylor_table(pair)
+        d = coeffs.shape[1] - 1
         for n, cod in ((120, 120), (60, 60 + d), (5, 5 + d), (4, 2), (80, 100)):
             got = _multiplier_matrix(pair, base, n, cod)
             ref = _multiplier_matrix_loop(coeffs, base, n, cod)
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
-        # the default codomain keeps every product
-        ref = _multiplier_matrix_loop(coeffs, base, 60, 60 + d)
-        assert _multiplier_matrix(pair, base, 60).tobytes() == ref.tobytes()
 
 
 def test_multiplier_rational_component_within_tail_bound():
     pair = MultiplierPair(rational([1], [1, 0.5]), poly([0, 1]))
-    m = build_multiplier(pair, HARDY, 5)
+    table, tail = _taylor_table(pair)
+    assert table.shape == (2, 65)
+    assert 0.0 < tail <= diskmod.oracle.TAIL_TOL
+    assert _taylor_table(PAIR_1Z)[1] == 0.0
+    m = _full_multiplier(pair, HARDY, 5)
     # codomain covers the degree-64 Taylor expansion
     assert m.shape == (2 * (5 + 64 + 1), 6)
     # spot-check: column 0 of the rational block encodes (-1/2)^k coefficients
@@ -172,7 +178,7 @@ def test_multiplier_rational_tail_bound_exceeded():
     # denominator zero just outside the gate makes the degree-64 tail huge
     pair = MultiplierPair(rational([1], [1, -1 / 1.001]), poly([0, 1]))
     with pytest.raises(TailBoundExceeded):
-        build_multiplier(pair, HARDY, 5)
+        _taylor_table(pair)
 
 
 def test_gamma_gram_single_point():
@@ -260,16 +266,16 @@ def test_oracle_curvature_requires_certification():
 
 
 def test_gamma_section_norm_matches_truncated_coords(corpus):
-    # the coordinate norm converges to the closed-form section norm
+    # the coordinate norm converges to the exact section norm, the diagonal
+    # of the Gram matrix
     for spec in corpus:
         for w in (0.2, -0.35j, 0.3 + 0.3j):
-            sec = gamma_section(spec, w, 160)
-            assert sec.norm_sq > 0
-            assert np.linalg.norm(sec.coords) ** 2 == pytest.approx(
-                sec.norm_sq, rel=1e-10
-            )
+            norm_sq = gamma_gram(spec, [w])[0, 0].real
+            assert norm_sq > 0
+            coords = gamma_section(spec, w, 160)
+            assert np.linalg.norm(coords) ** 2 == pytest.approx(norm_sq, rel=1e-10)
             coarse = gamma_section(spec, w, 40)
-            assert np.linalg.norm(coarse.coords) ** 2 <= sec.norm_sq * (1 + 1e-12)
+            assert np.linalg.norm(coarse) ** 2 <= norm_sq * (1 + 1e-12)
 
 
 def test_eigenvector_residual_zero_at_origin(corpus):
@@ -305,7 +311,7 @@ def test_eigenvector_residual_matches_dense_reference(base):
     spec = make_spec(base, MultiplierPair(poly([-0.5, 1]), poly([1, 0.5])))
     doubled = np.kron(np.eye(2), build_shift(base, n))
     for w in (0, 0.3, -0.4j, 0.25 + 0.25j, 0.5):
-        gamma = gamma_section(spec, w, n).coords
+        gamma = gamma_section(spec, w, n)
         ref = np.linalg.norm(doubled.T @ gamma - np.conj(w) * gamma) / np.linalg.norm(gamma)
         got = eigenvector_residual(spec, w, n)
         assert abs(got - ref) <= 1e-15 * ref
@@ -320,7 +326,7 @@ def test_adjoint_shift_kills_kernel_vector():
             coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             phi = poly(coeffs)
             w = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            m = build_multiplier(MultiplierPair(phi, poly([1])), kind, n)
+            m = _full_multiplier(MultiplierPair(phi, poly([1])), kind, n)
             cod = m.shape[0] // 2 - 1
             mphi = m[: cod + 1]  # block acting as multiplication by phi
             norms = np.sqrt(monomial_norms_sq(kind, cod))
@@ -339,7 +345,7 @@ def test_gamma_orthogonal_to_multiplier_range(corpus):
     for spec in corpus:
         t1, t2 = spec.theta
         d = max(t1.degree, t2.degree)
-        m = build_multiplier(spec.theta, spec.base, n - d)
+        m = _full_multiplier(spec.theta, spec.base, n - d)
         cod = m.shape[0] // 2 - 1
         norms = np.sqrt(monomial_norms_sq(spec.base, cod))
         for w in (0.4, -0.3 + 0.2j):
@@ -389,7 +395,7 @@ def test_compressed_shift_matches_dense_reference(base):
     # taken from an SVD of the P_n-truncated multiplier instead of a QR
     n = 80
     spec = make_spec(base, MultiplierPair(poly([-0.5, 1]), poly([1, 0.5])))
-    full = build_multiplier(spec.theta, base, n)
+    full = _full_multiplier(spec.theta, base, n)
     cod = full.shape[0] // 2 - 1
     mult = full[np.r_[0 : n + 1, cod + 1 : cod + n + 2]]
     u, sv, _ = np.linalg.svd(mult)
@@ -414,13 +420,13 @@ def _compressed(spec, n):
 
 
 def _bounds(spec, n, points, gap_tol=1e-4):
-    table = _taylor_table(spec.theta)
+    table, _ = _taylor_table(spec.theta)
     return _gram_bounds(table, spec.base, n, np.asarray(points, complex), gap_tol)
 
 
 def _truncated_multiplier(spec, n):
     # the P_n truncation [M1; M2]: the first n + 1 rows of each block
-    full = build_multiplier(spec.theta, spec.base, n)
+    full = _full_multiplier(spec.theta, spec.base, n)
     cod = full.shape[0] // 2 - 1
     return full[np.r_[0 : n + 1, cod + 1 : cod + n + 2]]
 
@@ -704,14 +710,34 @@ FIVE_BASES = (HARDY, BERGMAN, weighted_bergman(0.5), weighted_bergman(1.5), weig
 
 @pytest.mark.parametrize("base", FIVE_BASES)
 def test_multiplier_bound_rejects_a_certificate_above_the_operator(base):
+    # at n = 60 the rational pairs have d = 64 > n, so the domain degree is
+    # n // 4 and the band is shorter than its half-width
     for pair in MILD_PAIRS:
         spec = make_spec(base, pair)
-        bound = multiplier_lower_bound(spec, 120)
-        assert bound.ok
-        if not pair.theta1.is_polynomial:
-            assert 0.0 < bound.tail <= 1e-10
         planted = _with_certificate(spec, epsilon=1.2 * _sampled_min_u(pair))
-        assert not multiplier_lower_bound(planted, 120).ok
+        for n in (60, 120):
+            bound = multiplier_lower_bound(spec, n)
+            assert bound.ok
+            if not pair.theta1.is_polynomial:
+                assert 0.0 < bound.tail <= 1e-10
+            assert not multiplier_lower_bound(planted, n).ok
+
+
+def test_multiplier_bound_takes_one_tail_bound_per_rational_component(monkeypatch):
+    calls = []
+    tail_bound = diskmod.oracle.taylor_tail_bound
+
+    def recording_tail_bound(f, degree):
+        calls.append(f)
+        return tail_bound(f, degree)
+
+    monkeypatch.setattr(diskmod.oracle, "taylor_tail_bound", recording_tail_bound)
+    two_rational = MultiplierPair(rational([1, 0.3j], [1, -0.4 + 0.2j]), rational([2], [1, 0.6]))
+    for pair in MILD_PAIRS + (two_rational,):
+        spec = make_spec(BERGMAN, pair)
+        calls.clear()
+        assert multiplier_lower_bound(spec, 120).ok
+        assert [id(f) for f in calls] == [id(f) for f in pair if not f.is_polynomial]
 
 
 @pytest.mark.parametrize("base", FIVE_BASES)
@@ -729,6 +755,22 @@ def test_multiplier_bound_rejects_a_pair_that_lost_a_component(base):
 def test_multiplier_bound_requires_certification():
     with pytest.raises(UncertifiedSpec):
         multiplier_lower_bound(QuotientSpec(base=HARDY, theta=PAIR_1Z), 120)
+
+
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_oracle_functions_reject_a_degree_below_one(n):
+    spec = make_spec(HARDY, PAIR_1Z)
+    calls = (
+        lambda: build_shift(HARDY, n),
+        lambda: gamma_section(spec, 0.3, n),
+        lambda: eigenvector_residual(spec, 0.3, n),
+        lambda: eigenvector_residual(spec, [], n),
+        lambda: multiplier_lower_bound(spec, n),
+        lambda: dim_ker_estimate(spec, 0.3, n),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="truncation degree must be at least"):
+            call()
 
 
 BAND_PAIRS = BASIS_PAIRS + (
@@ -751,7 +793,7 @@ def _band_margin(band, rows):
 @pytest.mark.parametrize("base", FIVE_BASES)
 def test_gram_bands_match_the_dense_products(base, n):
     for pair in BAND_PAIRS:
-        table = _taylor_table(pair)
+        table, _ = _taylor_table(pair)
         d = table.shape[1] - 1
         m = n + 1
         # G = M1 M1^H + M2 M2^H of the P_n-truncated multiplier
@@ -763,7 +805,7 @@ def test_gram_bands_match_the_dense_products(base, n):
         assert err <= _band_margin(band, m)
         # H = M^H M of the multiplier that keeps every product
         dom = max(n - d, 1)
-        full = build_multiplier(pair, base, dom)
+        full = _full_multiplier(pair, base, dom)
         ref = full.conj().T @ full
         band = _gram_band(table, base, dom + d, dom + 1, columns=True)
         err = np.linalg.norm(_dense_hermitian(band, columns=True) - ref, 2)
@@ -782,7 +824,7 @@ def test_range_vectors_match_the_dense_product(base):
     # P_n-truncated multiplier times x; x against the kernel vector
     points = np.array([0, 0.3, -0.3, 0.45j, 0.6, 0.25 - 0.5j])
     for pair in BAND_PAIRS:
-        table = _taylor_table(pair)
+        table, _ = _taylor_table(pair)
         for n in (60, 120):
             m = n + 1
             mult = _multiplier_matrix(pair, base, n, n)
@@ -796,6 +838,28 @@ def test_range_vectors_match_the_dense_product(base):
                 assert np.linalg.norm(pw - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("columns", [False, True])
+@pytest.mark.parametrize("rows", [16, 121])
+def test_band_cholesky_brackets_the_smallest_eigenvalue(rows, columns):
+    # the margin reads min(d, m) off the band's shape (d = 64 here, so m = 16
+    # is the short case); a shift below lambda_min - margin factors and one
+    # above lambda_min does not
+    pair = BAND_PAIRS[1]
+    table, _ = _taylor_table(pair)
+    d = table.shape[1] - 1
+    band = _gram_band(table, BERGMAN, rows - 1 + d, rows, columns=columns)
+    err = _band_error(d)
+    gw = 4.0 * (min(d, rows) + 10) * _UNIT
+    assert _BandCholesky(band, err).margin == (
+        (2.0 * gw + err) * _band_spread(band, err)
+    )
+    lam = np.linalg.eigvalsh(_dense_hermitian(band, columns))[0]
+    below = _BandCholesky(band, err, columns)
+    assert below.factors(lam - 2.0 * below.margin)
+    above = _BandCholesky(band, err, columns)
+    assert not above.factors(lam * (1.0 + 1e-6) + above.margin)
+
+
 @pytest.mark.parametrize("alpha, n", [(300.0, 120), (300.0, 300), (2000.0, 120)])
 def test_gram_bands_are_warning_free_at_large_alpha(alpha, n):
     # the bands multiply at most d norm ratios and never form a monomial norm,
@@ -803,7 +867,7 @@ def test_gram_bands_are_warning_free_at_large_alpha(alpha, n):
     # degree 250 on)
     base = weighted_bergman(alpha)
     for pair in BASIS_PAIRS:
-        table = _taylor_table(pair)
+        table, _ = _taylor_table(pair)
         d = table.shape[1] - 1
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -828,7 +892,7 @@ def test_eigenvector_residual_on_arrays_matches_single_points(corpus):
             # the single-point computation, one section at a time
             ref = []
             for w in points:
-                gamma = gamma_section(spec, w, n).coords
+                gamma = gamma_section(spec, w, n)
                 applied = np.zeros_like(gamma)
                 diskmod.oracle._move_blocks(shift_weights(spec.base, n), gamma, applied, True)
                 ref.append(
