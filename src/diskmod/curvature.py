@@ -140,25 +140,30 @@ def fd_laplacian(field, z, h):
 
     (f(z+h) + f(z-h) + f(z+ih) + f(z-ih) - 4 f(z)) / h^2, O(h^2) accurate for
     C^4 fields.  The whole stencil must lie in the open disk.  A scalar z
-    gives a float; an array z gives an array and needs a field that accepts
-    arrays.
+    gives a float, with one field call per stencil point.  An array z gives
+    an array and needs a field that accepts arrays: it is called once, on
+    one array of shape ``(5,) + z.shape`` holding z, z+h, z-h, z+ih and z-ih,
+    and the values are summed in that order.
     """
     scalar = np.ndim(z) == 0
     z = complex(z) if scalar else np.asarray(z, complex)
     h = float(h)
     if not 0.0 < h < math.inf:
         raise ValueError(f"step must be finite and positive, got {h!r}")
-    stencil = (z + h, z - h, z + 1j * h, z - 1j * h)
-    outside = np.max(np.abs(stencil), axis=0) >= 1
+    points = (z, z + h, z - h, z + 1j * h, z - 1j * h)
+    outside = np.max(np.abs(points[1:]), axis=0) >= 1
     if np.any(outside):
         where = z if scalar else z[outside][0]
         raise StencilOutsideDomain(
             f"stencil around {where} with step {h} leaves the open disk"
         )
-    real = float if scalar else (lambda v: np.asarray(v, float))
-    acc = -4.0 * real(field(z))
-    for p in stencil:
-        acc += real(field(p))
+    if scalar:
+        values = [float(field(p)) for p in points]
+    else:
+        values = np.asarray(field(np.stack(points)), float)
+    acc = -4.0 * values[0]
+    for v in values[1:]:
+        acc += v
     return acc / h**2
 
 

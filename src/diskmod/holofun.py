@@ -294,29 +294,33 @@ def taylor_tail_bound(f, n):
 
     Cauchy estimates on a circle |z| = r strictly between 1 and the smallest
     denominator-root modulus; several radii are tried and the best bound kept.
-    Zero for polynomials of degree <= n.
+    Zero for polynomials of degree <= n.  ``n`` is a degree (returns a float)
+    or an array of degrees (returns an array of the same shape, each entry
+    the value a call with that degree returns); the denominator roots are
+    computed once per call.
     """
+    degrees = np.asarray(n)
     if f.is_polynomial:
-        return float(sum(abs(c) for c in f.numer[n + 1 :]))
+        best = np.array([float(sum(abs(c) for c in f.numer[k + 1 :])) for k in degrees.flat])
+        return float(best[0]) if degrees.ndim == 0 else best.reshape(degrees.shape)
     roots = polynomial_roots(f.denom)
     moduli = np.abs(roots)
     rho = float(np.min(moduli)) - DISK_ROOT_TOL
     lead = abs(f.denom[-1])
-    best = np.inf
+    best = np.full(degrees.shape, np.inf)
     for frac in (0.5, 0.75, 0.9, 0.97):
         r = 1.0 + frac * (rho - 1.0)
         if r <= 1.0:
             continue
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             num_max = float(
                 sum(abs(c) * r**k for k, c in enumerate(f.numer))
             )
             den_min = lead * float(np.prod(np.maximum(moduli - r, 1e-300)))
             m = num_max / den_min
-            tail = m * r ** (-n) / (r - 1.0)
-        if np.isfinite(tail):
-            best = min(best, tail)
-    return float(best)
+            tail = m * np.power(r, -degrees, dtype=float) / (r - 1.0)
+        best = np.where(np.isfinite(tail) & (tail < best), tail, best)
+    return float(best) if degrees.ndim == 0 else best
 
 
 # ---------------------------------------------------------------------------

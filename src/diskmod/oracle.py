@@ -18,24 +18,26 @@ of G and beta_w a lower bound on sigma_{m-1} of that bidiagonal,
 
     sigma_{m-1}(C_w) >= beta_w sqrt(lam_min / |G|_2) - |E|_F / sqrt(lam_min),
 
-and one Cholesky factorisation of the band G, shifted, settles the expected
-count of 1 at every point of a call with no multiplier matrix and no basis
-of the quotient (``dim_ker_estimate`` states the whole chain and its
-rounding margins, ``_BandCholesky`` the margin of the factorisation).  At
-points it leaves open, the singular values of the compression on a QR basis
-of the quotient define the count.  Closed range of M_Theta is proved by the
+and one Cholesky factorisation of the band G, shifted and taken window by
+window from the band, settles the expected count of 1 at every point of a
+call with no multiplier matrix and no basis of the quotient
+(``dim_ker_estimate`` states the whole chain and its rounding margins,
+``_BandCholesky`` the margin of the factorisation).  At points it leaves
+open, the singular values of the compression on a QR basis of the quotient
+define the count.  Closed range of M_Theta is proved by the
 same factorisation of the band M^H M: it shows sigma_min(M)^2 >= epsilon -
 slack for the certified epsilon of the corona certificate
 (``multiplier_lower_bound``).  Each component enters by its Taylor
 coefficients, which ``_taylor_table`` computes together with the pair's
-tail bound.  Truncation degrees default to 120 and evaluation points
-stay within |w| <= 0.6-0.7 so geometric kernel tails are negligible against
-the 1e-6 assertions made downstream.
+tail bound; a rational component is cut at the smallest degree, at most
+64, whose certified tail meets ``TAIL_TOL``, which keeps the bands narrow.
+Truncation degrees default to 120 and evaluation points stay within
+|w| <= 0.6-0.7 so geometric kernel tails are negligible against the 1e-6
+assertions made downstream.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,7 @@ from .errors import NoSpectralGap, PointOutsideDomain, TailBoundExceeded
 from .holofun import taylor_coefficients, taylor_tail_bound
 from .rkhs import _norm_ratios, kernel_eval, monomial_norms_sq, shift_weights
 
+# largest Taylor degree of a rational component
 RATIONAL_TAYLOR_DEGREE = 64
 TAIL_TOL = 1e-10
 QR_RANK_REL_TOL = 1e-10
@@ -72,8 +75,10 @@ def _taylor_table(theta):
     """Taylor coefficients of the pair, one row per component, and its tail.
 
     A polynomial component enters exactly with tail 0; a rational one by its
-    degree-64 Taylor polynomial, whose distance to it on the disk is at most
-    its certified tail bound (TailBoundExceeded above ``TAIL_TOL``).  Rows
+    Taylor polynomial of the smallest degree k <= ``RATIONAL_TAYLOR_DEGREE``
+    whose certified tail bound, the distance to it on the disk, is at most
+    ``TAIL_TOL`` (TailBoundExceeded when no such k exists).  One call of
+    ``taylor_tail_bound`` bounds the tails of every degree at once.  Rows
     are zero-padded to d + 1, d the largest Taylor degree, and the pair's
     tail is the root sum of squares of the two component tails.
     """
@@ -84,14 +89,16 @@ def _taylor_table(theta):
             coeffs.append(np.asarray(f.numer, complex))
             tails.append(0.0)
             continue
-        tail = taylor_tail_bound(f, RATIONAL_TAYLOR_DEGREE)
-        if tail > TAIL_TOL:
+        bounds = taylor_tail_bound(f, np.arange(RATIONAL_TAYLOR_DEGREE + 1))
+        within = np.flatnonzero(bounds <= TAIL_TOL)
+        if within.size == 0:
             raise TailBoundExceeded(
-                f"Taylor tail bound {tail:.3e} exceeds {TAIL_TOL:.0e} at degree "
+                f"Taylor tail bound {bounds[-1]:.3e} exceeds {TAIL_TOL:.0e} at degree "
                 f"{RATIONAL_TAYLOR_DEGREE}; denominator zeros sit too close to the disk"
             )
-        coeffs.append(taylor_coefficients(f, RATIONAL_TAYLOR_DEGREE))
-        tails.append(tail)
+        degree = int(within[0])
+        coeffs.append(taylor_coefficients(f, degree))
+        tails.append(float(bounds[degree]))
     table = np.zeros((len(coeffs), max(len(c) for c in coeffs)), complex)
     for row, comp in zip(table, coeffs):
         row[: len(comp)] = comp
@@ -187,6 +194,17 @@ def _band_spread(band, err):
     return min(2 * width - 1, size) * float(np.max(band[:, 0].real)) * (1.0 + err)
 
 
+def _band_norm1(band):
+    """|A|_1 of the Hermitian matrix A of a band of G (``_gram_band`` without ``columns``)."""
+    # column l holds A[l + o, l] = band[l, o] and A[l - o, l] =
+    # conj(band[l - o, o]) for o >= 1
+    mags = np.abs(band)
+    col_sums = np.sum(mags, axis=1)
+    for o in range(1, band.shape[1]):
+        col_sums[o:] += mags[:-o, o]
+    return float(np.max(col_sums))
+
+
 def _dense_hermitian(band, columns=False):
     """The Hermitian matrix of a band from ``_gram_band`` (G, or H with ``columns``)."""
     size, width = band.shape
@@ -222,8 +240,18 @@ class _BandCholesky:
 
         lambda_min(A) >= s - margin,    margin = (2 gw + err) spread.
 
-    ``dense`` is fl(A) as a dense Hermitian matrix; ``factors(s)`` shifts
-    its diagonal in place, so it is called once.
+    ``factors(s)`` works on windows of step + d rows, step = max(2d, 64),
+    which overlap by d rows and are built from slices of the band, so no
+    m x m matrix is formed.  Each window is factored by ``np.linalg.cholesky``;
+    its first step rows are final, and the Schur complement A22 - L21 L21^H
+    of its last d rows, formed with the final L21, replaces the first d
+    rows and columns of the next window.  The factor is then the one of the
+    whole matrix, with each inner product a_ij - sum_k r_ki conj(r_kj)
+    split in two: the terms of earlier windows go through the Schur
+    product, and the rest through the next window's factorisation.  Thm
+    10.3 does not depend on the order of summation, so it holds with the
+    one more rounding of the subtraction, which the 10 of gw covers.  A
+    matrix of at most step + d rows is one window.
     """
 
     def __init__(self, band, err, columns=False):
@@ -231,16 +259,30 @@ class _BandCholesky:
         gw = 4.0 * (min(width - 1, size) + 10) * _UNIT
         self.spread = _band_spread(band, err)
         self.margin = (2.0 * gw + err) * self.spread
-        self.dense = _dense_hermitian(band, columns)
+        self.band = band
+        self.columns = columns
 
     def factors(self, shift):
         """Whether the Cholesky factorisation of fl(A) - shift I runs through."""
-        self.dense[np.diag_indices(len(self.dense))] -= shift
-        try:
-            np.linalg.cholesky(self.dense)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        size, width = self.band.shape
+        d = width - 1
+        step = max(2 * d, 64)
+        start = 0
+        schur = np.zeros((0, 0), complex)
+        while True:
+            stop = min(start + step + d, size)
+            window = _dense_hermitian(self.band[start:stop], self.columns)
+            window[np.diag_indices(stop - start)] -= shift
+            window[: len(schur), : len(schur)] = schur
+            try:
+                low = np.linalg.cholesky(window)
+            except np.linalg.LinAlgError:
+                return False
+            if stop == size:
+                return True
+            l21 = low[step:, step - d : step]
+            schur = window[step:, step:] - l21 @ l21.conj().T
+            start += step
 
 
 def gamma_gram(spec, points):
@@ -305,24 +347,37 @@ def gamma_section(spec, w, n=DEFAULT_DEGREE):
 def eigenvector_residual(spec, w, n=DEFAULT_DEGREE):
     """Relative residual of the truncated section under the adjoint shift.
 
-    |(M_z (x) I)* gamma - conj(w) gamma| / |gamma| at truncation degree n;
-    exact zero at w = 0 and geometrically small in n for |w| <= 0.7.  ``w``
-    is a point (returns a float) or a sequence of points (returns an array).
+    |(M_z (x) I)* gamma - conj(w) gamma| / |gamma| at truncation degree n,
+    for gamma_w = (conj(theta2(w)) x, -conj(theta1(w)) x) (``gamma_section``)
+    and the kernel vector x_k = conj(w)^k / |z^k|.  S^H x = conj(w) x except
+    in the last entry, which S^H drops, so the residual is
+
+        |w| |x_n| / |x|,
+
+    theta cancels, and what this measures is the truncation tail of the
+    base's kernel vector at w, not the module.  It is exactly zero at w = 0
+    and geometrically small in n for |w| <= 0.7.  |x_k| follows
+    x_{k+1} = x_k conj(w) / s_k with the shift weights s, in log space and
+    normalised by its largest entry, so no monomial norm is formed and a
+    large weight alpha neither underflows nor overflows.  The logs sum to at
+    most T = n |log |w|| + sum_k |log s_k| in modulus, and the result is
+    within gamma_{4n+32} (T + n + 2) of the exact residual, relatively, the
+    rounding of the shift weights included.  ``w`` is a point (returns a
+    float) or a sequence of points (returns an array).
     """
     _require_certified(spec)
     _require_degree(n)
     scalar = np.ndim(w) == 0
     points = np.asarray(w, complex).ravel()
-    if np.any(np.abs(points) > 0.7):
+    aw = np.abs(points)
+    if np.any(aw > 0.7):
         raise ValueError("truncation error grows near the boundary; need |w| <= 0.7")
-    gamma = np.empty((len(points), 2 * (n + 1)), complex)
-    for row, p in zip(gamma, points):
-        row[:] = gamma_section(spec, p, n)
-    applied = np.zeros_like(gamma)
-    _move_blocks(shift_weights(spec.base, n), gamma, applied, adjoint=True)
-    applied -= np.conj(points)[:, None] * gamma
-    # one norm per row, as a single point takes it
-    res = np.array([np.linalg.norm(a) / np.linalg.norm(g) for a, g in zip(applied, gamma)])
+    # log |x_k|; at w = 0 every entry past the first is -inf and x = e_0
+    with np.errstate(divide="ignore"):
+        steps = np.log(aw)[:, None] - np.log(shift_weights(spec.base, n))
+    log_x = np.concatenate([np.zeros((len(points), 1)), np.cumsum(steps, axis=1)], axis=1)
+    x = np.exp(log_x - np.max(log_x, axis=1, keepdims=True))
+    res = aw * x[:, -1] / np.linalg.norm(x, axis=1)
     return float(res[0]) if scalar else res
 
 
@@ -352,8 +407,9 @@ def multiplier_lower_bound(spec, n=DEFAULT_DEGREE):
     Bergman space, |f|^2 is integrated against a positive measure, so the
     certified |theta1|^2 + |theta2|^2 >= epsilon of the corona certificate
     gives |Theta f|^2 >= epsilon |f|^2, and sigma_min(M)^2 >= epsilon for a
-    polynomial pair.  A rational component enters by its degree-64 Taylor
-    polynomial, and the pair's tail bound (``_taylor_table``) makes the
+    polynomial pair.  A rational component enters by its Taylor polynomial
+    of the smallest degree <= 64 whose certified tail meets ``TAIL_TOL``,
+    and the pair's tail bound (``_taylor_table``) makes the
     target (sqrt(epsilon) - tail)^2.  The computed Taylor coefficients are
     taken as stored, as everywhere in the oracle.
 
@@ -424,7 +480,8 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     Here beta_w <= sigma_{m-1}(B_w): deleting a row and a column does not
     raise sigma_{m-1}, B_w[:m-1, 1:] = L is lower bidiagonal with diagonal s
     and off-diagonal -conj(w), and beta_w = 1 / sqrt(|L^-1|_1 |L^-1|_inf),
-    whose row and column sums follow O(m) recurrences.  Lam is taken from
+    whose row and column sums follow O(m) recurrences, run for all points at
+    once in log space (``_bidiagonal_beta``).  Lam is taken from
     |G|_1 >= |G|_2.  The other singular values are bounded at O(m + d) cost
     per point:
     - hi = max(s) + |w| >= sigma_1(C_w), since |C|_2 <= |S2|_2;
@@ -461,7 +518,8 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
       |G_band - G|_2 <= err spread for G of the stored N, where spread
       (``_band_spread``) bounds the 2-norm of |M| |M|^H: a band of
       half-width d whose entries are at most the largest diagonal one;
-    - Lam = |G_band|_1 (1 + gn) + err spread;
+    - Lam = |G_band|_1 (1 + gn) + err spread, with |G_band|_1 summed from
+      the band, at most min(2d + 1, m) terms per column;
     - the Cholesky factorisation of fl(G_band) - sigma I proves
       tau = sigma - margin, with the margin of ``_BandCholesky``;
     - E, a priori: entry (k + 1, j) of M S and of S2 M is the same exact
@@ -475,9 +533,17 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
       N_exact x, and the stored N within 2.01 e_M sqrt(b) |x| of N_exact;
       hi times that distance goes to the numerator and it is taken off
       the denominator; applying the shift adds 4 u hi |p|, and the norms gn;
-    - beta: each step of a recurrence takes at most five roundings, so the
-      computed sums are within gamma_{5m} of the exact ones, and beta is
-      taken down by gamma_{10m + 32}.
+    - beta: with T = sum_k |log s_k| + n |log max(|w|, u)|, every log-space
+      quantity of ``_bidiagonal_beta`` (the partial sums C_i, the terms
+      i log |w|, the accumulated log-sum-exp) is at most T + log(n + 1) in
+      modulus.  Taking log, exp and log1p within 4 ulps, the partial sums
+      are within gamma_{n+6} T of the exact ones, each of the n steps of
+      ``np.logaddexp.accumulate`` adds at most gamma_4 (2 T + log(n + 1) + 1),
+      and the log of each peak is off by at most gamma_{6n+16}
+      (2 T + log(n + 1) + 1) in all; half the sum of the two goes into the
+      exponent.  So beta is taken down by
+      gb = gamma_{16n+32} (T + log(n + 1) + 1) + gamma_8, the last term for
+      exp and the product;
     The remaining one- to four-rounding steps (hi, t, the comparisons) are
     widened by 4u to 8u.
 
@@ -520,12 +586,35 @@ def _move_blocks(s, x, out, adjoint=False):
         )
 
 
-def _inverse_bidiagonal_peak(s, aw):
-    # max row sum of |L^-1| for L lower bidiagonal with diagonal s and
-    # off-diagonal of modulus aw: R_i = (1 + aw R_{i-1}) / s_i, R_{-1} = 0;
-    # with s reversed, the same recurrence gives the column sums
-    sums = itertools.accumulate(s, lambda acc, v: (1.0 + aw * acc) / v, initial=0.0)
-    return max(sums)
+def _bidiagonal_beta(s, aw):
+    """beta = 1 / sqrt(|L^-1|_1 |L^-1|_inf) for every radius in ``aw``, with its rounding bound.
+
+    L is lower bidiagonal with diagonal s and off-diagonal of modulus
+    aw = |w|.  The row sums of |L^-1| follow R_i = (1 + aw R_{i-1}) / s_i,
+    R_{-1} = 0, and with s reversed the same recurrence gives the column
+    sums.  Its closed form R_i = sum_{j <= i} aw^(i-j) / prod_{k=j..i} s_k
+    runs in log space over all radii at once: with C_i = sum_{k <= i} log s_k,
+
+        log R_i = i log aw - C_i + logsumexp_{j <= i} (C_{j-1} - j log aw),
+
+    the last term from one ``np.logaddexp.accumulate``, so large weights
+    alpha and long recurrences neither overflow nor underflow.  R grows
+    with aw, so a radius below u is taken as u, which only raises the sums.
+    Returns beta and gb, the relative amount by which beta must be taken
+    down (see ``dim_ker_estimate``).
+    """
+    n = s.size
+    steps = np.arange(n)
+    log_s = np.log(np.stack([s, s[::-1]]))[:, None, :]
+    log_aw = np.log(np.maximum(aw, _UNIT))[None, :, None]
+    cum = np.cumsum(log_s, axis=2)
+    before = np.concatenate([np.zeros_like(cum[..., :1]), cum[..., :-1]], axis=2)
+    acc = np.logaddexp.accumulate(before - steps * log_aw, axis=2)
+    log_peaks = np.max(steps * log_aw - cum + acc, axis=2)
+    beta = np.exp(-0.5 * (log_peaks[0] + log_peaks[1]))
+    # every log-space quantity is at most scale in modulus
+    scale = np.sum(np.abs(log_s[0])) + n * np.abs(log_aw[0, :, 0]) + np.log(n + 1.0) + 1.0
+    return beta, _gamma(16 * n + 32) * scale + _gamma(8)
 
 
 def _range_vectors(table, s, points):
@@ -615,16 +704,10 @@ def _gram_bounds(table, kind, n, points, gap_tol):
         r = np.where(den > 0, num / den * (1.0 + 4 * u), np.inf)
 
     chol = _BandCholesky(gram, err)
-    lam = np.max(np.sum(np.abs(chol.dense), axis=0)) * (1.0 + gn) + err * chol.spread
+    lam = _band_norm1(gram) * (1.0 + gn) + err * chol.spread
     cap = float(np.min(gram[:, 0].real)) - chol.margin
-    weights = s.tolist()
-    gb = _gamma(10 * m + 32)
-    peaks = {
-        v: _inverse_bidiagonal_peak(weights, v)
-        * _inverse_bidiagonal_peak(weights[::-1], v)
-        for v in set(aw.tolist())
-    }
-    beta = (1.0 - gb) / np.sqrt([peaks[v] for v in aw.tolist()])
+    beta, gb = _bidiagonal_beta(s, aw)
+    beta *= 1.0 - gb
     slope = beta / np.sqrt(lam)
     t = np.maximum(gap_tol * hi, GAP_FACTOR * r) * (1.0 + 4 * u)
     # the tau at which beta sqrt(tau / lam) - |E|_F / sqrt(tau) = t, 1% over;

@@ -146,6 +146,25 @@ def test_fd_laplacian_array_matches_scalar_loop(field):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
 
+def test_fd_laplacian_calls_an_array_field_once():
+    # one call on the stacked stencil (z, z+h, z-h, z+ih, z-ih), summed in
+    # that order, gives what five calls give
+    pts = DiskGrid(r_max=0.8, n_r=3, n_theta=5).points().reshape(3, 5)
+    h = 1e-3
+    shapes = []
+
+    def field(w):
+        shapes.append(np.shape(w))
+        return np.log(1.0 + np.abs(w) ** 2)
+
+    got = fd_laplacian(field, pts, h)
+    assert shapes == [(5, 3, 5)]
+    acc = -4.0 * field(pts)
+    for p in (pts + h, pts - h, pts + 1j * h, pts - 1j * h):
+        acc += field(p)
+    assert got.tobytes() == (acc / h**2).tobytes()
+
+
 def test_fd_laplacian_array_stencil_domain():
     pts = np.array([0.1, 0.9995j, -0.3])
     with pytest.raises(StencilOutsideDomain, match="0.9995j"):

@@ -1,7 +1,9 @@
 """Matrix-truncation oracle: shifts, multipliers, Gram sections, kernel counts."""
 
 import dataclasses
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,9 +37,12 @@ from diskmod import (
     weighted_bergman,
 )
 from diskmod.corona import _UNIT, _gamma
+from diskmod.holofun import taylor_coefficients, taylor_tail_bound
 from diskmod.oracle import (
     _band_error,
+    _band_norm1,
     _BandCholesky,
+    _bidiagonal_beta,
     _band_spread,
     _compressed_shift_adjoint,
     _dense_hermitian,
@@ -163,15 +168,45 @@ def test_multiplier_matrix_matches_loop_reference(base):
 def test_multiplier_rational_component_within_tail_bound():
     pair = MultiplierPair(rational([1], [1, 0.5]), poly([0, 1]))
     table, tail = _taylor_table(pair)
-    assert table.shape == (2, 65)
+    k = table.shape[1] - 1
+    assert table.shape == (2, k + 1) and 1 < k <= diskmod.oracle.RATIONAL_TAYLOR_DEGREE
     assert 0.0 < tail <= diskmod.oracle.TAIL_TOL
     assert _taylor_table(PAIR_1Z)[1] == 0.0
     m = _full_multiplier(pair, HARDY, 5)
-    # codomain covers the degree-64 Taylor expansion
-    assert m.shape == (2 * (5 + 64 + 1), 6)
+    # codomain covers the degree-k Taylor expansion
+    assert m.shape == (2 * (5 + k + 1), 6)
     # spot-check: column 0 of the rational block encodes (-1/2)^k coefficients
     col = m[: m.shape[0] // 2, 0]
     assert col[3] == pytest.approx((-0.5) ** 3)
+
+
+RATIONAL_COMPONENTS = (
+    rational([1], [1, 0.5]),
+    rational([1, 0.2], [1, -0.5]),
+    rational([1, 0.3j], [1, -0.4 + 0.2j]),
+    rational([2], [1, 0.6]),
+    rational([1, 0.1], [1, -0.15]),
+    rational([1], [1, 0, 0.25]),
+)
+
+
+def test_rational_taylor_degree_is_the_smallest_within_the_tail_tolerance():
+    # a rational component enters at the smallest degree whose certified tail
+    # meets TAIL_TOL, with that tail
+    tol = diskmod.oracle.TAIL_TOL
+    for f in RATIONAL_COMPONENTS:
+        table, tail = _taylor_table(MultiplierPair(f, poly([0, 1])))
+        k = table.shape[1] - 1
+        assert taylor_tail_bound(f, k) <= tol < taylor_tail_bound(f, k - 1)
+        assert tail == taylor_tail_bound(f, k)
+        assert table[0].tobytes() == taylor_coefficients(f, k).tobytes()
+    # the pair pads to the larger degree and adds the tails in quadrature
+    f, g = RATIONAL_COMPONENTS[1], RATIONAL_COMPONENTS[3]
+    table, tail = _taylor_table(MultiplierPair(f, g))
+    kf = _taylor_table(MultiplierPair(f, poly([1])))[0].shape[1] - 1
+    kg = _taylor_table(MultiplierPair(g, poly([1])))[0].shape[1] - 1
+    assert table.shape == (2, max(kf, kg) + 1)
+    assert tail == np.hypot(taylor_tail_bound(f, kf), taylor_tail_bound(g, kg))
 
 
 def test_multiplier_rational_tail_bound_exceeded():
@@ -305,16 +340,65 @@ def test_eigenvector_residual_monotone_in_degree(corpus):
 
 @pytest.mark.parametrize("base", [BERGMAN, weighted_bergman(1.5)])
 def test_eigenvector_residual_matches_dense_reference(base):
-    # the weighted slice moves against the dense doubled shift, at the points
-    # where verify evaluates the residual
-    n = 80
+    # the closed form against the dense doubled shift applied to the section,
+    # at degrees and radii where the residual is far above the rounding of
+    # the dense computation: s_k gamma_{k+1} - conj(w) gamma_k is 0 in exact
+    # arithmetic but the last entry, so its rounding is at most 8 u |w| |gamma|
     spec = make_spec(base, MultiplierPair(poly([-0.5, 1]), poly([1, 0.5])))
-    doubled = np.kron(np.eye(2), build_shift(base, n))
-    for w in (0, 0.3, -0.4j, 0.25 + 0.25j, 0.5):
-        gamma = gamma_section(spec, w, n)
-        ref = np.linalg.norm(doubled.T @ gamma - np.conj(w) * gamma) / np.linalg.norm(gamma)
-        got = eigenvector_residual(spec, w, n)
-        assert abs(got - ref) <= 1e-15 * ref
+    for n in (10, 15, 20):
+        doubled = np.kron(np.eye(2), build_shift(base, n))
+        for w in (0.5, -0.6j, 0.45 + 0.45j, 0.7):
+            gamma = gamma_section(spec, w, n)
+            ref = np.linalg.norm(doubled.T @ gamma - np.conj(w) * gamma) / np.linalg.norm(gamma)
+            assert ref > 1e-6
+            got = eigenvector_residual(spec, w, n)
+            rel = _residual_bound(base, w, n) + _gamma(4 * n + 8)
+            assert abs(got - ref) <= 8 * _UNIT * abs(w) + rel * ref
+
+
+def _residual_bound(base, w, n):
+    # the relative rounding bound stated in the eigenvector_residual docstring
+    t = n * abs(np.log(abs(w))) + np.sum(np.abs(np.log(shift_weights(base, n))))
+    return _gamma(4 * n + 32) * (t + n + 2)
+
+
+@pytest.mark.parametrize("base", [HARDY, BERGMAN])
+def test_eigenvector_residual_matches_exact_fractions(base):
+    # |w|^2 |x_n|^2 / sum_k |x_k|^2 with |x_k|^2 = |w|^(2k) / |z^k|^2 in exact
+    # rationals (|z^k|^2 = 1 for Hardy, 1 / (k + 1) for Bergman) at dyadic w
+    spec = make_spec(base, PAIR_1Z)
+    for n in (20, 60, 120):
+        for w in (0.5, -0.25j, 0.375 + 0.5j, 0.125, -0.5 + 0.25j):
+            r2 = Fraction(complex(w).real) ** 2 + Fraction(complex(w).imag) ** 2
+            x2 = [r2**k * (1 if base.is_hardy else k + 1) for k in range(n + 1)]
+            exact = float(r2 * x2[-1] / sum(x2))
+            got = eigenvector_residual(spec, w, n)
+            assert abs(got**2 / exact - 1.0) <= 2.01 * _residual_bound(base, w, n)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_eigenvector_residual_is_finite_at_large_alpha(n):
+    # monomial_norms_sq underflows to 0 at alpha 2000 and degree 300, so a
+    # section formed from it divides by zero; the residual never forms it
+    spec = make_spec(weighted_bergman(2000.0), PAIR_1Z)
+    points = [0, 0.3, -0.4j, 0.5, 0.7]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = eigenvector_residual(spec, points, n)
+        assert eigenvector_residual(spec, 0, n) == 0.0
+    assert np.all(np.isfinite(res)) and res[0] == 0.0
+    # log |x_k|^2 = 2k log|w| - log |z^k|^2 with |z^k|^2 = k! G(a + 2) / G(k + a + 2)
+    for w, got in zip(points[1:], res[1:]):
+        logs = [
+            2 * k * math.log(abs(w)) - math.lgamma(k + 1) - math.lgamma(2002.0)
+            + math.lgamma(k + 2002.0)
+            for k in range(n + 1)
+        ]
+        top = max(logs)
+        ref = abs(w) * math.exp(0.5 * (logs[-1] - top)) / math.sqrt(
+            math.fsum(math.exp(v - top) for v in logs)
+        )
+        assert got == pytest.approx(ref, rel=1e-9)
 
 
 def test_adjoint_shift_kills_kernel_vector():
@@ -819,6 +903,17 @@ def test_gram_bands_match_the_dense_products(base, n):
 
 
 @pytest.mark.parametrize("base", FIVE_BASES)
+def test_band_norm1_matches_the_dense_matrix(base):
+    # |G|_1 from the band, both halves of every column, against the dense G
+    for pair in BAND_PAIRS:
+        table, _ = _taylor_table(pair)
+        for n in (60, 120):
+            band = _gram_band(table, base, n, n + 1)
+            norm1 = np.max(np.sum(np.abs(_dense_hermitian(band)), axis=0))
+            assert _band_norm1(band) == pytest.approx(norm1, rel=4 * (n + 1) * _UNIT)
+
+
+@pytest.mark.parametrize("base", FIVE_BASES)
 def test_range_vectors_match_the_dense_product(base):
     # p = N x from partial sums of the coefficients, against N of the stored
     # P_n-truncated multiplier times x; x against the kernel vector
@@ -860,6 +955,146 @@ def test_band_cholesky_brackets_the_smallest_eigenvalue(rows, columns):
     assert not above.factors(lam * (1.0 + 1e-6) + above.margin)
 
 
+def _band_table(d, seed):
+    # a pair of Taylor degree d with theta1(0) = 1 and decaying coefficients
+    rng = np.random.default_rng(seed)
+    decay = 0.6 ** np.arange(d + 1)
+    table = (rng.standard_normal((2, d + 1)) + 1j * rng.standard_normal((2, d + 1))) * decay
+    table[0, 0] = 1.0
+    table[:, d] = 0.25 * decay[d]
+    return table
+
+
+@pytest.mark.parametrize("columns", [False, True])
+@pytest.mark.parametrize("d", [2, 16, 64])
+@pytest.mark.parametrize("rows", [121, 301])
+def test_windowed_factorisation_agrees_with_the_dense_cholesky(rows, d, columns):
+    # windows of max(2d, 64) + d rows: two or more windows run at every
+    # (rows, d) here but (121, 64), which is one window
+    table = _band_table(d, seed=rows + d)
+    cod = rows - 1 + d if columns else rows - 1
+    band = _gram_band(table, weighted_bergman(1.5), cod, rows, columns=columns)
+    assert band.shape == (rows, d + 1)
+    dense = _dense_hermitian(band, columns)
+    lam = np.linalg.eigvalsh(dense)[0]
+    chol = _BandCholesky(band, _band_error(d), columns)
+
+    def dense_factors(shift):
+        try:
+            np.linalg.cholesky(dense - shift * np.eye(rows))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    below = lam - 2.0 * chol.margin
+    above = lam * (1.0 + 1e-6) + chol.margin
+    assert chol.factors(below) and dense_factors(below)
+    assert not chol.factors(above) and not dense_factors(above)
+    # factors leaves the band as it was, so it can be called again
+    assert chol.factors(below)
+
+
+def _exactly_positive_definite(band, shift):
+    """Whether A - shift I is positive definite, for a real dyadic band A in G layout.
+
+    Fraction-free (Bareiss) elimination in integers on a sliding
+    (d + 1) x (d + 1) block: the pivots are the leading principal minors,
+    and an entry no earlier step has reached is its scaled value times the
+    last pivot.
+    """
+    size, width = band.shape
+    d = width - 1
+    shift = Fraction(shift)
+    scale = max(shift.denominator, 2**64)
+    entries = [[Fraction(float(v)) for v in row.real] for row in band]
+
+    def entry(i, j):
+        # scale (A - shift I)[i, j] for |i - j| <= d
+        lo, hi = min(i, j), max(i, j)
+        v = entries[lo][hi - lo] - (shift if i == j else 0)
+        v *= scale
+        assert v.denominator == 1
+        return int(v)
+
+    top = min(width, size)
+    block = [[entry(i, j) for j in range(top)] for i in range(top)]
+    prev = 1
+    for k in range(size):
+        pivot = block[0][0]
+        if pivot <= 0:
+            return False
+        nxt = []
+        for i in range(1, len(block)):
+            row = []
+            for j in range(1, len(block)):
+                value, rest = divmod(pivot * block[i][j] - block[i][0] * block[0][j], prev)
+                assert rest == 0
+                row.append(value)
+            nxt.append(row)
+        new = k + width
+        if new < size:
+            col = [entry(new, j) * pivot for j in range(k + 1, new + 1)]
+            for row, v in zip(nxt, col):
+                row.append(v)
+            nxt.append(col)
+        block, prev = nxt, pivot
+    return True
+
+
+def test_exact_positive_definiteness_helper():
+    # [[2, 1], [1, 2]] has eigenvalues 1 and 3
+    band = np.array([[2, 1], [2, 0]], complex)
+    assert _exactly_positive_definite(band, Fraction(1) - Fraction(1, 2**60))
+    assert not _exactly_positive_definite(band, 1.0)
+    assert not _exactly_positive_definite(band, 3.5)
+
+
+def test_band_cholesky_margin_is_exact_on_dyadic_bands():
+    # real dyadic bands, so fl(A) = A and err = 0, larger than one window;
+    # wherever the factorisation of A - s I runs through for s a few ulps
+    # of |A| around lambda_min, A - (s - margin) I is positive definite in
+    # exact arithmetic.  Positive definiteness is monotone in the shift, so
+    # the largest such s decides it.  Without the margin the claim fails:
+    # at some of these bands the rounding lets the factorisation run through
+    # above lambda_min
+    rng = np.random.default_rng(6)
+    for _ in range(8):
+        rows = int(rng.integers(66, 80))
+        d = int(rng.integers(1, 4))
+        band = np.zeros((rows, d + 1), complex)
+        band[:, 0] = rng.integers(64, 128, rows) / 64
+        band[:, 1:] = rng.integers(-32, 33, (rows, d)) / 64
+        for o in range(1, d + 1):
+            band[rows - o :, o] = 0
+        chol = _BandCholesky(band, 0.0)
+        eig = np.linalg.eigvalsh(_dense_hermitian(band))
+        # quarter-ulp steps, and one shift far enough below to factor surely
+        shifts = [eig[0] + k / 4 * _UNIT * eig[-1] for k in range(-8, 17)]
+        shifts.append(eig[0] - rows * _UNIT * eig[-1])
+        top = max(s for s in shifts if chol.factors(s))
+        assert _exactly_positive_definite(band, Fraction(top) - Fraction(chol.margin))
+
+
+def test_bidiagonal_beta_matches_the_recurrences():
+    # the log-space peaks against the row and column sum recurrences of
+    # |L^-1|, run one step at a time, within the stated rounding bound
+    for kind in (HARDY, BERGMAN, weighted_bergman(4.0), weighted_bergman(2000.0)):
+        for n in (60, 300):
+            s = shift_weights(kind, n)
+            aw = np.array([0.0, 0.3, 0.45, 0.6])
+            beta, gb = _bidiagonal_beta(s, aw)
+            for v, got, bound in zip(aw, beta, gb):
+                peaks = []
+                for weights in (s, s[::-1]):
+                    acc, peak = 0.0, 0.0
+                    for sk in weights:
+                        acc = (1.0 + v * acc) / sk
+                        peak = max(peak, acc)
+                    peaks.append(peak)
+                ref = 1.0 / math.sqrt(peaks[0] * peaks[1])
+                assert abs(got - ref) <= (bound + _gamma(10 * n + 32)) * ref
+
+
 @pytest.mark.parametrize("alpha, n", [(300.0, 120), (300.0, 300), (2000.0, 120)])
 def test_gram_bands_are_warning_free_at_large_alpha(alpha, n):
     # the bands multiply at most d norm ratios and never form a monomial norm,
@@ -889,14 +1124,4 @@ def test_eigenvector_residual_on_arrays_matches_single_points(corpus):
             single = [eigenvector_residual(spec, w, n) for w in points]
             assert all(type(v) is float for v in single)
             assert res.tobytes() == np.array(single).tobytes()
-            # the single-point computation, one section at a time
-            ref = []
-            for w in points:
-                gamma = gamma_section(spec, w, n)
-                applied = np.zeros_like(gamma)
-                diskmod.oracle._move_blocks(shift_weights(spec.base, n), gamma, applied, True)
-                ref.append(
-                    np.linalg.norm(applied - np.conj(w) * gamma) / np.linalg.norm(gamma)
-                )
-            assert res.tobytes() == np.array(ref).tobytes()
     assert eigenvector_residual(specs[0], [], 60).shape == (0,)
