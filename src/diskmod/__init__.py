@@ -13,7 +13,6 @@ from .errors import (
     NoSpectralGap,
     PointOutsideDomain,
     SpecFileError,
-    StencilOutsideDomain,
     TailBoundExceeded,
     UncertifiedSpec,
 )
@@ -46,7 +45,6 @@ from .curvature import (
     DiskGrid,
     QuotientSpec,
     curvature_field,
-    fd_laplacian,
     laplacian_log_sumsq,
     quotient_curvature,
 )
@@ -61,16 +59,11 @@ from .equivalence import (
     Verdict,
     Witness,
     decide_equivalence,
-    lemma46_probe,
 )
 from .oracle import (
     MultiplierBound,
-    build_shift,
     dim_ker_estimate,
     eigenvector_residual,
-    gamma_gram,
-    gamma_section,
     multiplier_lower_bound,
     oracle_curvature,
-    reproducing_check,
 )

@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .corona import DEFAULT_TARGET_GAP, certify_spec
 from .curvature import DiskGrid, QuotientSpec, curvature_field, quotient_curvature
-from .equivalence import DEFAULT_TOL, Outcome, decide_equivalence, lemma46_probe
+from .equivalence import DEFAULT_TOL, Outcome, decide_equivalence
 from .errors import (
     CoronaFailure,
     DepthExceeded,
@@ -47,15 +47,15 @@ from .errors import (
     SpecFileError,
     _RangeError,
 )
-from .holofun import MultiplierPair, format_function, parse_function, poly
+from .holofun import MultiplierPair, format_function, parse_function
 from .oracle import (
+    CURVATURE_TOL,
     DEFAULT_DEGREE,
     MIN_DEGREE,
     dim_ker_estimate,
     eigenvector_residual,
     multiplier_lower_bound,
     oracle_curvature,
-    reproducing_check,
 )
 from .rkhs import format_module_kind, parse_module_kind
 
@@ -70,9 +70,9 @@ _MODULE_KEYS = ("base", "theta1", "theta2")
 # section keys with the cast of their values; absent keys keep the defaults of
 # DiskGrid and ProblemSpec
 _GRID_KEYS = {"r_max": float, "n_r": int, "n_theta": int}
-_TOL_KEYS = {"tol": float, "target_gap": float, "fd_step": float, "oracle_degree": int}
+_TOL_KEYS = {"tol": float, "target_gap": float, "oracle_degree": int}
 # radii of the points where verify compares the analytic and oracle curvature;
-# the finite-difference stencil, fd_step wide, must stay inside the disk there
+# the oracle forms the truncated frame only at |w| <= 0.7
 _VERIFY_RADII = (0.1, 0.25, 0.4, 0.55, 0.7)
 
 
@@ -85,11 +85,10 @@ class ProblemSpec:
     grid: DiskGrid = DiskGrid()
     tol: float = DEFAULT_TOL
     target_gap: float = DEFAULT_TARGET_GAP
-    fd_step: float = 1e-3
     oracle_degree: int = DEFAULT_DEGREE
 
     def __post_init__(self):
-        for key in ("tol", "target_gap", "fd_step"):
+        for key in ("tol", "target_gap"):
             value = getattr(self, key)
             if not 0.0 < value < math.inf:
                 raise _RangeError(key, f"{key} must be finite and positive, got {value!r}")
@@ -97,14 +96,6 @@ class ProblemSpec:
             raise _RangeError(
                 "oracle_degree",
                 f"oracle_degree must be at least {MIN_DEGREE}, got {self.oracle_degree}",
-            )
-        radius = max(self.grid.r_max, *_VERIFY_RADII)
-        if not radius + self.fd_step < 1.0:
-            raise _RangeError(
-                "fd_step",
-                f"fd_step must be below 1 - {radius!r}, the largest radius of the "
-                "grid and the verify points, so that the finite-difference "
-                f"stencil stays inside the disk; got {self.fd_step!r}",
             )
 
 
@@ -406,21 +397,18 @@ def _verify_points():
 
 
 def _verify(prob, specs, args, report):
-    h = prob.fd_step
     degree = prob.oracle_degree
     report["oracle"] = {}
     pts = _verify_points()
-    # the probe depends only on the grid and the step, not on the module
-    probe = lemma46_probe(prob.grid, h)
     all_ok = True
     for name, spec in specs.items():
         checks = {}
 
         a = quotient_curvature(spec, pts)
-        b = oracle_curvature(spec, pts, h)
+        b = oracle_curvature(spec, pts, degree)
         worst = float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
         checks["curvature_identity"] = {
-            "max_rel_err": worst, "tol": 1e-3, "ok": bool(worst <= 1e-3),
+            "max_rel_err": worst, "tol": CURVATURE_TOL, "ok": bool(worst <= CURVATURE_TOL),
         }
 
         res = eigenvector_residual(spec, (0, 0.3, -0.4j, 0.25 + 0.25j, 0.5), degree)
@@ -432,19 +420,6 @@ def _verify(prob, specs, args, report):
         checks["dim_ker"] = {
             "values": [int(d) for d in dims],
             "ok": bool(all(d == 1 for d in dims)),
-        }
-
-        rep = max(
-            reproducing_check(spec.base, f, w)
-            for f in (poly([1]), poly([0, 0, 1]), poly([0, -1, 0, 3]))
-            for w in (0.3, 0.4j)
-        )
-        checks["reproducing"] = {
-            "max_err": float(rep), "tol": 1e-12, "ok": bool(rep <= 1e-12),
-        }
-
-        checks["lemma46_probe"] = {
-            "max_err": float(probe), "tol": 1e-3, "ok": bool(probe <= 1e-3),
         }
 
         # sigma_min(M_Theta)^2 >= epsilon - slack, proved from the operator side
@@ -503,7 +478,7 @@ def _load(path, args):
         except ValueError as exc:
             print(f"error: bad --grid value: {exc}", file=sys.stderr)
             sys.exit(EXIT_USAGE)
-    for key in ("tol", "fd_step", "oracle_degree"):
+    for key in ("tol", "oracle_degree"):
         if getattr(args, key) is not None:
             overrides[key] = getattr(args, key)
     try:
@@ -532,10 +507,6 @@ def _build_parser():
         p.add_argument(
             "--oracle-degree", dest="oracle_degree", type=int,
             help="truncation degree for oracle checks",
-        )
-        p.add_argument(
-            "--fd-step", dest="fd_step", type=float,
-            help="finite-difference step",
         )
     return parser
 

@@ -1,27 +1,23 @@
 """Curvature engines for quotient modules over the disk.
 
-Two independent routes to every Laplacian: an analytic Wirtinger computation
-on the multiplier data and a 5-point finite-difference stencil.  The Laplacian
-convention is 4 del delbar everywhere; a factor-of-4 drift here would corrupt
-every identity the test suite checks, so both routes are pinned to it.
+The quotient curvature is the base curvature minus a quarter of the
+Laplacian of log(|theta1|^2 + |theta2|^2), computed analytically from the
+multiplier data by Wirtinger calculus.  The Laplacian convention is
+4 del delbar everywhere; a factor-of-4 drift here would corrupt every
+identity the test suite checks.  The independent check is the curvature of
+the eigenvector frame of the truncated quotient (``oracle.oracle_curvature``),
+which takes no Laplacian at all.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    DegeneratePoint,
-    PointOutsideDomain,
-    StencilOutsideDomain,
-    UncertifiedSpec,
-    _RangeError,
-)
+from .errors import DegeneratePoint, PointOutsideDomain, UncertifiedSpec, _RangeError
 from .holofun import MultiplierPair, derivative, format_function
 from .rkhs import ModuleKind, base_curvature, format_module_kind
 
@@ -133,38 +129,6 @@ def laplacian_log_sumsq(theta, z):
     if zz.ndim == 0:
         return float(out)
     return out
-
-
-def fd_laplacian(field, z, h):
-    """5-point finite-difference Laplacian of a real-valued field at z.
-
-    (f(z+h) + f(z-h) + f(z+ih) + f(z-ih) - 4 f(z)) / h^2, O(h^2) accurate for
-    C^4 fields.  The whole stencil must lie in the open disk.  A scalar z
-    gives a float, with one field call per stencil point.  An array z gives
-    an array and needs a field that accepts arrays: it is called once, on
-    one array of shape ``(5,) + z.shape`` holding z, z+h, z-h, z+ih and z-ih,
-    and the values are summed in that order.
-    """
-    scalar = np.ndim(z) == 0
-    z = complex(z) if scalar else np.asarray(z, complex)
-    h = float(h)
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step must be finite and positive, got {h!r}")
-    points = (z, z + h, z - h, z + 1j * h, z - 1j * h)
-    outside = np.max(np.abs(points[1:]), axis=0) >= 1
-    if np.any(outside):
-        where = z if scalar else z[outside][0]
-        raise StencilOutsideDomain(
-            f"stencil around {where} with step {h} leaves the open disk"
-        )
-    if scalar:
-        values = [float(field(p)) for p in points]
-    else:
-        values = np.asarray(field(np.stack(points)), float)
-    acc = -4.0 * values[0]
-    for v in values[1:]:
-        acc += v
-    return acc / h**2
 
 
 def quotient_curvature(spec, z):

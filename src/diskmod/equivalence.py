@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (
-    DiskGrid,
-    _require_certified,
-    fd_laplacian,
-    laplacian_log_sumsq,
-)
+from .curvature import DiskGrid, _require_certified, laplacian_log_sumsq
 from .rkhs import base_curvature
 
 DEFAULT_TOL = 1e-6
@@ -150,19 +145,3 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
         ),
         max_deviation=both_dev,
     )
-
-
-def lemma46_probe(grid, h=1e-3):
-    """Validation utility for the unbounded-potential obstruction.
-
-    For g(z) = -log(1 - |z|^2)/4 the Laplacian equals (1 - |z|^2)^-2; returns
-    the max absolute error of the finite-difference Laplacian against that
-    closed form over the grid.  The grid (plus stencil) must stay interior.
-    """
-
-    def g(z):
-        return -0.25 * np.log(1.0 - np.abs(z) ** 2)
-
-    pts = grid.points()
-    target = 1.0 / (1.0 - np.abs(pts) ** 2) ** 2
-    return float(np.max(np.abs(fd_laplacian(g, pts, h) - target)))

@@ -21,10 +21,6 @@ class PointOutsideDomain(DiskModError, ValueError):
     """An evaluation point lies outside the allowed domain."""
 
 
-class StencilOutsideDomain(DiskModError, ValueError):
-    """A finite-difference stencil does not fit inside the open disk."""
-
-
 class DegeneratePoint(DiskModError, ArithmeticError):
     """Both multiplier components (numerically) vanish at a point."""
 

@@ -1,20 +1,21 @@
 """Matrix-truncation cross-checks for the analytic layer.
 
 Everything here recomputes a claim of `rkhs`/`curvature` without using its
-closed form: finite weighted-shift truncations, multiplication-operator
-matrices in orthonormalized monomial bases, exact section Gram matrices, and a
-finite-difference curvature that never touches the quotient-curvature
-identity.  The truncated shift is held as its weight vector
-(``rkhs.shift_weights``) and applied by weighted slice moves; no dense shift
-matrix is built.  Every multiplier block is a weighted Toeplitz matrix
-D T_i D^-1 of half-width d, d the largest Taylor degree, so its Gram
-matrices are bands of half-width d; ``_gram_band`` builds them from the
-Taylor coefficients and ratios of monomial norms alone.  Kernel counts
-compress the shift to the truncated quotient, the range of
-N = [M2^H; -M1^H].  The blocks commute with the shift, so the compression at
-w is similar to the bidiagonal S^H - conj(w) I through the factor R of
-G = N^H N, up to a rounding defect E.  With lam_min the smallest eigenvalue
-of G and beta_w a lower bound on sigma_{m-1} of that bidiagonal,
+closed form: multiplication-operator matrices in orthonormalized monomial
+bases, kernel counts and closed range of the truncated operators, and the
+curvature of the eigenvector frame of the truncated quotient, which
+evaluates neither theta nor the kernel (``oracle_curvature``).  The
+truncated shift is held as its weight vector (``rkhs.shift_weights``) and
+applied by weighted slice moves; no dense shift matrix is built.  Every
+multiplier block is a weighted Toeplitz matrix D T_i D^-1 of half-width d,
+d the largest Taylor degree, so its Gram matrices are bands of half-width
+d; ``_gram_band`` builds them from the Taylor coefficients and ratios of
+monomial norms alone.  Kernel counts compress the shift to the truncated
+quotient, the range of N = [M2^H; -M1^H].  The blocks commute with the
+shift, so the compression at w is similar to the bidiagonal
+S^H - conj(w) I through the factor R of G = N^H N, up to a rounding defect
+E.  With lam_min the smallest eigenvalue of G and beta_w a lower bound on
+sigma_{m-1} of that bidiagonal,
 
     sigma_{m-1}(C_w) >= beta_w sqrt(lam_min / |G|_2) - |E|_F / sqrt(lam_min),
 
@@ -31,8 +32,11 @@ slack for the certified epsilon of the corona certificate
 coefficients, which ``_taylor_table`` computes together with the pair's
 tail bound; a rational component is cut at the smallest degree, at most
 64, whose certified tail meets ``TAIL_TOL``, which keeps the bands narrow.
+The kernel vector x_k = conj(w)^k / |z^k| and the frame N x are formed from
+the shift weights in log space (``_range_vectors``), so no monomial norm
+is formed and a large weight alpha neither overflows nor underflows.
 Truncation degrees default to 120 and evaluation points stay within
-|w| <= 0.6-0.7 so geometric kernel tails are negligible against the 1e-6
+|w| <= 0.6-0.7 so geometric kernel tails are negligible against the
 assertions made downstream.
 """
 
@@ -44,10 +48,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corona import _UNIT, _gamma
-from .curvature import _require_certified, fd_laplacian
-from .errors import NoSpectralGap, PointOutsideDomain, TailBoundExceeded
+from .curvature import _require_certified
+from .errors import NoSpectralGap, TailBoundExceeded
 from .holofun import taylor_coefficients, taylor_tail_bound
-from .rkhs import _norm_ratios, kernel_eval, monomial_norms_sq, shift_weights
+from .rkhs import _norm_ratios, monomial_norms_sq, shift_weights
 
 # largest Taylor degree of a rational component
 RATIONAL_TAYLOR_DEGREE = 64
@@ -57,18 +61,14 @@ GAP_FACTOR = 10.0
 DEFAULT_DEGREE = 120
 # smallest truncation degree the kernel count accepts
 MIN_DEGREE = 60
+# tolerance of the verify check of oracle_curvature against quotient_curvature,
+# relative to 1 + |K|; its budget is stated in oracle_curvature
+CURVATURE_TOL = 1e-8
 
 
 def _require_degree(n):
     if n < 1:
         raise ValueError("truncation degree must be at least 1")
-
-
-def build_shift(kind, n):
-    """Dense degree-n truncation of multiplication by z, the weighted subdiagonal
-    shift; a reference only, since the oracle applies the shift by its weights."""
-    _require_degree(n)
-    return np.diag(shift_weights(kind, n), -1)
 
 
 def _taylor_table(theta):
@@ -285,81 +285,100 @@ class _BandCholesky:
             start += step
 
 
-def gamma_gram(spec, points):
-    """Exact Gram matrix of the eigenvector sections at the given points.
+def _frame_points(w):
+    """Whether ``w`` is a single point, and its points as a 1-D complex array.
 
-    Entry (i, j) is K(p_j, p_i) * (conj(theta1(p_i)) theta1(p_j) +
-    conj(theta2(p_i)) theta2(p_j)); no truncation is involved.  Its diagonal
-    is the section norm that ``oracle_curvature`` evaluates on arrays, and
-    this matrix, one point at a time, is the exact reference for it.
+    The kernel vector's tail is geometric in |w|, so points must satisfy
+    |w| <= 0.7.
     """
-    pts = np.asarray(points, complex)
-    if np.any(np.abs(pts) >= 1):
-        raise PointOutsideDomain("section points must lie in the open disk")
-    t1 = spec.theta.theta1(pts)
-    t2 = spec.theta.theta2(pts)
-    kmat = kernel_eval(spec.base, pts[None, :], pts[:, None])
-    a = np.outer(np.conj(t1), t1) + np.outer(np.conj(t2), t2)
-    return np.atleast_2d(kmat * a)
+    points = np.asarray(w, complex).ravel()
+    if np.any(np.abs(points) > 0.7):
+        raise ValueError("truncation error grows near the boundary; need |w| <= 0.7")
+    return np.ndim(w) == 0, points
 
 
-def oracle_curvature(spec, z, h=1e-3):
-    """Finite-difference curvature from the section norm alone.
+def _log_kernel_vector(s, aw):
+    """log |x_k| less its largest value, one row per radius in ``aw``.
 
-    -1/4 times the 5-point Laplacian of log |gamma_w|^2 where |gamma_w|^2 =
-    K(w,w) (|theta1(w)|^2 + |theta2(w)|^2) is the diagonal of the exact Gram
-    matrix; the quotient-curvature identity is never used, which makes this
-    the principal independent check of it.  Accepts scalars or arrays of
-    points.
+    |x_k| = |w|^k / |z^k| follows |x_{k+1}| = |x_k| |w| / s_k with the shift
+    weights s, summed in log space, so no monomial norm is formed; at w = 0
+    every entry past the first is -inf.
+    """
+    with np.errstate(divide="ignore"):
+        steps = np.log(aw)[:, None] - np.log(s)
+    log_x = np.concatenate([np.zeros((len(aw), 1)), np.cumsum(steps, axis=1)], axis=1)
+    return log_x - np.max(log_x, axis=1, keepdims=True)
+
+
+def oracle_curvature(spec, z, n=DEFAULT_DEGREE):
+    """Curvature of the eigenvector frame of the quotient truncated at degree n.
+
+    The truncated quotient is the range of N = [M2^H; -M1^H] for the
+    P_n-truncated multiplier, and p = N x, with x_k = conj(w)^k / |z^k| the
+    kernel vector, is its frame at w: anti-holomorphic in w, and an
+    eigenvector of the compressed adjoint shift up to
+    ``eigenvector_residual``.  The curvature of the line bundle it spans
+    (Cowen & Douglas, Acta Math. 141, 1978) is
+
+        K(w) = -(a b - |c|^2) / a^2,    a = |p|^2, b = |p'|^2, c = p^H p',
+
+    with p' = N x' and x' = dx / d conj(w); a, b and c equal x^H G x,
+    x'^H G x' and x^H G x' for G = N^H N.  p and p' come from partial sums
+    of the Taylor coefficients of theta and theta' (``_range_vectors``), so
+    no theta value, kernel value or finite difference enters, and the
+    identity behind ``quotient_curvature`` is never used.  x is scaled per
+    point in log space; the scale is the same for x and x', and cancels.
+
+    ``CURVATURE_TOL`` = 1e-8 bounds |K - quotient_curvature| / (1 + |K|)
+    where the kernel vector's mass beyond degree n is negligible.  Its
+    budget:
+    - rounding: the entries of x, and so of p and p', are within
+      gamma_{4n+32} (T + 2n + 2) of their exact values relatively, T as
+      in ``_range_vectors``, a bound of 1e-10 at n = 300 and |w| = 0.7 on
+      Hardy, where 1e-14 is observed on the benchmark corpus; a, b and c,
+      sums of 2 (n + 1) terms, add gamma_{2n+2}, and a b - |c|^2 loses the
+      factor a b / (a b - |c|^2) to cancellation;
+    - the Taylor tail: a rational component enters by its Taylor
+      polynomial, within tau = ``TAIL_TOL`` = 1e-10 of theta on the disk,
+      and by Cauchy's estimate within tau' = tau / (1 - |w|) <= 3.4e-10 in
+      theta' at |w| <= 0.7.  To first order that moves K by at most
+      (8 |theta'|^2 tau + 4 |theta| |theta'| tau') / |theta|^3, with
+      |theta|^2 = |theta1|^2 + |theta2|^2: about 2e-9 where |theta| and
+      |theta'| are of order 1.
+    The analytic side carries no error bound of its own: near a factor such
+    as (2 + z)^k its Horner evaluation loses digits, 3e-10 at k = 26.  What
+    exceeds the budget is truncation, a degree too small for the base.
+
+    ``z`` is a point (returns a float) or an array of points with
+    |z| <= 0.7 (returns an array of its shape).
     """
     _require_certified(spec)
-    t1, t2 = spec.theta
-
-    def log_norm_sq(w):
-        k = kernel_eval(spec.base, w, w).real
-        return np.log(k * (np.abs(t1(w)) ** 2 + np.abs(t2(w)) ** 2))
-
-    return -0.25 * fd_laplacian(log_norm_sq, z, h)
-
-
-def _kernel_vector(kind, w, n):
-    # coordinates of the kernel section in the orthonormal basis: conj(w)^k / |z^k|
-    norms = np.sqrt(monomial_norms_sq(kind, n))
-    return np.conj(w) ** np.arange(n + 1) / norms
-
-
-def gamma_section(spec, w, n=DEFAULT_DEGREE):
-    """Coordinates of the eigenvector section gamma_w, truncated at degree n.
-
-    The doubled orthonormal basis is stacked component-major; the exact
-    squared norm is the diagonal of ``gamma_gram``.
-    """
     _require_degree(n)
-    w = complex(w)
-    if abs(w) >= 1:
-        raise PointOutsideDomain("section points must lie in the open disk")
-    kvec = _kernel_vector(spec.base, w, n)
-    t1 = spec.theta.theta1(w)
-    t2 = spec.theta.theta2(w)
-    return np.concatenate([np.conj(t2) * kvec, -np.conj(t1) * kvec])
+    scalar, points = _frame_points(z)
+    table, _ = _taylor_table(spec.theta)
+    _, _, p, dp = _range_vectors(table, shift_weights(spec.base, n), points)
+    a = np.sum(np.abs(p) ** 2, axis=1)
+    b = np.sum(np.abs(dp) ** 2, axis=1)
+    c = np.sum(p.conj() * dp, axis=1)
+    curv = -(a * b - np.abs(c) ** 2) / a**2
+    return float(curv[0]) if scalar else curv.reshape(np.shape(z))
 
 
 def eigenvector_residual(spec, w, n=DEFAULT_DEGREE):
     """Relative residual of the truncated section under the adjoint shift.
 
     |(M_z (x) I)* gamma - conj(w) gamma| / |gamma| at truncation degree n,
-    for gamma_w = (conj(theta2(w)) x, -conj(theta1(w)) x) (``gamma_section``)
-    and the kernel vector x_k = conj(w)^k / |z^k|.  S^H x = conj(w) x except
-    in the last entry, which S^H drops, so the residual is
+    for gamma_w = (conj(theta2(w)) x, -conj(theta1(w)) x) and the kernel
+    vector x_k = conj(w)^k / |z^k|.  S^H x = conj(w) x except in the last
+    entry, which S^H drops, so the residual is
 
         |w| |x_n| / |x|,
 
     theta cancels, and what this measures is the truncation tail of the
     base's kernel vector at w, not the module.  It is exactly zero at w = 0
-    and geometrically small in n for |w| <= 0.7.  |x_k| follows
-    x_{k+1} = x_k conj(w) / s_k with the shift weights s, in log space and
-    normalised by its largest entry, so no monomial norm is formed and a
-    large weight alpha neither underflows nor overflows.  The logs sum to at
+    and geometrically small in n for |w| <= 0.7.  |x_k| comes from
+    ``_log_kernel_vector``, normalised by its largest entry, so a large
+    weight alpha neither underflows nor overflows.  The logs sum to at
     most T = n |log |w|| + sum_k |log s_k| in modulus, and the result is
     within gamma_{4n+32} (T + n + 2) of the exact residual, relatively, the
     rounding of the shift weights included.  ``w`` is a point (returns a
@@ -367,16 +386,9 @@ def eigenvector_residual(spec, w, n=DEFAULT_DEGREE):
     """
     _require_certified(spec)
     _require_degree(n)
-    scalar = np.ndim(w) == 0
-    points = np.asarray(w, complex).ravel()
+    scalar, points = _frame_points(w)
     aw = np.abs(points)
-    if np.any(aw > 0.7):
-        raise ValueError("truncation error grows near the boundary; need |w| <= 0.7")
-    # log |x_k|; at w = 0 every entry past the first is -inf and x = e_0
-    with np.errstate(divide="ignore"):
-        steps = np.log(aw)[:, None] - np.log(shift_weights(spec.base, n))
-    log_x = np.concatenate([np.zeros((len(points), 1)), np.cumsum(steps, axis=1)], axis=1)
-    x = np.exp(log_x - np.max(log_x, axis=1, keepdims=True))
+    x = np.exp(_log_kernel_vector(shift_weights(spec.base, n), aw))
     res = aw * x[:, -1] / np.linalg.norm(x, axis=1)
     return float(res[0]) if scalar else res
 
@@ -527,10 +539,12 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
       |E|_F <= 2.01 (e_M + e_S) |M S|_F = 2.01 (e_M + e_S) sqrt(a);
     - |Z|_F: the formula is off by at most 4 err (sqrt(a) + |w| sqrt(b))^2
       before the square root, which is subtracted;
-    - r: x takes at most six roundings per step of its recurrence, the
-      partial sums 4d + 10 more, so the computed p is within
-      gamma_{8(m+d+2)} |x| (sum_i (sum_t |c_{i,t}| |w|^t)^2)^(1/2) of
-      N_exact x, and the stored N within 2.01 e_M sqrt(b) |x| of N_exact;
+    - r: x, scaled per point (which leaves r unchanged), is within
+      e_x = gamma_{4n+32} (T + 2n + 2) of the exact kernel vector times
+      its scale, relatively (``_range_vectors``), and the partial sums take
+      4d + 10 roundings more, so the computed p is within
+      (gamma_{8(m+d+2)} + e_x) |x| (sum_i (sum_t |c_{i,t}| |w|^t)^2)^(1/2)
+      of N_exact x, and the stored N within 2.01 e_M sqrt(b) |x| of N_exact;
       hi times that distance goes to the numerator and it is taken off
       the denominator; applying the shift adds 4 u hi |p|, and the norms gn;
     - beta: with T = sum_k |log s_k| + n |log max(|w|, u)|, every log-space
@@ -618,22 +632,43 @@ def _bidiagonal_beta(s, aw):
 
 
 def _range_vectors(table, s, points):
-    """The kernel vectors x and p = N x, one row per point, from the coefficients.
+    """The kernel vector x, x' = dx / d conj(w), p = N x and p' = N x', one row per point.
 
-    x_k = conj(w)^k / nu_k by the recurrence x_{k+1} = x_k conj(w) / s_k,
-    and N = [M2^H; -M1^H] for the P_n-truncated multiplier, n = s.size:
-    block i of N^H x holds (M_i^H x)_l = x_l conj(sum_{t <= n - l} c_{i,t} w^t).
+    x_k = conj(w)^k / nu_k, with nu_k = |z^k|, is its modulus from
+    ``_log_kernel_vector``, scaled per point by exp(-max_k log |x_k|), times
+    the phase (conj(w) / |w|)^k, a running product; x'_k = k x_{k-1} /
+    s_{k-1} has the same scale.  With T = n |log |w|| + sum_k |log s_k|
+    (T without its first term at w = 0, where x = e_0 exactly), every entry
+    of x is within gamma_{4n+32} (T + 2n + 2) of the exact kernel vector
+    times that scale, relatively: the logs, their running sum, the
+    exponential and the k products of the phase; an entry that underflows
+    is off by at most 2^-1074, against |x| >= 1.
+    N = [M2^H; -M1^H] for the P_n-truncated multiplier, n = s.size: block i
+    of N^H x holds (M_i^H x)_l = x_l conj(sum_{t <= n - l} c_{i,t} w^t), and
+    its derivative in conj(w) adds x_l conj(sum_{t <= n - l} t c_{i,t} w^(t-1))
+    to x'_l times the same partial sum.
     """
     n = s.size
     d = table.shape[1] - 1
+    k = np.arange(n + 1)
+    x = np.exp(_log_kernel_vector(s, np.abs(points))).astype(complex)
+    unit = np.exp(-1j * np.angle(points))[:, None]
+    x[:, 1:] *= np.cumprod(np.broadcast_to(unit, (len(points), n)), axis=1)
+    dx = np.zeros_like(x)
+    np.multiply(x[:, :-1], k[1:] / s, out=dx[:, 1:])
     ones = np.ones((len(points), 1))
-    x = np.concatenate([ones, np.cumprod(np.conj(points)[:, None] / s, axis=1)], axis=1)
     powers = np.concatenate(
         [ones, np.cumprod(np.broadcast_to(points[:, None], (len(points), d)), axis=1)], axis=1
     )
-    partial = np.cumsum(table[:, None, :] * powers, axis=2)
-    conj_sums = partial[:, :, np.minimum(n - np.arange(n + 1), d)].conj()
-    return x, np.concatenate([x * conj_sums[1], -(x * conj_sums[0])], axis=1)
+    # t w^(t-1), the powers of theta'
+    dpowers = np.zeros_like(powers)
+    dpowers[:, 1:] = np.arange(1, d + 1) * powers[:, :-1]
+    cut = np.minimum(n - k, d)
+    sums = np.cumsum(table[:, None, :] * powers, axis=2)[:, :, cut].conj()
+    dsums = np.cumsum(table[:, None, :] * dpowers, axis=2)[:, :, cut].conj()
+    p = np.concatenate([x * sums[1], -(x * sums[0])], axis=1)
+    dp = np.concatenate([dx * sums[1] + x * dsums[1], -(dx * sums[0] + x * dsums[0])], axis=1)
+    return x, dx, p, dp
 
 
 @dataclass(frozen=True)
@@ -687,17 +722,20 @@ def _gram_bounds(table, kind, n, points, gap_tol):
     z2 -= 4.0 * err * (np.sqrt(a) + aw * np.sqrt(b)) ** 2
     lo = (np.sqrt(np.maximum(z2, 0.0)) - norm_e) / np.sqrt(b_up) * (1.0 - gn)
 
-    x, pk = _range_vectors(table, s, points)
+    x, _, pk, _ = _range_vectors(table, s, points)
     # (S2^H - conj(w)) p
     resid = np.zeros_like(pk)
     _move_blocks(s, pk, resid, adjoint=True)
     resid -= np.conj(points)[:, None] * pk
     norm_p = np.linalg.norm(pk, axis=1)
-    # the distance of the computed p to N x: the partial sums against the
-    # sums of |c_{i,t}| |w|^t, and the stored entries against the exact ones
+    # the distance of the computed p to N x: x and the partial sums against
+    # the sums of |c_{i,t}| |w|^t, and the stored entries against the exact
+    # ones; e_x is the relative error of x stated in _range_vectors
     reach = np.linalg.norm(np.abs(table) @ (aw[None, :] ** np.arange(d + 1)[:, None]), axis=0)
-    norm_x = np.linalg.norm(x, axis=1) * (1.0 + _gamma(6 * m)) * (1.0 + gn)
-    dp = (_gamma(8 * (m + d + 2)) * reach + 2.01 * e_m * np.sqrt(b_up)) * norm_x * (1.0 + gn)
+    log_w = np.abs(np.log(np.where(aw > 0, aw, 1.0)))
+    e_x = _gamma(4 * n + 32) * (n * log_w + np.sum(np.abs(np.log(s))) + 2 * n + 2)
+    norm_x = np.linalg.norm(x, axis=1) * (1.0 + e_x) * (1.0 + gn)
+    dp = ((_gamma(8 * (m + d + 2)) + e_x) * reach + 2.01 * e_m * np.sqrt(b_up)) * norm_x * (1.0 + gn)
     den = norm_p * (1.0 - gn) - dp
     num = np.linalg.norm(resid, axis=1) * (1.0 + gn) + hi * (4 * u * norm_p + dp)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -779,17 +817,3 @@ def _kernel_count(adj, w, gap_tol):
                 f"by a factor {GAP_FACTOR:g}; increase the truncation degree"
             )
     return count
-
-
-def reproducing_check(kind, f, w):
-    """|<f, k_w> - f(w)| with exact monomial inner products; ~0 for polynomials."""
-    if not f.is_polynomial:
-        raise ValueError("reproducing_check takes polynomial arguments")
-    w = complex(w)
-    if abs(w) >= 1:
-        raise PointOutsideDomain("evaluation point must lie in the open disk")
-    deg = f.degree
-    norms = monomial_norms_sq(kind, deg)
-    kernel_coeffs = np.conj(w) ** np.arange(deg + 1) / norms
-    inner = np.sum(np.asarray(f.numer, complex) * np.conj(kernel_coeffs) * norms)
-    return float(abs(inner - f(w)))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,20 +100,17 @@ n_theta = 20
 [tolerances]
 tol = 1e-7
 target_gap = 1e-8
-fd_step = 5e-4
 oracle_degree = 90
 """
     prob = parse_problem(text)
     assert prob.grid.n_r == 10
     assert prob.tol == 1e-7
     assert prob.target_gap == 1e-8
-    assert prob.fd_step == 5e-4
     assert prob.oracle_degree == 90
     # every key of both sections, in schema order, floats by repr
     assert canonical_problem_text(prob).endswith(
         "[grid]\nr_max = 0.7\nn_r = 10\nn_theta = 20\n\n"
-        "[tolerances]\ntol = 1e-07\ntarget_gap = 1e-08\nfd_step = 0.0005\n"
-        "oracle_degree = 90\n"
+        "[tolerances]\ntol = 1e-07\ntarget_gap = 1e-08\noracle_degree = 90\n"
     )
 
 
@@ -174,9 +172,7 @@ def test_parse_readme_problem_block(tmp_path):
     assert prob.module_a.base == HARDY
     assert prob.module_b.theta.theta2 == poly([0, 2, 1])
     assert (prob.grid.r_max, prob.grid.n_r, prob.grid.n_theta) == (0.8, 24, 48)
-    assert (prob.tol, prob.target_gap, prob.fd_step, prob.oracle_degree) == (
-        1e-6, 1e-6, 1e-3, 120
-    )
+    assert (prob.tol, prob.target_gap, prob.oracle_degree) == (1e-6, 1e-6, 120)
     path = write(tmp_path, "readme.spec", block)
     assert main(["decide", path, "--out", str(tmp_path / "report.json")]) == 0
 
@@ -356,8 +352,49 @@ def test_verify_command_all_green(tmp_path, capsys):
     assert main(["verify", path, "--out", str(tmp_path / "v.json")]) == 0
     report = json.loads((tmp_path / "v.json").read_text())
     checks = report["oracle"]["moduleA"]
+    assert sorted(checks) == [
+        "curvature_identity", "dim_ker", "eigenvector_residual", "multiplier_min_singular_value",
+    ]
     assert all(entry["ok"] for entry in checks.values())
     assert checks["dim_ker"]["values"] == [1, 1, 1, 1, 1]
+    assert checks["curvature_identity"]["tol"] == 1e-8
+    assert checks["curvature_identity"]["max_rel_err"] <= 1e-13
+
+
+def spec_alpha(alpha):
+    return f"[moduleA]\nbase = bergman(alpha={alpha})\ntheta1 = poly:[1]\ntheta2 = poly:[0,1]\n"
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+
+    def reject(name):
+        raise ValueError(f"{name} in a report")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("degree, code", [(300, 5), (600, 0)])
+def test_verify_curvature_identity_sees_truncation(tmp_path, capsys, degree, code):
+    # at |w| = 0.7 the kernel vector of alpha 300 peaks near degree 288, so
+    # degree 300 cuts off much of its mass and degree 600 almost none
+    path = write(tmp_path, "a300.spec", spec_alpha(300))
+    out = tmp_path / "v.json"
+    assert main(["verify", path, "--oracle-degree", str(degree), "--out", str(out)]) == code
+    check = json.loads(out.read_text())["oracle"]["moduleA"]["curvature_identity"]
+    assert check["ok"] is (code == 0)
+
+
+def test_verify_report_is_strict_json_at_large_alpha(tmp_path, capsys):
+    # the closed-form kernel overflows at alpha 2000; the truncated frame
+    # fails the curvature check with a finite error instead of a NaN
+    path = write(tmp_path, "a2000.spec", spec_alpha(2000))
+    out = tmp_path / "v.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", path, "--oracle-degree", "120", "--out", str(out)]) == 5
+    check = strict_json(out.read_text())["oracle"]["moduleA"]["curvature_identity"]
+    assert check["ok"] is False
 
 
 def test_verify_uncertified_stops_before_oracle(tmp_path, capsys):
@@ -399,37 +436,53 @@ def test_deterministic_reports(tmp_path, capsys, command):
 # --- checked values and outputs ------------------------------------------
 
 
+NON_FINITE = "must be finite and positive"
+
+
 @pytest.mark.parametrize(
-    "line", ["tol = inf", "tol = nan", "target_gap = inf", "target_gap = nan", "fd_step = inf"]
+    "line, message",
+    [
+        ("tol = inf", NON_FINITE),
+        ("tol = nan", NON_FINITE),
+        ("target_gap = inf", NON_FINITE),
+        ("target_gap = nan", NON_FINITE),
+        # the finite-difference step of older files is no longer a key
+        ("fd_step = inf", "line 12, column 1: unknown key 'fd_step' in section [tolerances]"),
+    ],
+    ids=["tol = inf", "tol = nan", "target_gap = inf", "target_gap = nan", "fd_step = inf"],
 )
-def test_non_finite_tolerance_in_file_exits_one(tmp_path, capsys, line):
+def test_non_finite_tolerance_in_file_exits_one(tmp_path, capsys, line, message):
     path = write(tmp_path, "iso.spec", SPEC_ISO + f"\n[tolerances]\n{line}\n")
     with pytest.raises(SystemExit) as info:
         main(["decide", path])
     assert info.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be finite and positive" in captured.err
+    assert message in captured.err
+
+
+UNKNOWN_FD_STEP = "unrecognized arguments: --fd-step"
 
 
 @pytest.mark.parametrize(
-    "argv, key",
+    "argv, message",
     [
-        (["decide", "--tol", "0"], "tol"),
-        (["decide", "--tol", "-1"], "tol"),
-        (["verify", "--fd-step", "0"], "fd_step"),
-        (["verify", "--oracle-degree", "10"], "oracle_degree"),
-        # the stencil must fit around the grid and around the verify points
-        (["verify", "--fd-step", "0.5"], "fd_step"),
-        (["verify", "--grid", "0.8,4,8", "--fd-step", "0.25"], "fd_step"),
-        (["verify", "--grid", "0.2,4,8", "--fd-step", "0.35"], "fd_step"),
+        (["decide", "--tol", "0"], "{path}: tol "),
+        (["decide", "--tol", "-1"], "{path}: tol "),
+        # the finite-difference step is no longer an option: argparse's
+        # usage error, whatever its value and whatever the grid
+        (["verify", "--fd-step", "0"], UNKNOWN_FD_STEP),
+        (["verify", "--oracle-degree", "10"], "{path}: oracle_degree "),
+        (["verify", "--fd-step", "0.5"], UNKNOWN_FD_STEP),
+        (["verify", "--grid", "0.8,4,8", "--fd-step", "0.25"], UNKNOWN_FD_STEP),
+        (["verify", "--grid", "0.2,4,8", "--fd-step", "0.35"], UNKNOWN_FD_STEP),
     ],
     ids=[
         "tol-0", "tol-negative", "fd-step-0", "oracle-degree-10",
         "fd-step-0.5", "fd-step-0.25-r-max-0.8", "fd-step-0.35-r-max-0.2",
     ],
 )
-def test_bad_flag_value_exits_one_before_certifying(tmp_path, capsys, argv, key):
+def test_bad_flag_value_exits_one_before_certifying(tmp_path, capsys, argv, message):
     path = write(tmp_path, "iso.spec", SPEC_ISO)
     command, *flag = argv
     with pytest.raises(SystemExit) as info:
@@ -437,7 +490,7 @@ def test_bad_flag_value_exits_one_before_certifying(tmp_path, capsys, argv, key)
     assert info.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {path}: {key} ")
+    assert captured.err.splitlines()[-1].startswith("error: " + message.format(path=path))
 
 
 def test_flags_do_not_reach_the_next_call(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Matrix-truncation oracle: shifts, multipliers, Gram sections, kernel counts."""
+"""Matrix-truncation oracle: shifts, multipliers, frame curvature, kernel counts."""
 
 import dataclasses
 import math
@@ -19,11 +19,9 @@ from diskmod import (
     QuotientSpec,
     TailBoundExceeded,
     UncertifiedSpec,
-    build_shift,
+    base_curvature,
     dim_ker_estimate,
     eigenvector_residual,
-    gamma_gram,
-    gamma_section,
     kernel_eval,
     make_spec,
     monomial_norms_sq,
@@ -32,13 +30,14 @@ from diskmod import (
     poly,
     quotient_curvature,
     rational,
-    reproducing_check,
     shift_weights,
     weighted_bergman,
 )
+from diskmod.cli import _verify_points
 from diskmod.corona import _UNIT, _gamma
 from diskmod.holofun import taylor_coefficients, taylor_tail_bound
 from diskmod.oracle import (
+    CURVATURE_TOL,
     _band_error,
     _band_norm1,
     _BandCholesky,
@@ -54,6 +53,7 @@ from diskmod.oracle import (
     _range_vectors,
     _taylor_table,
 )
+from reference import build_shift, fd_laplacian, gamma_gram, gamma_section
 
 PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
 
@@ -250,34 +250,54 @@ def test_gamma_gram_positive_semidefinite():
 
 def test_oracle_curvature_examples():
     s = make_spec(HARDY, PAIR_1Z)
-    assert oracle_curvature(s, 0, 1e-3) == pytest.approx(-2.0, abs=1e-3)
+    assert oracle_curvature(s, 0) == pytest.approx(-2.0, abs=1e-14)
     sc = make_spec(HARDY, MultiplierPair(poly([1]), poly([1])))
-    from diskmod import base_curvature
-
-    assert oracle_curvature(sc, 0.3, 1e-3) == pytest.approx(
-        base_curvature(HARDY, 0.3), abs=1e-3
-    )
+    assert oracle_curvature(sc, 0.3) == pytest.approx(base_curvature(HARDY, 0.3), rel=1e-14)
     sb = make_spec(BERGMAN, PAIR_1Z)
-    assert oracle_curvature(sb, 0, 1e-3) == pytest.approx(-3.0, abs=1e-3)
+    assert oracle_curvature(sb, 0) == pytest.approx(-3.0, abs=1e-14)
+
+
+def _exact_power(k):
+    # (2 + z)^k: integer coefficients, exact in double precision for k <= 50
+    coeffs = [1.0]
+    for _ in range(k):
+        coeffs = np.convolve(coeffs, [2.0, 1.0])
+    return coeffs
+
+
+# the points where verify compares the two curvatures: radii 0.1-0.7
+FRAME_POINTS = _verify_points()
+FRAME_SPECS = (
+    # a rational component, Taylor degree 41
+    (weighted_bergman(1.5), MultiplierPair(rational([1, 0.2], [1, -0.5]), poly([0, 0.4j, 0.1])), 1e-6),
+    # ill-conditioned pairs: near common zero, and a tiny constant component
+    (
+        weighted_bergman(4.0),
+        MultiplierPair(poly([-0.404508 - 0.293893j, 1]), poly([-0.405317016 - 0.294480786j, 1])),
+        1e-12,
+    ),
+    (weighted_bergman(1.5), MultiplierPair(poly([-0.404508 - 0.293893j, 1]), poly([1e-4])), 1e-12),
+    # a cancelling factor the analytic side evaluates to about 1e-12
+    (HARDY, MultiplierPair(poly(_exact_power(16)), poly(np.r_[0.0, _exact_power(16)])), 1e-6),
+)
 
 
 def test_oracle_curvature_matches_identity_route(corpus):
     rng = np.random.default_rng(79)
-    pts = 0.7 * np.sqrt(rng.uniform(size=6)) * np.exp(2j * np.pi * rng.uniform(size=6))
-    for spec in corpus:
-        for z in pts:
-            z = complex(z)
-            a = quotient_curvature(spec, z)
-            b = oracle_curvature(spec, z, 1e-3)
-            assert abs(a - b) <= 1e-3 * (1 + abs(a))
+    random_pts = 0.7 * np.sqrt(rng.uniform(size=6)) * np.exp(2j * np.pi * rng.uniform(size=6))
+    pts = np.r_[FRAME_POINTS, random_pts, 0.0]
+    specs = list(corpus) + [make_spec(b, pair, gap) for b, pair, gap in FRAME_SPECS]
+    for spec in specs:
+        a = quotient_curvature(spec, pts)
+        for n in (120, 300):
+            b = oracle_curvature(spec, pts, n)
+            assert np.all(np.abs(a - b) <= CURVATURE_TOL * (1 + np.abs(a)))
 
 
 def test_oracle_curvature_array_matches_gram_reference(corpus):
-    # reference: the scalar route through gamma_gram's diagonal, one point at
-    # a time; the array route reorders the product, so agreement is to the
-    # rounding of log |gamma|^2 amplified by the 1/h^2 of the stencil
-    from diskmod import fd_laplacian
-
+    # reference: -1/4 of the stencil of log |gamma_w|^2 with the exact section
+    # norm, gamma_gram's diagonal, one point at a time: no truncation and no
+    # frame enter it, and the stencil's O(h^2) error stays below 1e-5
     rng = np.random.default_rng(101)
     pts = 0.7 * np.sqrt(rng.uniform(size=7)) * np.exp(2j * np.pi * rng.uniform(size=7))
     for spec in corpus:
@@ -286,18 +306,33 @@ def test_oracle_curvature_array_matches_gram_reference(corpus):
             return float(np.log(gamma_gram(spec, [w])[0, 0].real))
 
         ref = np.array([-0.25 * fd_laplacian(log_norm_sq, complex(z), 1e-3) for z in pts])
-        got = oracle_curvature(spec, pts, 1e-3)
+        got = oracle_curvature(spec, pts)
         assert got.shape == pts.shape
-        assert np.all(np.abs(got - ref) <= 1e-8 * np.abs(ref))
-        scalar = [oracle_curvature(spec, complex(z), 1e-3) for z in pts]
-        assert all(isinstance(v, float) for v in scalar)
-        assert np.all(np.abs(got - scalar) <= 1e-8 * np.abs(ref))
+        assert np.all(np.abs(got - ref) <= 1e-5 * (1 + np.abs(ref)))
+        scalar = [oracle_curvature(spec, complex(z)) for z in pts]
+        assert all(type(v) is float for v in scalar)
+        assert got.tobytes() == np.array(scalar).tobytes()
+        assert oracle_curvature(spec, pts.reshape(7, 1)).shape == (7, 1)
+
+
+def test_oracle_curvature_fails_a_planted_base():
+    # the frame of alpha 1.5 against the identity of alpha 1.0: the base
+    # curvatures differ by 0.5 / (1 - |w|^2)^2, at least a tenth of 1 + |K|
+    # at every verify point
+    frame = oracle_curvature(make_spec(weighted_bergman(1.5), PAIR_1Z), FRAME_POINTS)
+    analytic = quotient_curvature(make_spec(weighted_bergman(1.0), PAIR_1Z), FRAME_POINTS)
+    assert np.min(np.abs(frame - analytic) / (1 + np.abs(analytic))) > 0.05
 
 
 def test_oracle_curvature_requires_certification():
     bare = QuotientSpec(base=HARDY, theta=PAIR_1Z)
     with pytest.raises(UncertifiedSpec):
         oracle_curvature(bare, 0)
+
+
+def test_oracle_curvature_rejects_points_beyond_the_frame_radius():
+    with pytest.raises(ValueError, match=r"need \|w\| <= 0.7"):
+        oracle_curvature(make_spec(HARDY, PAIR_1Z), [0.3, 0.75j])
 
 
 def test_gamma_section_norm_matches_truncated_coords(corpus):
@@ -731,29 +766,6 @@ def test_dim_ker_rejects_out_of_range_points(corpus):
         dim_ker_estimate(spec, 0.3, 40)
 
 
-def test_reproducing_check_exact_for_polynomials():
-    assert reproducing_check(HARDY, poly([0, 0, 1]), 0.3) == 0.0
-    for kind in (HARDY, BERGMAN, weighted_bergman(2.0)):
-        assert reproducing_check(kind, poly([1]), 0.7j) <= 1e-15
-    assert reproducing_check(weighted_bergman(1.0), poly([0, -1, 0, 3]), 0.4j) <= 1e-12
-
-
-def test_reproducing_check_randomized():
-    rng = np.random.default_rng(97)
-    kinds = (HARDY, BERGMAN, weighted_bergman(0.5), weighted_bergman(1.0))
-    for _ in range(60):
-        kind = kinds[rng.integers(len(kinds))]
-        deg = int(rng.integers(0, 11))
-        f = poly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-        w = 0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        assert reproducing_check(kind, f, complex(w)) <= 1e-12
-
-
-def test_reproducing_check_rejects_rational():
-    with pytest.raises(ValueError):
-        reproducing_check(HARDY, rational([1], [1, 0.5]), 0.2)
-
-
 def _sampled_min_u(theta):
     # u on a polar grid of the closed disk, centre and rim included
     r = np.linspace(0.0, 1.0, 65)
@@ -845,8 +857,8 @@ def test_multiplier_bound_requires_certification():
 def test_oracle_functions_reject_a_degree_below_one(n):
     spec = make_spec(HARDY, PAIR_1Z)
     calls = (
-        lambda: build_shift(HARDY, n),
-        lambda: gamma_section(spec, 0.3, n),
+        lambda: oracle_curvature(spec, 0.3, n),
+        lambda: oracle_curvature(spec, [], n),
         lambda: eigenvector_residual(spec, 0.3, n),
         lambda: eigenvector_residual(spec, [], n),
         lambda: multiplier_lower_bound(spec, n),
@@ -915,22 +927,33 @@ def test_band_norm1_matches_the_dense_matrix(base):
 
 @pytest.mark.parametrize("base", FIVE_BASES)
 def test_range_vectors_match_the_dense_product(base):
-    # p = N x from partial sums of the coefficients, against N of the stored
-    # P_n-truncated multiplier times x; x against the kernel vector
+    # p = N x and p' = N x' from partial sums of the coefficients, against N
+    # of the stored P_n-truncated multiplier times x and x'; x and x' against
+    # the kernel vector and its derivative in conj(w), scaled by the largest
+    # entry of |x|, within the relative bound stated in _range_vectors
     points = np.array([0, 0.3, -0.3, 0.45j, 0.6, 0.25 - 0.5j])
     for pair in BAND_PAIRS:
         table, _ = _taylor_table(pair)
         for n in (60, 120):
             m = n + 1
+            s = shift_weights(base, n)
             mult = _multiplier_matrix(pair, base, n, n)
             kernel = np.concatenate([mult[m:].conj().T, -mult[:m].conj().T])
-            x, pk = _range_vectors(table, shift_weights(base, n), points)
+            x, dx, pk, dpk = _range_vectors(table, s, points)
             norms = np.sqrt(monomial_norms_sq(base, n))
-            for w, xw, pw in zip(points, x, pk):
-                ref = np.conj(w) ** np.arange(m) / norms
-                assert np.allclose(xw, ref, rtol=1e-13, atol=0)
+            k = np.arange(m)
+            for w, xw, dxw, pw, dpw in zip(points, x, dx, pk, dpk):
+                log_w = abs(np.log(abs(w))) if w else 0.0
+                e_x = _gamma(4 * n + 32) * (n * log_w + np.sum(np.abs(np.log(s))) + 2 * n + 2)
+                ref = np.conj(w) ** k / norms
+                scale = np.max(np.abs(ref))
+                assert np.all(np.abs(xw - ref / scale) <= e_x * np.abs(ref / scale))
+                ref = np.r_[0.0, k[1:] * np.conj(w) ** k[:-1]] / norms / scale
+                assert np.all(np.abs(dxw - ref) <= (e_x + _gamma(4)) * np.abs(ref))
                 ref = kernel @ xw
                 assert np.linalg.norm(pw - ref) <= 1e-14 * np.linalg.norm(ref)
+                ref = kernel @ dxw
+                assert np.linalg.norm(dpw - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("columns", [False, True])

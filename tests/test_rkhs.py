@@ -8,7 +8,6 @@ from diskmod import (
     HARDY,
     PointOutsideDomain,
     base_curvature,
-    fd_laplacian,
     format_module_kind,
     kernel_eval,
     monomial_norms_sq,
@@ -16,6 +15,7 @@ from diskmod import (
     shift_weights,
     weighted_bergman,
 )
+from reference import fd_laplacian
 
 ALL_KINDS = (HARDY, BERGMAN, weighted_bergman(0.5), weighted_bergman(1.0),
              weighted_bergman(2.0))
