@@ -35,7 +35,6 @@ from .rkhs import (
     base_curvature,
     format_module_kind,
     kernel_eval,
-    monomial_norms_sq,
     parse_module_kind,
     shift_weights,
     weighted_bergman,

@@ -73,7 +73,14 @@ class UncertifiedSpec(DiskModError):
 
 
 class NoSpectralGap(DiskModError):
-    """Singular values show no factor-10 gap between small and large groups."""
+    """A kernel count is not proved.
+
+    The band pencil counts a different number of singular values below the
+    upper threshold than below a tenth of the lower one, so the singular
+    values may not fall apart by a factor 10 around the threshold; or a
+    threshold lies inside the rounding margin; or the quotient frame N is
+    rank-deficient.
+    """
 
 
 class TailBoundExceeded(DiskModError):

@@ -1,47 +1,42 @@
 """Matrix-truncation cross-checks for the analytic layer.
 
 Everything here recomputes a claim of `rkhs`/`curvature` without using its
-closed form: multiplication-operator matrices in orthonormalized monomial
-bases, kernel counts and closed range of the truncated operators, and the
-curvature of the eigenvector frame of the truncated quotient, which
+closed form: kernel counts and closed range of the truncated operators, and
+the curvature of the eigenvector frame of the truncated quotient, which
 evaluates neither theta nor the kernel (``oracle_curvature``).  The
 truncated shift is held as its weight vector (``rkhs.shift_weights``) and
 applied by weighted slice moves; no dense shift matrix is built.  Every
 multiplier block is a weighted Toeplitz matrix D T_i D^-1 of half-width d,
 d the largest Taylor degree, so its Gram matrices are bands of half-width
 d; ``_gram_band`` builds them from the Taylor coefficients and ratios of
-monomial norms alone.  Kernel counts compress the shift to the truncated
-quotient, the range of N = [M2^H; -M1^H].  The blocks commute with the
-shift, so the compression at w is similar to the bidiagonal
-S^H - conj(w) I through the factor R of G = N^H N, up to a rounding defect
-E.  With lam_min the smallest eigenvalue of G and beta_w a lower bound on
-sigma_{m-1} of that bidiagonal,
-
-    sigma_{m-1}(C_w) >= beta_w sqrt(lam_min / |G|_2) - |E|_F / sqrt(lam_min),
-
-and one Cholesky factorisation of the band G, shifted and taken window by
-window from the band, settles the expected count of 1 at every point of a
-call with no multiplier matrix and no basis of the quotient
-(``dim_ker_estimate`` states the whole chain and its rounding margins,
-``_BandCholesky`` the margin of the factorisation).  At points it leaves
-open, the singular values of the compression on a QR basis of the quotient
-define the count.  Closed range of M_Theta is proved by the
-same factorisation of the band M^H M: it shows sigma_min(M)^2 >= epsilon -
-slack for the certified epsilon of the corona certificate
-(``multiplier_lower_bound``).  Each component enters by its Taylor
-coefficients, which ``_taylor_table`` computes together with the pair's
-tail bound; a rational component is cut at the smallest degree, at most
-64, whose certified tail meets ``TAIL_TOL``, which keeps the bands narrow.
-The kernel vector x_k = conj(w)^k / |z^k| and the frame N x are formed from
-the shift weights in log space (``_range_vectors``), so no monomial norm
-is formed and a large weight alpha neither overflows nor underflows.
-Truncation degrees default to 120 and evaluation points stay within
-|w| <= 0.6-0.7 so geometric kernel tails are negligible against the
+monomial norms alone, and bands are the only form in which the oracle holds
+an operator.  Kernel counts compress the shift to the truncated quotient,
+the range of N = [M2^H; -M1^H].  The blocks commute with the shift, so the
+compression at w is similar to the bidiagonal B_w = S^H - conj(w) I through
+the factor R of G = N^H N.  One Cholesky factorisation of the band G,
+shifted and taken window by window, settles the expected count of 1 at
+every point of a call from bounds on the singular values (route 1 of
+``dim_ker_estimate``); at the points it leaves open, Sylvester's law of
+inertia counts the singular values below a threshold t as the negative
+eigenvalues of the band A_w - t^2 G, A_w = B_w^H G B_w, read from a twisted
+factorisation (``_BandCholesky.negatives``).  Closed range of M_Theta is
+proved by the same factorisation of the band M^H M: it shows
+sigma_min(M)^2 >= epsilon - slack for the certified epsilon of the corona
+certificate (``multiplier_lower_bound``).  Each component enters by its
+Taylor coefficients, which ``_taylor_table`` computes together with the
+pair's tail bound; a rational component is cut at the smallest degree, at
+most 64, whose certified tail meets ``TAIL_TOL``, which keeps the bands
+narrow.  The kernel vector x_k = conj(w)^k / |z^k| and the frame N x are
+formed from the shift weights in log space (``_range_vectors``), so no
+monomial norm is formed and a large weight alpha neither overflows nor
+underflows.  Truncation degrees default to 120 and evaluation points stay
+within |w| <= 0.6-0.7 so geometric kernel tails are negligible against the
 assertions made downstream.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +46,11 @@ from .corona import _UNIT, _gamma
 from .curvature import _require_certified
 from .errors import NoSpectralGap, TailBoundExceeded
 from .holofun import taylor_coefficients, taylor_tail_bound
-from .rkhs import _norm_ratios, monomial_norms_sq, shift_weights
+from .rkhs import _norm_ratios, shift_weights
 
 # largest Taylor degree of a rational component
 RATIONAL_TAYLOR_DEGREE = 64
 TAIL_TOL = 1e-10
-QR_RANK_REL_TOL = 1e-10
 GAP_FACTOR = 10.0
 DEFAULT_DEGREE = 120
 # smallest truncation degree the kernel count accepts
@@ -66,9 +60,10 @@ MIN_DEGREE = 60
 CURVATURE_TOL = 1e-8
 
 
-def _require_degree(n):
-    if n < 1:
-        raise ValueError("truncation degree must be at least 1")
+def _require(spec, n, least=1):
+    _require_certified(spec)
+    if n < least:
+        raise ValueError(f"truncation degree must be at least {least}")
 
 
 def _taylor_table(theta):
@@ -103,30 +98,6 @@ def _taylor_table(theta):
     for row, comp in zip(table, coeffs):
         row[: len(comp)] = comp
     return table, float(np.hypot(*tails))
-
-
-def _multiplier_matrix(theta, kind, n, cod):
-    """Columns theta_i e_k for k <= n in the doubled basis of degree cod.
-
-    Each component enters by its Taylor coefficients (``_taylor_table``).
-    cod = n + d, d the largest Taylor degree, keeps every product; a smaller
-    cod drops the products beyond it and gives the P_cod truncation of the
-    range.  Rows are stacked component-major.
-    """
-    table, _ = _taylor_table(theta)
-    norms = np.sqrt(monomial_norms_sq(kind, cod))
-    m = np.zeros((len(table) * (cod + 1), n + 1), complex)
-    k = np.arange(n + 1)[:, None]
-    for block, comp in enumerate(table):
-        comp = comp[: cod + 1]
-        # one column of the grid per nonzero coefficient; entry (k, j) is
-        # kept while the product degree k + j stays within cod
-        j = np.flatnonzero(comp)[None, :]
-        keep = np.broadcast_to(k + j <= cod, (n + 1, j.size))
-        kk = np.broadcast_to(k, keep.shape)[keep]
-        jj = np.broadcast_to(j, keep.shape)[keep]
-        m[block * (cod + 1) + kk + jj, kk] = comp[jj] * norms[kk + jj] / norms[kk]
-    return m
 
 
 def _gram_band(table, kind, cod, size, columns=False, width=None):
@@ -205,8 +176,8 @@ def _band_norm1(band):
     return float(np.max(col_sums))
 
 
-def _dense_hermitian(band, columns=False):
-    """The Hermitian matrix of a band from ``_gram_band`` (G, or H with ``columns``)."""
+def _dense_hermitian(band, columns=False, shift=0.0):
+    """The Hermitian matrix of a band from ``_gram_band`` (G, or H with ``columns``), less shift I."""
     size, width = band.shape
     row = np.arange(size)[:, None]
     off = np.arange(width)[None, :]
@@ -218,31 +189,40 @@ def _dense_hermitian(band, columns=False):
     flat = dense.reshape(-1)
     flat[(other * size + row)[inside]] = values
     flat[(row * size + other)[inside]] = values.conj()
-    flat[:: size + 1] = band[:, 0].real
+    flat[:: size + 1] = band[:, 0].real - shift
     return dense
 
 
 class _BandCholesky:
-    """A Cholesky proof of a lower bound on the smallest eigenvalue of a band Gram matrix.
+    """Windowed factorisations of a Hermitian band matrix: a Cholesky proof and a twisted inertia.
 
-    ``band`` comes from ``_gram_band`` (G, or H with ``columns``), with m
-    rows and half-width d, and each of its entries is within ``err`` of that
-    of the exact matrix A, relative to the matching entry of |M| |M|^H or
-    |M|^H |M|, whose 2-norm is at most ``spread`` (``_band_spread``).  If
-    the Cholesky factorisation of fl(A) - s I runs through, its computed
+    ``band`` has m rows and half-width d and comes from ``_gram_band`` (G,
+    or H with ``columns``) or ``_pencil_band``.  Each of its entries is
+    within ``err`` of that of the exact matrix A, relative to the matching
+    entry of a nonnegative matrix P with p_kl <= sqrt(p_kk p_ll), whose
+    2-norm is at most ``spread``.  A column of the band holds at most
+    min(2d + 1, m) entries, so ``tail`` = min(2d + 1, m) max_k p_kk bounds
+    the 2-norm of every matrix of that band whose entries are at most
+    max_k p_kk.  For a Gram band P is |M| |M|^H or |M|^H |M|, its diagonal
+    is that of the band up to err, and ``spread`` and ``tail`` default to
+    ``_band_spread``.
+
+    If the Cholesky factorisation of fl(A) - s I runs through, its computed
     factor R has R^H R = fl(A) - s I + F with |F| <= gw |R^H| |R| entrywise
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     Thm 10.3).  R keeps the band and zero terms add no rounding, so every
     inner product has at most min(d, m) + 1 nonzero terms and
     gw = 4 (min(d, m) + 10) u, complex arithmetic included.  F has the same
-    band and |r_k|^2 <= a_kk / (1 - gw), so |F|_2 <= gw / (1 - gw) spread,
-    and shifting the diagonal adds u spread at most.  With the band error,
+    band and |r_k|^2 <= p_kk / (1 - gw), so |F|_2 <= gw / (1 - gw) tail,
+    and shifting the diagonal adds u tail at most.  With the band error,
 
-        lambda_min(A) >= s - margin,    margin = (2 gw + err) spread.
+        lambda_min(A) >= s - margin,    margin = (2 gw + err) spread,
 
-    ``factors(s)`` works on windows of step + d rows, step = max(2d, 64),
-    which overlap by d rows and are built from slices of the band, so no
-    m x m matrix is formed.  Each window is factored by ``np.linalg.cholesky``;
+    for a Gram band, where spread = tail.
+
+    A sweep works on windows of step + d rows, step = max(2d, 64), which
+    overlap by d rows and are built from slices of the band, so no m x m
+    matrix is formed.  Each window is factored by ``np.linalg.cholesky``;
     its first step rows are final, and the Schur complement A22 - L21 L21^H
     of its last d rows, formed with the final L21, replaces the first d
     rows and columns of the next window.  The factor is then the one of the
@@ -251,49 +231,169 @@ class _BandCholesky:
     product, and the rest through the next window's factorisation.  Thm
     10.3 does not depend on the order of summation, so it holds with the
     one more rounding of the subtraction, which the 10 of gw covers.  A
-    matrix of at most step + d rows is one window.
+    matrix of at most step + d rows is one window.  ``factors`` sweeps the
+    whole matrix; ``negatives`` sweeps in from both ends and reads the
+    inertia of what is left in the middle.
     """
 
-    def __init__(self, band, err, columns=False):
-        size, width = band.shape
-        gw = 4.0 * (min(width - 1, size) + 10) * _UNIT
-        self.spread = _band_spread(band, err)
-        self.margin = (2.0 * gw + err) * self.spread
+    def __init__(self, band, err, columns=False, spread=None, tail=None):
+        self.gw = 4.0 * (min(band.shape[1] - 1, band.shape[0]) + 10) * _UNIT
+        self.tail = _band_spread(band, err) if tail is None else tail
+        self.spread = self.tail if spread is None else spread
+        self.margin = (2.0 * self.gw + err) * self.spread
         self.band = band
         self.columns = columns
 
-    def factors(self, shift):
-        """Whether the Cholesky factorisation of fl(A) - shift I runs through."""
-        size, width = self.band.shape
-        d = width - 1
+    def _sweep(self, band, columns, shift, rows):
+        """The Schur complement of the last d of the leading ``rows`` rows of fl(A) - shift I.
+
+        Factors the rows before them window by window; None when a window
+        is not positive definite.
+        """
+        d = band.shape[1] - 1
         step = max(2 * d, 64)
         start = 0
         schur = np.zeros((0, 0), complex)
         while True:
-            stop = min(start + step + d, size)
-            window = _dense_hermitian(self.band[start:stop], self.columns)
-            window[np.diag_indices(stop - start)] -= shift
+            stop = min(start + step + d, rows)
+            window = _dense_hermitian(band[start:stop], columns, shift)
             window[: len(schur), : len(schur)] = schur
             try:
                 low = np.linalg.cholesky(window)
             except np.linalg.LinAlgError:
-                return False
-            if stop == size:
-                return True
-            l21 = low[step:, step - d : step]
-            schur = window[step:, step:] - l21 @ l21.conj().T
+                return None
+            done = max(stop - start - d, 0) if stop == rows else step
+            l21 = low[done:, max(done - d, 0) : done]
+            schur = window[done:, done:] - l21 @ l21.conj().T
+            if stop == rows:
+                return schur
             start += step
 
+    def factors(self, shift):
+        """Whether the Cholesky factorisation of fl(A) - shift I runs through."""
+        return self._sweep(self.band, self.columns, shift, self.band.shape[0]) is not None
 
-def _frame_points(w):
+    def negatives(self, shift, twist, upper):
+        """An upper (``upper``) or a lower bound on the negative eigenvalues of A - shift I.
+
+        Needs shift >= 0.  A twisted factorisation of fl(A) - s I, with
+        s = shift + delta for the upper bound and shift - delta for the
+        lower one, ``band`` in the layout of G: the middle window of 2d rows
+        is placed around row ``twist`` and clipped to the matrix.  Cholesky
+        sweeps factor the rows above it and the rows below it, the latter
+        on the reversed matrix, whose band in the layout of H is the band
+        upside down; their Schur complements replace the first and last d
+        rows and columns of the middle window, and the top and bottom rows
+        are not coupled.  If both sweeps run through, the top and bottom
+        blocks of fl(A) - s I + F are positive definite, F the backward
+        error of the sweeps, so by Haynsworth's inertia additivity its
+        negative eigenvalues are those of the Schur complement of the middle
+        window, which ``_eigen_inertia`` bounds.
+
+        F is the gw |R^H| |R| of Thm 10.3 on the swept rows, and on the
+        middle's corners the rounding of the Schur products,
+        gw (|a_ij| + sum_k |r_ki| |r_kj|) with |a_ij| <= (1 + err) p_ij.  The
+        diagonal of fl(A) - s I is at most p_kk (1 + err) + delta, so
+        |F|_2 <= gw ((1 + err) spread + tail) to first order, and the rest,
+        the shift's rounding and (2d + 1) gw delta, is below the slack of
+        gw (spread + tail) in
+
+            delta = margin + 2 gw tail.
+
+        Then |fl(A) - s I + F - (A - s I)|_2 <= delta, and by Weyl the count
+        of fl(A) - (shift + delta) I + F bounds that of A - shift I from
+        above, and the count of fl(A) - (shift - delta) I + F from below.
+        None when a sweep fails.
+        """
+        size, width = self.band.shape
+        d = width - 1
+        delta = self.margin + 2.0 * self.gw * self.tail
+        shift = shift + delta if upper else shift - delta
+        lo = min(max(twist - d, 0), max(size - 2 * d, 0))
+        hi = min(lo + 2 * d, size)
+        middle = _dense_hermitian(self.band[lo:hi], shift=shift)
+        if lo > 0:
+            top = self._sweep(self.band, False, shift, lo + d)
+            if top is None:
+                return None
+            middle[:d, :d] = top
+        if hi < size:
+            bottom = self._sweep(self.band[::-1], True, shift, size - hi + d)
+            if bottom is None:
+                return None
+            middle[hi - lo - d :, hi - lo - d :] = bottom[::-1, ::-1]
+        return _eigen_inertia(middle, upper)
+
+
+def _eigen_inertia(mat, upper):
+    """An upper (``upper``) or a lower bound on the negative eigenvalues of the Hermitian ``mat``.
+
+    With j the number of negative eigenvalues that ``np.linalg.eigh``
+    computes, V its eigenvectors and T = V^H mat V: if T is positive
+    definite on its last k - j rows and columns, mat is positive definite
+    on the span of the last k - j columns of V and has at most j negative
+    eigenvalues; if T is negative definite on its first j, mat has at least
+    j (Courant-Fischer; no orthogonality of V is needed).  Gershgorin's
+    theorem decides on the computed T, each of whose entries is within
+    g (|V|^H |mat| |V|)_il of the exact one, g = gamma_{4k+8} for order k:
+    two complex products of k terms, with the nonnegative product itself
+    computed in floating point and widened by g, and g more for the sums of
+    the discs.  Where the test fails the trivial bound, k or 0, stands.
+    """
+    lam, vec = np.linalg.eigh(mat)
+    k, j = len(lam), int(np.sum(lam < 0))
+    g = _gamma(4 * k + 8)
+    ritz = vec.conj().T @ (mat @ vec)
+    err = g * (1.0 + g) * (np.abs(vec).T @ (np.abs(mat) @ np.abs(vec)))
+    block = slice(j, k) if upper else slice(0, j)
+    off = (np.abs(ritz) + err)[block, block]
+    # the radius of each disc and the error of its centre
+    reach = (np.sum(off, axis=1) - np.diagonal(off) + np.diagonal(err[block, block])) * (1.0 + g)
+    centre = ritz.diagonal()[block].real
+    if upper:
+        return j if np.all(centre > reach) else k
+    return j if np.all(centre < -reach) else 0
+
+
+def _pencil_band(gram, s, w, t):
+    """The band of M = A_w - t^2 G, A_w = B_w^H G B_w, in the layout of G, half-width d + 1.
+
+    ``gram`` is the band of G (``_gram_band``), s the shift weights and
+    B_w = S^H - conj(w) I, upper bidiagonal with diagonal -conj(w) and
+    superdiagonal s.  With s_-1 = 0 and s_k = 0 from k = m - 1 on,
+
+        A[i, j] = |w|^2 G[i, j] - w s_{j-1} G[i, j-1] - conj(w) s_{i-1} G[i-1, j]
+                  + s_{i-1} s_{j-1} G[i-1, j-1],
+
+    read for i = l + o, j = l from the band of G and the same band one row
+    up.  Four products of at most three factors and the t^2 term keep every
+    entry within ``_band_error(d)`` + gamma_16 of its exact value, relative
+    to the same sum over |B_w|^H |M| |M|^H |B_w| + t^2 |M| |M|^H, with the
+    shift weights within gamma_2 of the exact ones.
+    """
+    m, width = gram.shape
+    cur = np.pad(gram, ((0, 0), (0, 2)))
+    prev = np.pad(cur[:-1], ((1, 0), (0, 0)))
+    # s_{l-1} and s_{l+o-1} for offsets o = 0..d+1
+    weights = np.concatenate([[0.0], s, np.zeros(width + 1)])
+    left = weights[:m, None]
+    right = sliding_window_view(weights, width + 1)[:m]
+    # G[l + o - 1, l]: G[l - 1, l] = conj(G[l, l - 1]) at o = 0
+    above = np.concatenate([prev[:, 1:2].conj(), cur[:, :width]], axis=1)
+    here = cur[:, : width + 1]
+    return (abs(w) ** 2 * here - w * left * prev[:, 1:] - np.conj(w) * right * above
+            + right * left * prev[:, : width + 1] - t * t * here)
+
+
+def _frame_points(w, radius=0.7):
     """Whether ``w`` is a single point, and its points as a 1-D complex array.
 
     The kernel vector's tail is geometric in |w|, so points must satisfy
-    |w| <= 0.7.
+    |w| <= ``radius``.
     """
     points = np.asarray(w, complex).ravel()
-    if np.any(np.abs(points) > 0.7):
-        raise ValueError("truncation error grows near the boundary; need |w| <= 0.7")
+    if np.any(np.abs(points) > radius):
+        raise ValueError(f"truncation error grows near the boundary; need |w| <= {radius}")
     return np.ndim(w) == 0, points
 
 
@@ -352,8 +452,7 @@ def oracle_curvature(spec, z, n=DEFAULT_DEGREE):
     ``z`` is a point (returns a float) or an array of points with
     |z| <= 0.7 (returns an array of its shape).
     """
-    _require_certified(spec)
-    _require_degree(n)
+    _require(spec, n)
     scalar, points = _frame_points(z)
     table, _ = _taylor_table(spec.theta)
     _, _, p, dp = _range_vectors(table, shift_weights(spec.base, n), points)
@@ -384,8 +483,7 @@ def eigenvector_residual(spec, w, n=DEFAULT_DEGREE):
     rounding of the shift weights included.  ``w`` is a point (returns a
     float) or a sequence of points (returns an array).
     """
-    _require_certified(spec)
-    _require_degree(n)
+    _require(spec, n)
     scalar, points = _frame_points(w)
     aw = np.abs(points)
     x = np.exp(_log_kernel_vector(shift_weights(spec.base, n), aw))
@@ -432,8 +530,7 @@ def multiplier_lower_bound(spec, n=DEFAULT_DEGREE):
     factorisation runs through and target > slack.  A certificate that
     claims more than the operator allows fails it.
     """
-    _require_certified(spec)
-    _require_degree(n)
+    _require(spec, n)
     table, tail = _taylor_table(spec.theta)
     d = table.shape[1] - 1
     dom = max(n - d, n // 4, 1)
@@ -454,40 +551,59 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     P_n(theta z^k) for every k <= n, so the complement models the quotient
     with no seam of forgotten range directions even when a component's
     Taylor degree is comparable to n.  With the truncated multiplier
-    M = [M1; M2], that complement is the range of N = [M2^H; -M1^H] (see
-    ``_quotient_basis``), and the compression is C = Q^H S2^H Q for an
-    orthonormal basis Q of it, of order m = n + 1.  The count is defined by
-    the singular values of C_w = C - conj(w) I: those below gap_tol times
-    the largest are counted, and a factor-10 gap must separate that group
-    from the rest (NoSpectralGap otherwise).  ``gap_tol`` must lie in the
-    open interval (0, 1).
+    M = [M1; M2], M_i = D T_i D^-1 with T_i lower triangular Toeplitz and D
+    the monomial norms, the blocks commute, so the columns of
+    N = [M2^H; -M1^H] lie in ker M^H, and they span it when G = N^H N is
+    positive definite.  The compression is C = Q^H S2^H Q for an
+    orthonormal basis Q of the range of N, of order m = n + 1, and the count
+    is the number of singular values of C_w = C - conj(w) I below gap_tol
+    sigma_1(C_w).  ``gap_tol`` must lie in the open interval (0, 1).
 
-    The expected count is 1, and two routes settle it:
-    1. the Gram certificate (``_gram_bounds``) settles all points of a call
-       from G = N^H N and one Cholesky factorisation, with no QR and no
-       multiplier matrix: G and the other Gram quantities come as bands
-       from the Taylor coefficients (``_gram_band``);
-    2. at the points it leaves open, the singular values of C_w
-       (``_kernel_count``) decide, on the compression built from a QR
-       basis of the range of N (``_quotient_basis``) of the P_n-truncated
-       multiplier, built once per call.
-    Only the second can return a count other than 1, and a rank-deficient N
-    (theta1(0) and theta2(0) both near 0) raises NoSpectralGap there.
-    Route 1 leaves points open where G is ill-conditioned.
+    Every claim is about the exact truncated operator of the stored Taylor
+    coefficients: N and the shift weights s of S built from exact monomial
+    norms.  M1 and M2 are polynomials in S, so S2^H N = N S^H, and with
+    N = Q R, R^H R = G and the bidiagonal B_w = S^H - conj(w) I,
 
-    Route 1.  All claims are about the exact compression of the arrays that
-    route 2 stores: N from ``_multiplier_matrix`` and the shift weights s of
-    S as computed.  The singular values of C do not depend on the choice of
-    Q.  M1 and M2 are polynomials in S, so S2^H N = N S^H + E, where E is
-    exactly 0 in exact arithmetic and a rounding defect of the stored
-    entries otherwise, with |E|_F = |M S - S2 M|_F.  With N = Q R,
-    R^H R = G and the bidiagonal B_w = S^H - conj(w) I,
+        C_w = R B_w R^-1.
 
-        C_w = Q^H (S2^H - conj(w)) N R^-1 = R B_w R^-1 + Q^H E R^-1,
+    No Q is formed: G comes as a band from the Taylor coefficients
+    (``_gram_band``), built once per call, and two routes count:
+    1. bounds on the singular values (``_gram_bounds``) settle the expected
+       count of 1 at every point of a call with one Cholesky factorisation
+       of the band G; they leave a point open where G is ill-conditioned;
+    2. at the points left open, the inertia of the band pencil counts.
+       C_w^H C_w = R^-H A_w R^-1 with A_w = B_w^H G B_w, a band of
+       half-width d + 1 (``_pencil_band``), so by Sylvester's law of
+       inertia the number of singular values below t is the number of
+       negative eigenvalues of M_w(t) = A_w - t^2 G (Parlett, The Symmetric
+       Eigenvalue Problem, Sec. 3), read from a twisted factorisation of
+       the band (``_BandCholesky.negatives``).
+    Route 2 needs G positive definite: one more Cholesky factorisation
+    proves lambda_min(G) >= margin > 0, and when it fails N is
+    rank-deficient (theta1(0) and theta2(0) both near 0) and NoSpectralGap
+    is raised.
 
-    so for tau <= lambda_min(G) and Lam >= |G|_2
+    The count rule.  With hi >= sigma_1(C_w) >= lo from route 1,
+    t_hi = gap_tol hi and t_lo = gap_tol lo, the count is
+    neg(M_w(t_hi) - delta I) when that equals neg(M_w(t_lo / 10) + delta I),
+    with delta the rounding margin below; NoSpectralGap otherwise, naming
+    both counts.  By Weyl the first is an upper bound on the exact number of
+    singular values below t_hi and the second a lower bound on the number
+    below t_lo / 10, and neg(M_w(t)) grows with t as G is positive
+    definite, so when they agree no
+    singular value lies in [gap_tol lo / 10, gap_tol hi).  That interval
+    holds [gap_tol sigma_1 / 10, gap_tol sigma_1], so the count is the
+    number below gap_tol sigma_1 and a factor-10 gap separates them from the
+    rest: the rule implies the factor-10 gap rule on the singular values
+    and is stricter than it, since the empty interval must reach from
+    gap_tol lo / 10 to gap_tol hi.  A threshold inside the rounding margin
+    is refused: at gap_tol = 1e-60 the two counts differ at every point,
+    and NoSpectralGap is raised where singular values would be read below
+    rounding.
 
-        sigma_{m-1}(C_w) >= beta_w sqrt(tau / Lam) - |E|_F / sqrt(tau).
+    Route 1.  For tau <= lambda_min(G) and Lam >= |G|_2,
+
+        sigma_{m-1}(C_w) >= beta_w sqrt(tau / Lam).
 
     Here beta_w <= sigma_{m-1}(B_w): deleting a row and a column does not
     raise sigma_{m-1}, B_w[:m-1, 1:] = L is lower bidiagonal with diagonal s
@@ -497,56 +613,52 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     |G|_1 >= |G|_2.  The other singular values are bounded at O(m + d) cost
     per point:
     - hi = max(s) + |w| >= sigma_1(C_w), since |C|_2 <= |S2|_2;
-    - lo = (|Z|_F - |E|_F) / |N|_F <= sigma_1(C_w) with
-      Z = (S2^H - conj(w)) N, because C_w R = Q^H Z and the part of Z
-      outside the range of Q is that of E; |Z|_F^2 = a + |w|^2 b - 2 Re(w c)
-      from three scalars, a = |M S|_F^2 = |S2^H N|_F^2, b = |M|_F^2 =
-      |N|_F^2 = trace G and c = <N, S2^H N> = <M S, M>, where a and c come
-      from the diagonal and first off-diagonal of the column Gram M^H M;
+    - lo = |Z|_F / |N|_F <= sigma_1(C_w) with Z = (S2^H - conj(w)) N,
+      because C_w R = Q^H Z and Z = N B_w lies in the range of Q;
+      |Z|_F^2 = a + |w|^2 b - 2 Re(w c) from three scalars,
+      a = |M S|_F^2 = |S2^H N|_F^2, b = |M|_F^2 = |N|_F^2 = trace G and
+      c = <N, S2^H N> = <M S, M>, where a and c come from the diagonal and
+      first off-diagonal of the column Gram M^H M;
     - r = |(S2^H - conj(w)) p| / |p| >= sigma_m(C_w) for p = N x, with
       x_k = conj(w)^k / nu_k the kernel vector (any x would do), since
       p = Q (R x) and |R x| = |p|; p comes from partial sums,
       (x^H M_i)_l = conj(x_l) sum_{t <= n - l} c_{i,t} w^t.
     A point is settled when r < gap_tol lo and the sigma_{m-1} bound
-    exceeds t = max(gap_tol hi, GAP_FACTOR r): the rule then counts sigma_m
-    alone, and the factor-10 gap holds.  tau is proved by one Cholesky
-    factorisation of G - sigma I.  sigma is the tau that the hardest point
-    needs, 1% over, plus the rounding margin below.  Points that need more
-    than the smallest diagonal entry of G are left open, and so are all
-    points when the factorisation fails.
+    exceeds t = max(gap_tol hi, GAP_FACTOR r): the count is then 1, and the
+    factor-10 gap holds.  tau is proved by one Cholesky factorisation of
+    G - sigma I.  sigma is the tau that the hardest point needs, 1% over,
+    plus the rounding margin below.  Points that need more than the
+    smallest diagonal entry of G are left open, and so are all points when
+    the factorisation fails.
 
     Rounding margins of route 1, with u the unit roundoff, gamma_k = k u /
     (1 - k u), gn = gamma_{4m+8} for a sum of at most 4m real terms (the
     norms of vectors of length 2m) and d the largest Taylor degree:
-    - the stored entries of M: each ratio |z^j|^2 / |z^(j-1)|^2 takes two
-      roundings, the monomial norm nu_k their running product and a square
-      root, and the entry c nu_k / nu_j two more, so every entry is within
-      e_M = gamma_{4m} of c nu_k / nu_j, relatively; each shift weight is
-      within e_S = gamma_2 of its exact value;
+    - the shift weights: each is within e_s = gamma_2 of its exact value;
+      with the computed ones, hi takes max(s) (1 + e_s), r's numerator
+      e_s max(s) |p| more, and beta, a bound for the bidiagonal of the
+      computed weights, is lowered by e_s max(s) (1 + e_s), the 2-norm
+      distance to the exact bidiagonal;
     - the bands: every entry is within gamma_{16(d+2)} (``_band_error``)
       of its exact value relative to the same sum over |c|.  With the
-      stored entries, err = gamma_{16(d+2)} + 2.01 (e_M + e_S) + gamma_{4m}
-      bounds the relative error of a, b and c (of c against sqrt(a b)), and
-      |G_band - G|_2 <= err spread for G of the stored N, where spread
-      (``_band_spread``) bounds the 2-norm of |M| |M|^H: a band of
-      half-width d whose entries are at most the largest diagonal one;
+      computed weights, err = gamma_{16(d+2)} + e_s + gamma_{4m} bounds the
+      relative error of a, b and c (of c against sqrt(a b)), and
+      |G_band - G|_2 <= err spread, where spread (``_band_spread``) bounds
+      the 2-norm of |M| |M|^H: a band of half-width d whose entries are at
+      most the largest diagonal one;
     - Lam = |G_band|_1 (1 + gn) + err spread, with |G_band|_1 summed from
       the band, at most min(2d + 1, m) terms per column;
     - the Cholesky factorisation of fl(G_band) - sigma I proves
       tau = sigma - margin, with the margin of ``_BandCholesky``;
-    - E, a priori: entry (k + 1, j) of M S and of S2 M is the same exact
-      value times one stored entry and one weight, so
-      |E|_F <= 2.01 (e_M + e_S) |M S|_F = 2.01 (e_M + e_S) sqrt(a);
     - |Z|_F: the formula is off by at most 4 err (sqrt(a) + |w| sqrt(b))^2
       before the square root, which is subtracted;
     - r: x, scaled per point (which leaves r unchanged), is within
       e_x = gamma_{4n+32} (T + 2n + 2) of the exact kernel vector times
       its scale, relatively (``_range_vectors``), and the partial sums take
       4d + 10 roundings more, so the computed p is within
-      (gamma_{8(m+d+2)} + e_x) |x| (sum_i (sum_t |c_{i,t}| |w|^t)^2)^(1/2)
-      of N_exact x, and the stored N within 2.01 e_M sqrt(b) |x| of N_exact;
-      hi times that distance goes to the numerator and it is taken off
-      the denominator; applying the shift adds 4 u hi |p|, and the norms gn;
+      dp = (gamma_{8(m+d+2)} + e_x) |x| (sum_i (sum_t |c_{i,t}| |w|^t)^2)^(1/2)
+      of N x; hi times dp goes to the numerator and dp is taken off the
+      denominator; applying the shift adds 4 u hi |p|, and the norms gn;
     - beta: with T = sum_k |log s_k| + n |log max(|w|, u)|, every log-space
       quantity of ``_bidiagonal_beta`` (the partial sums C_i, the terms
       i log |w|, the accumulated log-sum-exp) is at most T + log(n + 1) in
@@ -557,47 +669,96 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
       (2 T + log(n + 1) + 1) in all; half the sum of the two goes into the
       exponent.  So beta is taken down by
       gb = gamma_{16n+32} (T + log(n + 1) + 1) + gamma_8, the last term for
-      exp and the product;
+      exp and the product.
     The remaining one- to four-rounding steps (hi, t, the comparisons) are
     widened by 4u to 8u.
+
+    Rounding margin of route 2 (``_pencil_count``).  The computed band of
+    M_w(t) is within e1 = gamma_{16(d+2)} + gamma_16 of the exact one
+    (``_pencil_band``), relative to
+    P = |B_w|^H |M| |M|^H |B_w| + t^2 |M| |M|^H, a sum of two Gram matrices,
+    so p_kl <= sqrt(p_kk p_ll).  Column k of |B_w| holds |w| and s_{k-1},
+    so |B_w|_2 <= hi and p_kk <= (hi^2 + t^2) G_kk.  The margin of the
+    twisted factorisation (``_BandCholesky.negatives``) takes two bounds on
+    P, each with the factor (hi^2 + t^2):
+    - spread >= |P|_2 from |M| |M|^H, whose 2-norm is at most
+      |M|_1 |M|_inf of the entrywise |M|: a column or a row of a block
+      sums |c_{i,t}| against ratios of monomial norms, which are at most 1,
+      so this is sum_{i,t} |c_{i,t}| max_i sum_t |c_{i,t}|, or
+      ``_band_spread`` of G where that is smaller;
+    - tail = min(2d + 3, m) max_k G_kk (1 + err), for the Cholesky
+      factors, whose rows obey |r_k|^2 <= p_kk, over a band of half-width
+      d + 1.
+    For a band of slowly decaying coefficients the first is far below the
+    second.  Then delta = (2 gw + e1) spread + 2 gw tail, gw that of the
+    band of half-width d + 1, covers the band error and the backward error
+    of the sweeps, and by Weyl the count read at t_hi with fl(M) - delta I is
+    an upper bound on neg(M_w(t_hi)), and the one read at t_lo / 10 with
+    fl(M) + delta I a lower bound on neg(M_w(t_lo / 10)).  The middle window
+    is placed at the peak of |x_k| (``_log_kernel_vector``), where the
+    kernel vector, the direction of the smallest singular value, has its
+    mass: it grows over the rows above and decays over the rows below, so
+    the swept blocks stay positive definite.  At |w| = 0.6 and alpha 300
+    the peak is near degree (alpha + 1) |w|^2 / (1 - |w|^2), about 169.
 
     ``w`` is a point (returns an int) or a sequence of points (returns a list
     of ints).
     """
-    _require_certified(spec)
+    _require(spec, n, MIN_DEGREE)
     if not 0.0 < gap_tol < 1.0:
         raise ValueError(f"gap_tol must lie strictly between 0 and 1, got {gap_tol!r}")
-    scalar = np.ndim(w) == 0
-    points = np.asarray(w, complex).ravel()
-    if np.any(np.abs(points) > 0.6):
-        raise ValueError("kernel counting needs |w| <= 0.6 at this truncation scale")
-    if n < MIN_DEGREE:
-        raise ValueError(f"truncation degree must be at least {MIN_DEGREE}")
+    scalar, points = _frame_points(w, 0.6)
 
     table, _ = _taylor_table(spec.theta)
-    settled = _gram_bounds(table, spec.base, n, points, gap_tol).settled
+    s = shift_weights(spec.base, n)
+    gram = _gram_band(table, spec.base, n, n + 1)
+    bounds = _gram_bounds(table, spec.base, gram, s, points, gap_tol)
     counts = [1] * len(points)
-    if not settled.all():
-        mult = _multiplier_matrix(spec.theta, spec.base, n, n)
-        adj = _compressed_shift_adjoint(spec.base, _quotient_basis(mult))
-        for i in np.flatnonzero(~settled):
-            counts[i] = _kernel_count(adj, points[i], gap_tol)
+    opened = np.flatnonzero(~bounds.settled)
+    if opened.size:
+        chol = _BandCholesky(gram, _band_error(table.shape[1] - 1))
+        if not chol.factors(2.0 * chol.margin):
+            raise NoSpectralGap(f"N is rank-deficient at degree {n}: G = N^H N is not proved "
+                                f"positive definite, as theta1(0) and theta2(0) nearly vanish")
+        twists = np.argmax(_log_kernel_vector(s, np.abs(points[opened])), axis=1)
+        for i, twist in zip(opened, twists):
+            counts[i] = _pencil_count(
+                table, gram, s, points[i], bounds.hi[i], bounds.lo[i], gap_tol, int(twist))
     return counts[0] if scalar else counts
 
 
-def _move_blocks(s, x, out, adjoint=False):
-    """The doubled shift S2 = S (+) S, or S2^H, along the last axis of x.
+def _pencil_count(table, gram, s, w, hi, lo, gap_tol, twist):
+    """Route 2 of ``dim_ker_estimate`` at one point: the count rule on the band pencil.
 
-    S2 moves entry k of each block to entry k + 1, weighted s_k, and S2^H
-    moves entry k + 1 to entry k.  The products are written into ``out``,
-    whose entries that receive none are left as they are.
+    ``table`` holds the Taylor coefficients, ``gram`` is the band of G, s
+    the shift weights, hi and lo bound sigma_1 as route 1 takes them and
+    ``twist`` is the row of the middle window; the thresholds and the margin
+    are the ones stated in ``dim_ker_estimate``.
     """
-    n = s.size
-    src, dst = (1, 0) if adjoint else (0, 1)
-    for base in (0, n + 1):
-        np.multiply(
-            s, x[..., base + src : base + src + n], out=out[..., base + dst : base + dst + n]
+    t_hi, t_lo = gap_tol * hi, gap_tol * max(lo, 0.0) / GAP_FACTOR
+    m, width = gram.shape
+    err = _band_error(width - 1)
+    peak = float(np.max(gram[:, 0].real)) * (1.0 + err)
+    # |M| |M|^H has 2-norm at most |M|_1 |M|_inf of the entrywise |M|
+    sums = np.sum(np.abs(table), axis=1) * (1.0 + _gamma(width + 2))
+    norm = min(_band_spread(gram, err), float(np.sum(sums) * np.max(sums)))
+    found = []
+    for t, upper in ((t_hi, True), (t_lo, False)):
+        scale = (hi * hi + t * t) * (1.0 + _gamma(4))
+        chol = _BandCholesky(
+            _pencil_band(gram, s, w, t), err + _gamma(16),
+            spread=scale * norm, tail=scale * min(2 * width + 1, m) * peak,
         )
+        found.append(chol.negatives(0.0, twist, upper))
+    upper, lower = found
+    if upper is None or upper != lower:
+        told = ["an unresolved number of" if c is None else c for c in (lower, upper)]
+        raise NoSpectralGap(
+            f"no spectral gap at w = {complex(w):.6g}: the band pencil counts {told[0]} "
+            f"singular values below {t_lo:.3e} and {told[1]} below {t_hi:.3e}; "
+            f"increase the truncation degree"
+        )
+    return upper
 
 
 def _bidiagonal_beta(s, aw):
@@ -671,73 +832,63 @@ def _range_vectors(table, s, points):
     return x, dx, p, dp
 
 
-@dataclass(frozen=True)
-class _GramBounds:
-    """Per-point bounds of the Gram-matrix certificate, one array entry per point.
-
-    ``hi`` and ``lo`` bound sigma_1 of the compression C_w from above and
-    below, ``r`` bounds sigma_m from above and ``floor`` bounds sigma_{m-1}
-    from below (-inf where the Cholesky factorisation was not run or
-    failed); ``settled`` marks the points whose count is proved to be 1.
-    """
-
-    hi: np.ndarray
-    lo: np.ndarray
-    r: np.ndarray
-    floor: np.ndarray
-    settled: np.ndarray
+# per-point bounds of route 1, one array entry per point: hi and lo bound
+# sigma_1 of the compression C_w from above and below, r bounds sigma_m from
+# above and floor bounds sigma_{m-1} from below (-inf where the Cholesky
+# factorisation was not run or failed); settled marks the points whose count
+# is proved to be 1
+_GramBounds = namedtuple("_GramBounds", "hi lo r floor settled")
 
 
-def _gram_bounds(table, kind, n, points, gap_tol):
+def _gram_bounds(table, kind, gram, s, points, gap_tol):
     """Route 1 of ``dim_ker_estimate``: bounds from G = N^H N and one Cholesky.
 
     ``table`` holds the Taylor coefficients of the pair (``_taylor_table``),
-    ``kind`` is the base, n the truncation degree and ``points`` a 1-D
-    complex array; the inequalities and rounding margins are those stated in
-    ``dim_ker_estimate``.  No multiplier matrix is built.
+    ``kind`` is the base, ``gram`` the band of G, s the shift weights of the
+    truncation degree and ``points`` a 1-D complex array; the inequalities
+    and rounding margins are those stated in ``dim_ker_estimate``.
     """
-    m = n + 1
+    m = gram.shape[0]
+    n = m - 1
     d = table.shape[1] - 1
-    s = shift_weights(kind, n)
     u = _UNIT
     gn = _gamma(4 * m + 8)
-    # relative errors of the stored multiplier entries and shift weights, and
-    # of the band entries and the m-term sums a, b and c taken from them
-    e_m = _gamma(4 * m)
+    # relative error of a shift weight, and that of the band entries and the
+    # m-term sums a, b and c taken from them with the computed weights
     e_s = _gamma(2)
-    err = _band_error(d) + 2.01 * (e_m + e_s) + _gamma(4 * m)
+    err = _band_error(d) + e_s + _gamma(4 * m)
 
-    gram = _gram_band(table, kind, n, m)
     cols = _gram_band(table, kind, n, m, columns=True, width=2)
     b = float(np.sum(gram[:, 0].real))
-    b_up = b * (1.0 + err)
     # a = |M S|_F^2 = sum_k s_k^2 H[k+1, k+1], c = <M S, M> = sum_k s_k H[k+1, k]
     a = float(np.dot(_norm_ratios(kind, n), cols[1:, 0].real))
     c = np.dot(s, cols[1:, 1].conj())
-    norm_e = 2.01 * (e_m + e_s) * np.sqrt(a * (1.0 + err)) * (1.0 + 4 * u)
 
     aw = np.abs(points)
-    hi = (np.max(s) + aw) * (1.0 + 4 * u)
+    # the largest exact weight
+    top = float(np.max(s)) * (1.0 + e_s)
+    hi = (top + aw) * (1.0 + 4 * u)
     z2 = a + aw**2 * b - 2.0 * (points * c).real
     z2 -= 4.0 * err * (np.sqrt(a) + aw * np.sqrt(b)) ** 2
-    lo = (np.sqrt(np.maximum(z2, 0.0)) - norm_e) / np.sqrt(b_up) * (1.0 - gn)
+    lo = np.sqrt(np.maximum(z2, 0.0)) / np.sqrt(b * (1.0 + err)) * (1.0 - gn)
 
     x, _, pk, _ = _range_vectors(table, s, points)
-    # (S2^H - conj(w)) p
-    resid = np.zeros_like(pk)
-    _move_blocks(s, pk, resid, adjoint=True)
-    resid -= np.conj(points)[:, None] * pk
+    # (S2^H - conj(w)) p: S2^H moves entry k + 1 of each block to entry k,
+    # weighted s_k
+    resid = -np.conj(points)[:, None] * pk
+    for base in (0, n + 1):
+        resid[:, base : base + n] += s * pk[:, base + 1 : base + 1 + n]
     norm_p = np.linalg.norm(pk, axis=1)
     # the distance of the computed p to N x: x and the partial sums against
-    # the sums of |c_{i,t}| |w|^t, and the stored entries against the exact
-    # ones; e_x is the relative error of x stated in _range_vectors
+    # the sums of |c_{i,t}| |w|^t; e_x is the relative error of x stated in
+    # _range_vectors
     reach = np.linalg.norm(np.abs(table) @ (aw[None, :] ** np.arange(d + 1)[:, None]), axis=0)
     log_w = np.abs(np.log(np.where(aw > 0, aw, 1.0)))
     e_x = _gamma(4 * n + 32) * (n * log_w + np.sum(np.abs(np.log(s))) + 2 * n + 2)
     norm_x = np.linalg.norm(x, axis=1) * (1.0 + e_x) * (1.0 + gn)
-    dp = ((_gamma(8 * (m + d + 2)) + e_x) * reach + 2.01 * e_m * np.sqrt(b_up)) * norm_x * (1.0 + gn)
+    dp = (_gamma(8 * (m + d + 2)) + e_x) * reach * norm_x * (1.0 + gn)
     den = norm_p * (1.0 - gn) - dp
-    num = np.linalg.norm(resid, axis=1) * (1.0 + gn) + hi * (4 * u * norm_p + dp)
+    num = np.linalg.norm(resid, axis=1) * (1.0 + gn) + hi * ((4 * u + e_s) * norm_p + dp)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(den > 0, num / den * (1.0 + 4 * u), np.inf)
 
@@ -745,75 +896,16 @@ def _gram_bounds(table, kind, n, points, gap_tol):
     lam = _band_norm1(gram) * (1.0 + gn) + err * chol.spread
     cap = float(np.min(gram[:, 0].real)) - chol.margin
     beta, gb = _bidiagonal_beta(s, aw)
-    beta *= 1.0 - gb
-    slope = beta / np.sqrt(lam)
+    slope = (beta * (1.0 - gb) - e_s * top * (1.0 + 4 * u)) / np.sqrt(lam)
     t = np.maximum(gap_tol * hi, GAP_FACTOR * r) * (1.0 + 4 * u)
-    # the tau at which beta sqrt(tau / lam) - |E|_F / sqrt(tau) = t, 1% over;
-    # an infinite r or a zero beta (overflowed sums) makes it infinite
+    # the tau at which slope sqrt(tau) = t, 1% over; an infinite r or a
+    # slope of 0 or below (overflowed sums) makes it infinite
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = (t + np.sqrt(t * t + 4.0 * slope * norm_e)) / (2.0 * slope)
-        need = 1.01 * root * root
+        need = np.where(slope > 0, 1.01 * (t / slope) ** 2, np.inf)
     candidates = (r < gap_tol * lo * (1.0 - 4 * u)) & (need < cap)
     floor = np.full(len(points), -np.inf)
     if np.any(candidates):
         tau = float(np.max(need[candidates]))
         if chol.factors((tau + chol.margin) * (1.0 + 4 * u)):
-            root_tau = np.sqrt(tau)
-            floor = slope * root_tau * (1.0 - 8 * u) - norm_e / root_tau * (1.0 + 8 * u)
+            floor = slope * np.sqrt(tau) * (1.0 - 8 * u)
     return _GramBounds(hi=hi, lo=lo, r=r, floor=floor, settled=candidates & (floor > t))
-
-
-def _quotient_basis(mult):
-    """Orthonormal basis of the complement of the P_n-truncated multiplier range.
-
-    The truncated multiplier ``mult`` is M = [M1; M2] with M_i = D T_i D^-1,
-    T_i lower triangular Toeplitz and D the diagonal of monomial norms.
-    Lower triangular Toeplitz matrices commute, so M1 M2 = M2 M1 and the
-    columns of N = [M2^H; -M1^H] lie in ker M^H.  N has full rank n + 1
-    whenever (theta1(0), theta2(0)) != 0, as the corona certificate
-    guarantees, and then spans all of ker M^H; its reduced QR gives the basis.
-    """
-    m = mult.shape[1]
-    kernel = np.concatenate([mult[m:].conj().T, -mult[:m].conj().T])
-    q_perp, r = np.linalg.qr(kernel)
-    col_scale = float(np.max(np.linalg.norm(kernel, axis=0)))
-    smallest = float(np.min(np.abs(np.diag(r))))
-    if smallest <= QR_RANK_REL_TOL * col_scale:
-        raise NoSpectralGap(
-            f"the quotient basis is rank-deficient at degree {m - 1}: smallest QR "
-            f"pivot {smallest:.3e} against column scale {col_scale:.3e}, since "
-            f"theta1(0) and theta2(0) nearly vanish together"
-        )
-    return q_perp
-
-
-def _compressed_shift_adjoint(kind, q_perp):
-    """Adjoint of the doubled shift compressed to the truncated quotient.
-
-    Q_perp^H (S (+) S)^H Q_perp, where Q_perp (``_quotient_basis``) spans the
-    orthogonal complement of the P_n-truncated multiplication range in the
-    doubled degree-n space over the base ``kind``.
-    """
-    shifted = np.zeros_like(q_perp)
-    # S2 Q_perp: the shift acts on the columns, the last axis of the transpose
-    _move_blocks(shift_weights(kind, q_perp.shape[1] - 1), q_perp.T, shifted.T)
-    return shifted.conj().T @ q_perp
-
-
-def _kernel_count(adj, w, gap_tol):
-    # one values-only SVD per point: a batched SVD over all points holds every
-    # shifted matrix and its workspace at once, which raises peak memory
-    a = adj - np.conj(w) * np.eye(adj.shape[0])
-    sv = np.linalg.svd(a, compute_uv=False)
-    largest = sv[0]
-    small = sv[sv < gap_tol * largest]
-    count = small.size
-    if count > 0 and count < sv.size:
-        floor = sv[sv >= gap_tol * largest][-1]
-        ceil = small[0]
-        if ceil > 0 and floor / ceil < GAP_FACTOR:
-            raise NoSpectralGap(
-                f"singular values {floor:.3e} and {ceil:.3e} are not separated "
-                f"by a factor {GAP_FACTOR:g}; increase the truncation degree"
-            )
-    return count

@@ -1,9 +1,9 @@
 """Hardy and weighted Bergman spaces on the unit disk.
 
-Closed-form reproducing kernels, monomial norms, weighted-shift coefficients,
-and the curvature coefficient of the kernel line bundle.  Curvature values are
-the real scalar c(z) of the two-form c(z) dz^dz~; the Laplacian convention is
-4 del delbar throughout the package.
+Closed-form reproducing kernels, weighted-shift coefficients (the ratios of
+monomial norms), and the curvature coefficient of the kernel line bundle.
+Curvature values are the real scalar c(z) of the two-form c(z) dz^dz~; the
+Laplacian convention is 4 del delbar throughout the package.
 """
 
 from __future__ import annotations
@@ -74,17 +74,11 @@ def kernel_eval(kind, z, w):
 
 def _norm_ratios(kind, n):
     # |z^j|^2 / |z^(j-1)|^2 for j = 1..n: the one weight table behind the
-    # monomial norms and the weighted shift
+    # Gram bands and the weighted shift
     if kind.is_hardy:
         return np.ones(n)
     j = np.arange(1, n + 1, dtype=float)
     return j / (j + 1.0 + kind.alpha)
-
-
-def monomial_norms_sq(kind, n):
-    """Squared norms of z^k for k = 0..n: 1 for Hardy, prod_{j<=k} j/(j+1+alpha)
-    otherwise."""
-    return np.concatenate([[1.0], np.cumprod(_norm_ratios(kind, n))])
 
 
 def shift_weights(kind, n):

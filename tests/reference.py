@@ -1,15 +1,31 @@
 """Dense and finite-difference references that the tests compare the package against.
 
-None of these is used by the package itself: the oracle applies the shift
-by its weights and forms the kernel vector in log space, and the curvature
-checks take no finite difference.
+None of these is used by the package itself: the oracle holds operators as
+bands, applies the shift by its weights, forms the kernel vector in log
+space and counts kernels by the inertia of a band pencil, and the curvature
+checks take no finite difference.  The dense kernel count here is the
+definition the pencil counts are tested against: the singular values of the
+compressed shift on a QR basis of the truncated quotient.
 """
 
 import math
 
 import numpy as np
 
-from diskmod import PointOutsideDomain, kernel_eval, monomial_norms_sq, shift_weights
+from diskmod import NoSpectralGap, PointOutsideDomain, kernel_eval, shift_weights
+from diskmod.oracle import GAP_FACTOR, _taylor_table
+
+# a QR pivot below this fraction of the largest column norm is rank-deficient
+QR_RANK_REL_TOL = 1e-10
+
+
+def monomial_norms_sq(kind, n):
+    """Squared norms of z^k for k = 0..n: 1 for Hardy, prod_{j<=k} j/(j+1+alpha)
+    otherwise."""
+    if kind.is_hardy:
+        return np.ones(n + 1)
+    j = np.arange(1, n + 1, dtype=float)
+    return np.concatenate([[1.0], np.cumprod(j / (j + 1.0 + kind.alpha))])
 
 
 def fd_laplacian(field, z, h):
@@ -95,3 +111,82 @@ def gamma_gram(spec, points):
     kmat = kernel_eval(spec.base, pts[None, :], pts[:, None])
     a = np.outer(np.conj(t1), t1) + np.outer(np.conj(t2), t2)
     return np.atleast_2d(kmat * a)
+
+
+def multiplier_matrix(theta, kind, n, cod):
+    """Columns theta_i e_k for k <= n in the doubled basis of degree cod.
+
+    Each component enters by its Taylor coefficients (``_taylor_table``).
+    cod = n + d, d the largest Taylor degree, keeps every product; a smaller
+    cod drops the products beyond it and gives the P_cod truncation of the
+    range.  Rows are stacked component-major.
+    """
+    table, _ = _taylor_table(theta)
+    norms = np.sqrt(monomial_norms_sq(kind, cod))
+    m = np.zeros((len(table) * (cod + 1), n + 1), complex)
+    k = np.arange(n + 1)[:, None]
+    for block, comp in enumerate(table):
+        comp = comp[: cod + 1]
+        # one column of the grid per nonzero coefficient; entry (k, j) is
+        # kept while the product degree k + j stays within cod
+        j = np.flatnonzero(comp)[None, :]
+        keep = np.broadcast_to(k + j <= cod, (n + 1, j.size))
+        kk = np.broadcast_to(k, keep.shape)[keep]
+        jj = np.broadcast_to(j, keep.shape)[keep]
+        m[block * (cod + 1) + kk + jj, kk] = comp[jj] * norms[kk + jj] / norms[kk]
+    return m
+
+
+def quotient_basis(mult):
+    """Orthonormal basis of the complement of the P_n-truncated multiplier range.
+
+    The truncated multiplier ``mult`` is M = [M1; M2] with M_i = D T_i D^-1,
+    T_i lower triangular Toeplitz and D the diagonal of monomial norms.
+    Lower triangular Toeplitz matrices commute, so M1 M2 = M2 M1 and the
+    columns of N = [M2^H; -M1^H] lie in ker M^H.  N has full rank n + 1
+    whenever (theta1(0), theta2(0)) != 0, and then spans all of ker M^H; its
+    reduced QR gives the basis.
+    """
+    m = mult.shape[1]
+    kernel = np.concatenate([mult[m:].conj().T, -mult[:m].conj().T])
+    q_perp, r = np.linalg.qr(kernel)
+    col_scale = float(np.max(np.linalg.norm(kernel, axis=0)))
+    smallest = float(np.min(np.abs(np.diag(r))))
+    if smallest <= QR_RANK_REL_TOL * col_scale:
+        raise NoSpectralGap(
+            f"the quotient basis is rank-deficient at degree {m - 1}: smallest QR "
+            f"pivot {smallest:.3e} against column scale {col_scale:.3e}"
+        )
+    return q_perp
+
+
+def compressed_shift_adjoint(kind, q_perp):
+    """Q_perp^H (S (+) S)^H Q_perp, the doubled shift's adjoint on the truncated quotient."""
+    n = q_perp.shape[0] // 2 - 1
+    doubled = np.kron(np.eye(2), build_shift(kind, n))
+    return (doubled @ q_perp).conj().T @ q_perp
+
+
+def compressed(spec, n):
+    """The compression whose singular values define the kernel count at degree n."""
+    mult = multiplier_matrix(spec.theta, spec.base, n, n)
+    return compressed_shift_adjoint(spec.base, quotient_basis(mult))
+
+
+def svd_kernel_count(adj, w, gap_tol):
+    """The number of singular values of adj - conj(w) I below gap_tol times the largest.
+
+    A factor-10 gap must separate them from the rest; NoSpectralGap
+    otherwise.
+    """
+    sv = np.linalg.svd(adj - np.conj(w) * np.eye(adj.shape[0]), compute_uv=False)
+    small = sv[sv < gap_tol * sv[0]]
+    count = small.size
+    if 0 < count < sv.size:
+        floor = sv[sv >= gap_tol * sv[0]][-1]
+        if small[0] > 0 and floor / small[0] < GAP_FACTOR:
+            raise NoSpectralGap(
+                f"singular values {floor:.3e} and {small[0]:.3e} are not separated "
+                f"by a factor {GAP_FACTOR:g}"
+            )
+    return count

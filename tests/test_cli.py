@@ -397,6 +397,20 @@ def test_verify_report_is_strict_json_at_large_alpha(tmp_path, capsys):
     assert check["ok"] is False
 
 
+def test_verify_counts_kernels_where_the_monomial_norms_underflow(tmp_path, capsys):
+    # the monomial norms of alpha 2000 underflow from about degree 250 on; the
+    # band pencil counts what the truncated operator has, which a degree
+    # this small for the base puts below 1 at the outer points
+    path = write(tmp_path, "a2000.spec", spec_alpha(2000))
+    out = tmp_path / "v.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", path, "--oracle-degree", "300", "--out", str(out)]) == 5
+    check = strict_json(out.read_text())["oracle"]["moduleA"]["dim_ker"]
+    assert check == {"values": [1, 1, 1, 0, 0], "ok": False}
+    assert all(type(v) is int for v in check["values"])
+
+
 def test_verify_uncertified_stops_before_oracle(tmp_path, capsys):
     path = write(tmp_path, "fail.spec", SPEC_FAIL)
     assert main(["verify", path]) == 2

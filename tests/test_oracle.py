@@ -24,7 +24,6 @@ from diskmod import (
     eigenvector_residual,
     kernel_eval,
     make_spec,
-    monomial_norms_sq,
     multiplier_lower_bound,
     oracle_curvature,
     poly,
@@ -43,17 +42,26 @@ from diskmod.oracle import (
     _BandCholesky,
     _bidiagonal_beta,
     _band_spread,
-    _compressed_shift_adjoint,
     _dense_hermitian,
     _gram_band,
     _gram_bounds,
-    _kernel_count,
-    _multiplier_matrix,
-    _quotient_basis,
+    _log_kernel_vector,
+    _pencil_band,
+    _pencil_count,
     _range_vectors,
     _taylor_table,
 )
-from reference import build_shift, fd_laplacian, gamma_gram, gamma_section
+from reference import (
+    build_shift,
+    compressed,
+    fd_laplacian,
+    gamma_gram,
+    gamma_section,
+    monomial_norms_sq,
+    multiplier_matrix,
+    quotient_basis,
+    svd_kernel_count,
+)
 
 PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
 
@@ -61,7 +69,7 @@ PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
 def _full_multiplier(pair, kind, n):
     # the multiplier from degree n into degree n + d, which keeps every product
     d = _taylor_table(pair)[0].shape[1] - 1
-    return _multiplier_matrix(pair, kind, n, n + d)
+    return multiplier_matrix(pair, kind, n, n + d)
 
 
 def test_shift_hardy_subdiagonal():
@@ -159,7 +167,7 @@ def test_multiplier_matrix_matches_loop_reference(base):
         coeffs, _ = _taylor_table(pair)
         d = coeffs.shape[1] - 1
         for n, cod in ((120, 120), (60, 60 + d), (5, 5 + d), (4, 2), (80, 100)):
-            got = _multiplier_matrix(pair, base, n, cod)
+            got = multiplier_matrix(pair, base, n, cod)
             ref = _multiplier_matrix_loop(coeffs, base, n, cod)
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
@@ -523,7 +531,7 @@ def test_compressed_shift_matches_dense_reference(base):
     doubled = np.kron(np.eye(2), shift)
     dense = q_perp.conj().T @ doubled @ q_perp
 
-    adj = _compressed(spec, n)
+    adj = compressed(spec, n)
     assert adj.shape == dense.shape
     eye = np.eye(dense.shape[0])
     for w in (0, 0.3, -0.2 + 0.4j, 0.55j):
@@ -532,15 +540,41 @@ def test_compressed_shift_matches_dense_reference(base):
         assert np.max(np.abs(got - ref)) <= 1e-10 * ref[0]
 
 
-def _compressed(spec, n):
-    # the compression whose singular values define the kernel count
-    mult = _multiplier_matrix(spec.theta, spec.base, n, n)
-    return _compressed_shift_adjoint(spec.base, _quotient_basis(mult))
-
-
 def _bounds(spec, n, points, gap_tol=1e-4):
     table, _ = _taylor_table(spec.theta)
-    return _gram_bounds(table, spec.base, n, np.asarray(points, complex), gap_tol)
+    gram = _gram_band(table, spec.base, n, n + 1)
+    s = shift_weights(spec.base, n)
+    return _gram_bounds(table, spec.base, gram, s, np.asarray(points, complex), gap_tol)
+
+
+def _pencil_counts(spec, n, points, gap_tol=1e-4):
+    # route 2 at every point, also where route 1 settles; None where the
+    # count rule raises NoSpectralGap
+    table, _ = _taylor_table(spec.theta)
+    gram = _gram_band(table, spec.base, n, n + 1)
+    s = shift_weights(spec.base, n)
+    pts = np.asarray(points, complex)
+    bounds = _gram_bounds(table, spec.base, gram, s, pts, gap_tol)
+    twists = np.argmax(_log_kernel_vector(s, np.abs(pts)), axis=1)
+    counts = []
+    for w, hi, lo, twist in zip(pts, bounds.hi, bounds.lo, twists):
+        try:
+            count = _pencil_count(table, gram, s, w, hi, lo, gap_tol, int(twist))
+        except NoSpectralGap:
+            count = None
+        counts.append(count)
+    return counts
+
+
+def _svd_counts(spec, n, points, gap_tol=1e-4):
+    adj = compressed(spec, n)
+    counts = []
+    for w in points:
+        try:
+            counts.append(svd_kernel_count(adj, w, gap_tol))
+        except NoSpectralGap:
+            counts.append(None)
+    return counts
 
 
 def _truncated_multiplier(spec, n):
@@ -565,7 +599,7 @@ def test_quotient_basis_spans_kernel_of_multiplier_adjoint(base, pair, n):
     # M span all of ker M^H
     spec = make_spec(base, pair)
     mult = _truncated_multiplier(spec, n)
-    q_perp = _quotient_basis(mult)
+    q_perp = quotient_basis(mult)
     assert q_perp.shape == (2 * (n + 1), n + 1)
     scale = np.linalg.norm(mult, 2)
     assert np.linalg.norm(mult.conj().T @ q_perp, 2) <= 1e-13 * scale
@@ -580,7 +614,7 @@ def test_quotient_basis_rejects_vanishing_constant_terms():
     cert = dataclasses.replace(spec.certificate, theta=theta)
     spec = dataclasses.replace(spec, theta=theta, certificate=cert)
     with pytest.raises(NoSpectralGap, match="rank-deficient"):
-        _quotient_basis(_multiplier_matrix(theta, HARDY, 60, 60))
+        quotient_basis(multiplier_matrix(theta, HARDY, 60, 60))
 
 
 @pytest.mark.parametrize("n", [60, 120, 300])
@@ -590,9 +624,9 @@ def test_kernel_certificate_settles_the_verify_points(corpus, n):
     if n == 120:
         specs += list(corpus)
     for spec in specs:
-        adj = _compressed(spec, n)
+        adj = compressed(spec, n)
         for w in DIM_KER_POINTS:
-            assert _kernel_count(adj, w, 1e-4) == 1
+            assert svd_kernel_count(adj, w, 1e-4) == 1
         assert dim_ker_estimate(spec, DIM_KER_POINTS, n) == [1] * len(DIM_KER_POINTS)
 
 
@@ -630,7 +664,7 @@ def test_gram_bounds_are_sound_against_the_singular_values():
             0.6 * np.sqrt(rng.uniform(size=5)) * np.exp(2j * np.pi * rng.uniform(size=5)),
         ]
         bounds = _bounds(spec, n, pts)
-        adj = _compressed(spec, n)
+        adj = compressed(spec, n)
         # lo against its dense definition |(S2^H - conj(w)) N|_F / |N|_F
         mult = _truncated_multiplier(spec, n)
         kernel = np.concatenate([mult[n + 1 :].conj().T, -mult[: n + 1].conj().T])
@@ -646,32 +680,36 @@ def test_gram_bounds_are_sound_against_the_singular_values():
             points += 1
             if bounds.settled[i]:
                 settled += 1
-                assert _kernel_count(adj, w, 1e-4) == 1
+                assert svd_kernel_count(adj, w, 1e-4) == 1
     assert points == 240
     assert settled >= 0.9 * points
 
 
 @pytest.mark.parametrize("gap_tol", [0.6, 1e-60])
 def test_gram_bounds_settle_nothing_the_rule_does_not_count_as_one(gap_tol):
-    # at 0.6 the rule finds no gap away from w = 0; at 1e-60 it counts 0
+    # at 0.6 the rule finds no gap away from w = 0; at 1e-60 the threshold
+    # lies inside the rounding margin, where the SVD reads singular values
+    # below rounding and counts 0, and the pencil refuses to answer
     spec = make_spec(HARDY, PAIR_1Z)
-    adj = _compressed(spec, 120)
+    adj = compressed(spec, 120)
     settled = _bounds(spec, 120, DIM_KER_POINTS, gap_tol).settled
     for w, ok in zip(DIM_KER_POINTS, settled):
         try:
-            count = _kernel_count(adj, w, gap_tol)
+            count = svd_kernel_count(adj, w, gap_tol)
         except NoSpectralGap:
             count = None
         assert not ok or count == 1
     assert not settled[1:].any()
-    if gap_tol == 0.6:
-        with pytest.raises(NoSpectralGap):
-            dim_ker_estimate(spec, DIM_KER_POINTS, 120, gap_tol=gap_tol)
-    else:
-        assert 0 in dim_ker_estimate(spec, DIM_KER_POINTS, 120, gap_tol=gap_tol)
+    with pytest.raises(NoSpectralGap):
+        dim_ker_estimate(spec, DIM_KER_POINTS, 120, gap_tol=gap_tol)
+    if gap_tol == 1e-60:
+        assert 0 in _svd_counts(spec, 120, DIM_KER_POINTS, gap_tol)
+        assert _pencil_counts(spec, 120, DIM_KER_POINTS, gap_tol) == [None] * 5
 
 
 def test_rank_deficient_pair_still_raises_through_dim_ker_estimate():
+    # theta1(0) = theta2(0) = 0 leaves G singular: its first row and column
+    # vanish, and the Cholesky proof of positive definiteness fails
     theta = MultiplierPair(poly([0, 1]), poly([0, 0, 1]))
     spec = make_spec(HARDY, PAIR_1Z)
     cert = dataclasses.replace(spec.certificate, theta=theta)
@@ -690,41 +728,84 @@ ILL_CONDITIONED = (
 @pytest.mark.parametrize("base, pair", ILL_CONDITIONED)
 def test_ill_conditioned_pairs_fall_through_to_the_singular_values(base, pair):
     # G = N^H N is too ill-conditioned for the Gram certificate here; the
-    # singular values of the compression count every point instead
+    # inertia of the band pencil counts the singular values at every point
     spec = make_spec(base, pair, 1e-12)
     for n in (60, 120, 300):
         assert not _bounds(spec, n, DIM_KER_POINTS).settled.any()
         assert dim_ker_estimate(spec, DIM_KER_POINTS, n) == [1] * len(DIM_KER_POINTS)
 
 
-def test_a_call_with_open_points_builds_the_multiplier_once(monkeypatch):
-    spec = make_spec(*ILL_CONDITIONED[0], 1e-12)
-    built = []
-    counted = []
-    build = diskmod.oracle._multiplier_matrix
-    count = diskmod.oracle._kernel_count
-
-    def recording_build(*args):
-        built.append(args)
-        return build(*args)
-
-    def recording_count(*args):
-        counted.append(args)
-        return count(*args)
-
-    monkeypatch.setattr(diskmod.oracle, "_multiplier_matrix", recording_build)
-    monkeypatch.setattr(diskmod.oracle, "_kernel_count", recording_count)
-    assert dim_ker_estimate(spec, DIM_KER_POINTS, 120) == [1] * len(DIM_KER_POINTS)
-    assert len(built) == 1
-    assert len(counted) == len(DIM_KER_POINTS)
+@pytest.mark.parametrize("n", [60, 120, 300])
+def test_pencil_counts_equal_the_svd_rule(n):
+    # the pencil at every point, also where route 1 settles, against the
+    # singular values of the compression on a QR basis
+    rng = np.random.default_rng(n)
+    specs = [make_spec(base, pair, 1e-12) for base, pair in ILL_CONDITIONED]
+    specs += [make_spec(b, p) for b in BASIS_BASES for p in BASIS_PAIRS]
+    specs += _random_certified_specs(rng, 12 if n < 300 else 6)
+    for spec in specs:
+        counts = _pencil_counts(spec, n, DIM_KER_POINTS)
+        assert counts == _svd_counts(spec, n, DIM_KER_POINTS)
+        assert counts == [1] * len(DIM_KER_POINTS)
 
 
-def test_gram_certificate_settles_without_a_quotient_basis(monkeypatch, corpus):
-    # the corpus and the basis specs never need the QR route
-    def no_basis(*args):
-        raise AssertionError("the quotient basis was built")
+@pytest.mark.parametrize(
+    "alpha, n, expected",
+    [
+        (300.0, 120, [1, 1, 1, 0, 0]),
+        (300.0, 300, [1, 1, 1, 1, 1]),
+        (300.0, 600, [1, 1, 1, 1, 1]),
+        (2000.0, 120, [1, 0, 0, 0, 0]),
+        (2000.0, 300, [1, 1, 1, 0, 0]),
+    ],
+)
+def test_pencil_counts_the_truncated_operator_at_large_alpha(alpha, n, expected):
+    # a degree too small for the base loses the kernel vector at the outer
+    # points, and the count says so; the middle window sits at the peak of
+    # the kernel vector, near degree 169 at alpha 300 and |w| = 0.6.  The
+    # SVD rule agrees where its monomial norms do not underflow, and at
+    # alpha 2000, n = 300 they do: it divides 0 by 0
+    spec = make_spec(weighted_bergman(alpha), PAIR_1Z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dim_ker_estimate(spec, DIM_KER_POINTS, n) == expected
+        assert _pencil_counts(spec, n, DIM_KER_POINTS) == expected
+    if n <= 300 and (alpha, n) != (2000.0, 300):
+        assert _svd_counts(spec, n, DIM_KER_POINTS) == expected
 
-    monkeypatch.setattr(diskmod.oracle, "_quotient_basis", no_basis)
+
+def test_pencil_runs_only_at_open_points_and_builds_g_once(monkeypatch):
+    # alpha 300 at degree 120: route 1 settles w = 0 alone
+    spec = make_spec(weighted_bergman(300.0), PAIR_1Z)
+    opened = list(np.flatnonzero(~_bounds(spec, 120, DIM_KER_POINTS).settled))
+    assert opened == [1, 2, 3, 4]
+    grams = []
+    pencils = []
+    gram_band = diskmod.oracle._gram_band
+    pencil_count = diskmod.oracle._pencil_count
+
+    def recording_gram_band(*args, **kwargs):
+        if not kwargs.get("columns", False):
+            grams.append(args)
+        return gram_band(*args, **kwargs)
+
+    def recording_pencil_count(table, gram, s, w, *args):
+        pencils.append(w)
+        return pencil_count(table, gram, s, w, *args)
+
+    monkeypatch.setattr(diskmod.oracle, "_gram_band", recording_gram_band)
+    monkeypatch.setattr(diskmod.oracle, "_pencil_count", recording_pencil_count)
+    assert dim_ker_estimate(spec, DIM_KER_POINTS, 120) == [1, 1, 1, 0, 0]
+    assert len(grams) == 1
+    assert pencils == [DIM_KER_POINTS[i] for i in opened]
+
+
+def test_gram_certificate_settles_without_the_pencil(monkeypatch, corpus):
+    # the corpus and the basis specs never need route 2
+    def no_pencil(*args):
+        raise AssertionError("the pencil was run")
+
+    monkeypatch.setattr(diskmod.oracle, "_pencil_count", no_pencil)
     specs = list(corpus) + [make_spec(b, p) for b in BASIS_BASES for p in BASIS_PAIRS]
     for spec in specs:
         assert dim_ker_estimate(spec, DIM_KER_POINTS, 120) == [1] * len(DIM_KER_POINTS)
@@ -893,7 +974,7 @@ def test_gram_bands_match_the_dense_products(base, n):
         d = table.shape[1] - 1
         m = n + 1
         # G = M1 M1^H + M2 M2^H of the P_n-truncated multiplier
-        mult = _multiplier_matrix(pair, base, n, n)
+        mult = multiplier_matrix(pair, base, n, n)
         ref = mult[:m] @ mult[:m].conj().T + mult[m:] @ mult[m:].conj().T
         band = _gram_band(table, base, n, m)
         assert band.shape == (m, d + 1)
@@ -937,7 +1018,7 @@ def test_range_vectors_match_the_dense_product(base):
         for n in (60, 120):
             m = n + 1
             s = shift_weights(base, n)
-            mult = _multiplier_matrix(pair, base, n, n)
+            mult = multiplier_matrix(pair, base, n, n)
             kernel = np.concatenate([mult[m:].conj().T, -mult[:m].conj().T])
             x, dx, pk, dpk = _range_vectors(table, s, points)
             norms = np.sqrt(monomial_norms_sq(base, n))
@@ -1017,16 +1098,37 @@ def test_windowed_factorisation_agrees_with_the_dense_cholesky(rows, d, columns)
     assert chol.factors(below)
 
 
-def _exactly_positive_definite(band, shift):
-    """Whether A - shift I is positive definite, for a real dyadic band A in G layout.
+@pytest.mark.parametrize("base", FIVE_BASES)
+def test_pencil_band_matches_the_dense_product(base):
+    # A_w - t^2 G with A_w = B_w^H G B_w, B_w = S^H - conj(w) I, from the
+    # dense G of the band and the dense shift
+    for pair in BAND_PAIRS:
+        table, _ = _taylor_table(pair)
+        n = 60
+        gram = _gram_band(table, base, n, n + 1)
+        dense = _dense_hermitian(gram)
+        s = shift_weights(base, n)
+        for w, t in ((0, 1e-4), (0.3, 1e-4), (-0.2 + 0.4j, 0.5), (0.6j, 0.0)):
+            bw = build_shift(base, n).T - np.conj(w) * np.eye(n + 1)
+            ref = bw.conj().T @ dense @ bw - t * t * dense
+            band = _pencil_band(gram, s, w, t)
+            assert band.shape == (n + 1, gram.shape[1] + 1)
+            got = _dense_hermitian(band)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            # the half-width is d + 1
+            d = gram.shape[1] - 1
+            assert np.all(np.abs(np.tril(ref, -(d + 2))) == 0)
+
+
+def _leading_minors(band, shift):
+    """The leading principal minors of A - shift I, scaled, for a real dyadic band A in G layout.
 
     Fraction-free (Bareiss) elimination in integers on a sliding
     (d + 1) x (d + 1) block: the pivots are the leading principal minors,
     and an entry no earlier step has reached is its scaled value times the
-    last pivot.
+    last pivot.  Yields them in order; the caller stops at a zero one.
     """
     size, width = band.shape
-    d = width - 1
     shift = Fraction(shift)
     scale = max(shift.denominator, 2**64)
     entries = [[Fraction(float(v)) for v in row.real] for row in band]
@@ -1044,8 +1146,7 @@ def _exactly_positive_definite(band, shift):
     prev = 1
     for k in range(size):
         pivot = block[0][0]
-        if pivot <= 0:
-            return False
+        yield pivot
         nxt = []
         for i in range(1, len(block)):
             row = []
@@ -1061,7 +1162,25 @@ def _exactly_positive_definite(band, shift):
                 row.append(v)
             nxt.append(col)
         block, prev = nxt, pivot
-    return True
+
+
+def _exactly_positive_definite(band, shift):
+    """Whether A - shift I is positive definite, for a real dyadic band A in G layout."""
+    return all(pivot > 0 for pivot in _leading_minors(band, shift))
+
+
+def _exact_negatives(band, shift):
+    """The number of negative eigenvalues of A - shift I, for a real dyadic band A in G layout.
+
+    By Jacobi's rule, the number of sign changes in 1, D_1, ..., D_m of the
+    leading principal minors when none of them vanishes.
+    """
+    changes, prev = 0, 1
+    for pivot in _leading_minors(band, shift):
+        assert pivot != 0
+        changes += (pivot > 0) != (prev > 0)
+        prev = pivot
+    return changes
 
 
 def test_exact_positive_definiteness_helper():
@@ -1096,6 +1215,45 @@ def test_band_cholesky_margin_is_exact_on_dyadic_bands():
         shifts.append(eig[0] - rows * _UNIT * eig[-1])
         top = max(s for s in shifts if chol.factors(s))
         assert _exactly_positive_definite(band, Fraction(top) - Fraction(chol.margin))
+
+
+def test_exact_negatives_helper():
+    # [[2, 1], [1, 2]] has eigenvalues 1 and 3
+    band = np.array([[2, 1], [2, 0]], complex)
+    assert _exact_negatives(band, 0.5) == 0
+    assert _exact_negatives(band, 2.5) == 1
+    assert _exact_negatives(band, 3.5) == 2
+
+
+def test_twisted_inertia_brackets_the_exact_count_on_dyadic_bands():
+    # real dyadic bands, so fl(A) = A and err = 0, as in the Cholesky margin
+    # test; shifts a few ulps of |A| around lambda_min, and the middle window
+    # at every sixth row, also far from the eigenvector, where the swept
+    # blocks are nearly singular and their rounding is amplified in the
+    # Schur complement.  Wherever the twisted factorisation answers, its
+    # bounds hold for the exact count; without the margin they fail
+    rng = np.random.default_rng(6)
+    answered = 0
+    for _ in range(4):
+        rows = int(rng.integers(66, 80))
+        d = int(rng.integers(1, 4))
+        band = np.zeros((rows, d + 1), complex)
+        band[:, 0] = rng.integers(64, 128, rows) / 64
+        band[:, 1:] = rng.integers(-32, 33, (rows, d)) / 64
+        for o in range(1, d + 1):
+            band[rows - o :, o] = 0
+        chol = _BandCholesky(band, 0.0)
+        eig = np.linalg.eigvalsh(_dense_hermitian(band))
+        for k in range(-8, 17, 2):
+            shift = eig[0] + k / 4 * _UNIT * eig[-1]
+            exact = _exact_negatives(band, shift)
+            for twist in range(0, rows, 6):
+                lower = chol.negatives(shift, twist, upper=False)
+                upper = chol.negatives(shift, twist, upper=True)
+                assert lower is None or lower <= exact
+                assert upper is None or upper >= exact
+                answered += (lower is not None) + (upper is not None)
+    assert answered >= 900
 
 
 def test_bidiagonal_beta_matches_the_recurrences():

@@ -10,7 +10,6 @@ from diskmod import (
     base_curvature,
     format_module_kind,
     kernel_eval,
-    monomial_norms_sq,
     parse_module_kind,
     shift_weights,
     weighted_bergman,
@@ -19,6 +18,11 @@ from reference import fd_laplacian
 
 ALL_KINDS = (HARDY, BERGMAN, weighted_bergman(0.5), weighted_bergman(1.0),
              weighted_bergman(2.0))
+
+
+def norms_sq(kind, n):
+    """|z^k|^2 for k = 0..n as the running product of the squared shift weights."""
+    return np.concatenate([[1.0], np.cumprod(shift_weights(kind, n) ** 2)])
 
 
 def weighted_norm_quadrature(alpha, k):
@@ -85,7 +89,7 @@ def test_kernel_series_consistency():
     rng = np.random.default_rng(23)
     ks = np.arange(201)
     for kind in ALL_KINDS:
-        inv_norms = 1.0 / monomial_norms_sq(kind, 200)
+        inv_norms = 1.0 / norms_sq(kind, 200)
         for _ in range(10):
             z, w = 0.7 * np.sqrt(rng.uniform(size=2)) * np.exp(
                 2j * np.pi * rng.uniform(size=2)
@@ -95,14 +99,14 @@ def test_kernel_series_consistency():
 
 
 def test_monomial_norms_hardy_all_one():
-    assert monomial_norms_sq(HARDY, 7)[7] == 1.0
-    assert np.all(monomial_norms_sq(HARDY, 50) == 1.0)
-    assert monomial_norms_sq(BERGMAN, 0).tolist() == [1.0]
+    assert norms_sq(HARDY, 7)[7] == 1.0
+    assert np.all(norms_sq(HARDY, 50) == 1.0)
+    assert norms_sq(BERGMAN, 0).tolist() == [1.0]
 
 
 def test_monomial_norms_bergman_derived():
     # reciprocal kernel coefficients: 1/2 at k=1 and 1/4 at k=3 for alpha=0
-    norms = monomial_norms_sq(BERGMAN, 3)
+    norms = norms_sq(BERGMAN, 3)
     assert norms[1] == pytest.approx(0.5, abs=1e-15)
     assert norms[3] == pytest.approx(0.25, abs=1e-15)
 
@@ -111,7 +115,7 @@ def test_monomial_norms_bergman_derived():
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8])
 def test_monomial_norms_match_area_integral(alpha, k):
     kind = weighted_bergman(alpha)
-    assert monomial_norms_sq(kind, k)[k] == pytest.approx(
+    assert norms_sq(kind, k)[k] == pytest.approx(
         weighted_norm_quadrature(alpha, k), rel=1e-12
     )
 
@@ -127,10 +131,14 @@ def test_shift_weight_bergman_values():
 
 
 def test_shift_weight_is_norm_ratio():
+    # s_k^2 = |z^{k+1}|^2 / |z^k|^2, with the norms from the area integral
     for kind in ALL_KINDS:
-        norms = monomial_norms_sq(kind, 15)
+        if kind.is_hardy:
+            norms = np.ones(16)
+        else:
+            norms = np.array([weighted_norm_quadrature(kind.alpha, k) for k in range(16)])
         ratio = np.sqrt(norms[1:] / norms[:-1])
-        assert shift_weights(kind, 15) == pytest.approx(ratio, rel=1e-13)
+        assert shift_weights(kind, 15) == pytest.approx(ratio, rel=1e-12)
 
 
 def test_shift_weight_contractive():
