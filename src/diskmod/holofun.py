@@ -88,13 +88,13 @@ def _trim_threshold(coeffs, thresh):
     return c
 
 
-def polynomial_gcd(a, b, rel_tol=GCD_REL_TOL):
+def polynomial_gcd(a, b):
     """Numeric monic GCD of two polynomials (ascending coefficients).
 
     Monic Euclidean remainder sequence; a remainder counts as zero when all of
-    its coefficients are <= rel_tol times the largest input coefficient.
+    its coefficients are <= ``GCD_REL_TOL`` times the largest input coefficient.
     """
-    thresh = rel_tol * max(
+    thresh = GCD_REL_TOL * max(
         max(abs(x) for x in a), max(abs(x) for x in b), 1e-300
     )
     f = _trim_threshold(_trim(a), 0.0)

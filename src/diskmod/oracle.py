@@ -9,8 +9,9 @@ applied by weighted slice moves; no dense shift matrix is built.  Every
 multiplier block is a weighted Toeplitz matrix D T_i D^-1 of half-width d,
 d the largest Taylor degree, so its Gram matrices are bands of half-width
 d; ``_gram_band`` builds them from the Taylor coefficients and ratios of
-monomial norms alone, and bands are the only form in which the oracle holds
-an operator.  Kernel counts compress the shift to the truncated quotient,
+monomial norms alone.  Bands are the only form in which the oracle holds an
+operator, all in one layout: entry (l, o) of the band of a Hermitian A is
+A[l + o, l].  Kernel counts compress the shift to the truncated quotient,
 the range of N = [M2^H; -M1^H].  The blocks commute with the shift, so the
 compression at w is similar to the bidiagonal B_w = S^H - conj(w) I through
 the factor R of G = N^H N.  One Cholesky factorisation of the band G,
@@ -27,7 +28,7 @@ Taylor coefficients, which ``_taylor_table`` computes together with the
 pair's tail bound; a rational component is cut at the smallest degree, at
 most 64, whose certified tail meets ``TAIL_TOL``, which keeps the bands
 narrow.  The kernel vector x_k = conj(w)^k / |z^k| and the frame N x are
-formed from the shift weights in log space (``_range_vectors``), so no
+formed from the shift weights in log space (``_point_powers``), so no
 monomial norm is formed and a large weight alpha neither overflows nor
 underflows.  Truncation degrees default to 120 and evaluation points stay
 within |w| <= 0.6-0.7 so geometric kernel tails are negligible against the
@@ -100,38 +101,32 @@ def _taylor_table(theta):
     return table, float(np.hypot(*tails))
 
 
-def _gram_band(table, kind, cod, size, columns=False, width=None):
+def _gram_band(table, kind, cod, size, columns=False):
     """A Gram matrix of the multiplier as a band of half-width d, from ``table``.
 
     M = [M1; M2] maps degree size - 1 into degree cod, with entries
     c_{i,k-j} nu_k / nu_j (nu_k = |z^k|) and the products beyond cod dropped.
-    Entry (l, o) of the band is G[l + o, l] of G = M1 M1^H + M2 M2^H, or
-    with ``columns`` H[l - o, l] of H = M^H M, for offsets o < ``width``
-    (default d + 1, the whole band); entries outside the matrix are 0.
-    With P_o[t] = sum_i c_{i,t+o} conj(c_{i,t}),
+    The band holds G = M1 M1^H + M2 M2^H, or with ``columns`` H = M^H M, in
+    the one layout of the oracle: entry (l, o) is G[l + o, l] (H[l + o, l]),
+    0 outside the matrix.  With P_o[t] = sum_i c_{i,t+o} conj(c_{i,t}),
 
         G[l + o, l] = (nu_{l+o} / nu_l) sum_t P_o[t] (nu_l / nu_{l-t})^2,
         H[l - o, l] = (nu_l / nu_{l-o}) sum_t conj(P_o[t]) (nu_{l+t} / nu_l)^2,
 
     so the band is one product of a sliding window of norm ratios, running
-    backward for G and forward for H, with P^T.  Every ratio is a product
-    of at most d of the ratios |z^j|^2 / |z^(j-1)|^2 and no monomial norm
-    is formed, so a large weight alpha neither underflows nor overflows the
-    band.  Each entry is within ``_band_error(d)`` of its exact value,
-    relative to the same sum taken over |c| (see ``dim_ker_estimate``).
+    backward for G and forward for H, with P^T; H comes out by columns,
+    entry (l, o) = H[l - o, l], and ``_flip`` takes it to the layout of G.
+    Every ratio is a product of at most d of the ratios |z^j|^2 / |z^(j-1)|^2
+    and no monomial norm is formed, so a large weight alpha neither
+    underflows nor overflows the band.  Each entry is within
+    ``_band_error(d)`` of its exact value, relative to the same sum taken
+    over |c| (see ``dim_ker_estimate``).
     """
-    if width is not None and width > table.shape[1]:
-        # offsets beyond d hold zeros
-        table = np.pad(table, ((0, 0), (0, width - table.shape[1])))
     d = table.shape[1] - 1
-    width = d + 1 if width is None else width
     # P[o, t] = sum_i c_{i,t+o} conj(c_{i,t}), zero where t + o > d
     padded = np.concatenate([table, np.zeros_like(table[:, :d])], axis=1)
-    pmat = np.einsum(
-        "iot,it->ot", sliding_window_view(padded, d + 1, axis=1)[:, :width], table.conj()
-    )
-    if columns:
-        pmat = pmat.conj()
+    pmat = np.einsum("iot,it->ot", sliding_window_view(padded, d + 1, axis=1), table.conj())
+    pmat = pmat.conj() if columns else pmat
     # ratios r_j for j = 1..cod, padded with d zeros on each side so that a
     # window reaching below degree 0 or beyond cod has a zero product;
     # windows[l] holds r_{l-d+1} .. r_l and windows[l + d] holds
@@ -144,8 +139,20 @@ def _gram_band(table, kind, cod, size, columns=False, width=None):
     up = np.concatenate([ones, np.cumprod(windows[d : d + size], axis=1)], axis=1)
     window, scale = (up, down) if columns else (down, up)
     # complex P^T through its real view: one real product
-    band = (window @ np.ascontiguousarray(pmat.T).view(float)).view(complex)
-    return band * np.sqrt(scale[:, :width])
+    band = (window @ np.ascontiguousarray(pmat.T).view(float)).view(complex) * np.sqrt(scale)
+    return _flip(band) if columns else band
+
+
+def _flip(band):
+    """The band, in the layout of G, of the Hermitian A with A[l - o, l] = ``band[l, o]``.
+
+    Entry (l, o) is conj(band[l + o, o]) = A[l + o, l], 0 past the last
+    row.  A band of G upside down holds the reversed matrix J G J, J the
+    reversal, in that way, so ``_flip(band[::-1])`` is the band of J G J.
+    """
+    size, width = band.shape
+    rows = np.arange(size)[:, None] + np.arange(width)
+    return np.where(rows < size, band[np.minimum(rows, size - 1), np.arange(width)].conj(), 0)
 
 
 def _band_error(d):
@@ -166,7 +173,7 @@ def _band_spread(band, err):
 
 
 def _band_norm1(band):
-    """|A|_1 of the Hermitian matrix A of a band of G (``_gram_band`` without ``columns``)."""
+    """|A|_1 of the Hermitian matrix A of a band."""
     # column l holds A[l + o, l] = band[l, o] and A[l - o, l] =
     # conj(band[l - o, o]) for o >= 1
     mags = np.abs(band)
@@ -176,14 +183,12 @@ def _band_norm1(band):
     return float(np.max(col_sums))
 
 
-def _dense_hermitian(band, columns=False, shift=0.0):
-    """The Hermitian matrix of a band from ``_gram_band`` (G, or H with ``columns``), less shift I."""
+def _dense_hermitian(band, shift=0.0):
+    """The Hermitian matrix A of a band, less shift I: band entry (l, o) sits at A[l + o, l]."""
     size, width = band.shape
     row = np.arange(size)[:, None]
-    off = np.arange(width)[None, :]
-    # band entry (l, o) sits at (l + o, l) of G, or at (l - o, l) of H
-    inside = (row + off < size) if not columns else (row >= off)
-    other = row + off if not columns else row - off
+    other = row + np.arange(width)
+    inside = other < size
     values = band[inside]
     dense = np.zeros((size, size), complex)
     flat = dense.reshape(-1)
@@ -196,14 +201,13 @@ def _dense_hermitian(band, columns=False, shift=0.0):
 class _BandCholesky:
     """Windowed factorisations of a Hermitian band matrix: a Cholesky proof and a twisted inertia.
 
-    ``band`` has m rows and half-width d and comes from ``_gram_band`` (G,
-    or H with ``columns``) or ``_pencil_band``.  Each of its entries is
-    within ``err`` of that of the exact matrix A, relative to the matching
-    entry of a nonnegative matrix P with p_kl <= sqrt(p_kk p_ll), whose
-    2-norm is at most ``spread``.  A column of the band holds at most
-    min(2d + 1, m) entries, so ``tail`` = min(2d + 1, m) max_k p_kk bounds
-    the 2-norm of every matrix of that band whose entries are at most
-    max_k p_kk.  For a Gram band P is |M| |M|^H or |M|^H |M|, its diagonal
+    ``band`` has m rows and half-width d and comes from ``_gram_band`` or
+    ``_pencil_band``.  Each of its entries is within ``err`` of that of the
+    exact matrix A, relative to the matching entry of a nonnegative matrix P
+    with p_kl <= sqrt(p_kk p_ll), whose 2-norm is at most ``spread``.  A
+    column of the band holds at most min(2d + 1, m) entries, so ``tail`` =
+    min(2d + 1, m) max_k p_kk bounds the 2-norm of every matrix of that band
+    whose entries are at most max_k p_kk.  For a Gram band P is |M| |M|^H or |M|^H |M|, its diagonal
     is that of the band up to err, and ``spread`` and ``tail`` default to
     ``_band_spread``.
 
@@ -236,15 +240,14 @@ class _BandCholesky:
     inertia of what is left in the middle.
     """
 
-    def __init__(self, band, err, columns=False, spread=None, tail=None):
+    def __init__(self, band, err, spread=None, tail=None):
         self.gw = 4.0 * (min(band.shape[1] - 1, band.shape[0]) + 10) * _UNIT
         self.tail = _band_spread(band, err) if tail is None else tail
         self.spread = self.tail if spread is None else spread
         self.margin = (2.0 * self.gw + err) * self.spread
         self.band = band
-        self.columns = columns
 
-    def _sweep(self, band, columns, shift, rows):
+    def _sweep(self, band, shift, rows):
         """The Schur complement of the last d of the leading ``rows`` rows of fl(A) - shift I.
 
         Factors the rows before them window by window; None when a window
@@ -256,7 +259,7 @@ class _BandCholesky:
         schur = np.zeros((0, 0), complex)
         while True:
             stop = min(start + step + d, rows)
-            window = _dense_hermitian(band[start:stop], columns, shift)
+            window = _dense_hermitian(band[start:stop], shift)
             window[: len(schur), : len(schur)] = schur
             try:
                 low = np.linalg.cholesky(window)
@@ -271,24 +274,24 @@ class _BandCholesky:
 
     def factors(self, shift):
         """Whether the Cholesky factorisation of fl(A) - shift I runs through."""
-        return self._sweep(self.band, self.columns, shift, self.band.shape[0]) is not None
+        return self._sweep(self.band, shift, self.band.shape[0]) is not None
 
     def negatives(self, shift, twist, upper):
         """An upper (``upper``) or a lower bound on the negative eigenvalues of A - shift I.
 
         Needs shift >= 0.  A twisted factorisation of fl(A) - s I, with
         s = shift + delta for the upper bound and shift - delta for the
-        lower one, ``band`` in the layout of G: the middle window of 2d rows
-        is placed around row ``twist`` and clipped to the matrix.  Cholesky
-        sweeps factor the rows above it and the rows below it, the latter
-        on the reversed matrix, whose band in the layout of H is the band
-        upside down; their Schur complements replace the first and last d
-        rows and columns of the middle window, and the top and bottom rows
-        are not coupled.  If both sweeps run through, the top and bottom
-        blocks of fl(A) - s I + F are positive definite, F the backward
-        error of the sweeps, so by Haynsworth's inertia additivity its
-        negative eigenvalues are those of the Schur complement of the middle
-        window, which ``_eigen_inertia`` bounds.
+        lower one: the middle window of 2d rows is placed around row
+        ``twist`` and clipped to the matrix.  Cholesky sweeps factor the rows
+        above it and the rows below it, the latter on the reversed matrix,
+        whose band is ``_flip`` of the band upside down; their Schur
+        complements replace the first and last d rows and columns of the
+        middle window, and the top and bottom rows are not coupled.  If both
+        sweeps run through, the top and bottom blocks of fl(A) - s I + F are
+        positive definite, F the backward error of the sweeps, so by
+        Haynsworth's inertia additivity its negative eigenvalues are those of
+        the Schur complement of the middle window, which ``_eigen_inertia``
+        bounds.
 
         F is the gw |R^H| |R| of Thm 10.3 on the swept rows, and on the
         middle's corners the rounding of the Schur products,
@@ -313,12 +316,12 @@ class _BandCholesky:
         hi = min(lo + 2 * d, size)
         middle = _dense_hermitian(self.band[lo:hi], shift=shift)
         if lo > 0:
-            top = self._sweep(self.band, False, shift, lo + d)
+            top = self._sweep(self.band, shift, lo + d)
             if top is None:
                 return None
             middle[:d, :d] = top
         if hi < size:
-            bottom = self._sweep(self.band[::-1], True, shift, size - hi + d)
+            bottom = self._sweep(_flip(self.band[::-1]), shift, size - hi + d)
             if bottom is None:
                 return None
             middle[hi - lo - d :, hi - lo - d :] = bottom[::-1, ::-1]
@@ -434,7 +437,7 @@ def oracle_curvature(spec, z, n=DEFAULT_DEGREE):
     budget:
     - rounding: the entries of x, and so of p and p', are within
       gamma_{4n+32} (T + 2n + 2) of their exact values relatively, T as
-      in ``_range_vectors``, a bound of 1e-10 at n = 300 and |w| = 0.7 on
+      in ``_point_powers``, a bound of 1e-10 at n = 300 and |w| = 0.7 on
       Hardy, where 1e-14 is observed on the benchmark corpus; a, b and c,
       sums of 2 (n + 1) terms, add gamma_{2n+2}, and a b - |c|^2 loses the
       factor a b / (a b - |c|^2) to cancellation;
@@ -538,7 +541,7 @@ def multiplier_lower_bound(spec, n=DEFAULT_DEGREE):
     epsilon = float(spec.certificate.epsilon)
     root = max(np.sqrt(epsilon) - tail, 0.0)
     target = root * root
-    chol = _BandCholesky(band, _band_error(d), columns=True)
+    chol = _BandCholesky(band, _band_error(d))
     ok = target > chol.margin and chol.factors(target)
     return MultiplierBound(epsilon=epsilon, tail=tail, slack=float(chol.margin), ok=bool(ok))
 
@@ -617,8 +620,12 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
       because C_w R = Q^H Z and Z = N B_w lies in the range of Q;
       |Z|_F^2 = a + |w|^2 b - 2 Re(w c) from three scalars,
       a = |M S|_F^2 = |S2^H N|_F^2, b = |M|_F^2 = |N|_F^2 = trace G and
-      c = <N, S2^H N> = <M S, M>, where a and c come from the diagonal and
-      first off-diagonal of the column Gram M^H M;
+      c = <N, S2^H N> = <M S, M>.  The P_n-truncated blocks are
+      polynomials in S, so M S = S2 M, and with
+      S^H S = diag(s_0^2, ..., s_{n-1}^2, 0) these are traces against G:
+      a = sum_k s_k^2 G[k, k] and c = sum_k s_k G[k + 1, k], read from
+      the diagonal and first off-diagonal of the band G (``_shift_traces``;
+      c = 0 when d = 0);
     - r = |(S2^H - conj(w)) p| / |p| >= sigma_m(C_w) for p = N x, with
       x_k = conj(w)^k / nu_k the kernel vector (any x would do), since
       p = Q (R x) and |R x| = |p|; p comes from partial sums,
@@ -642,7 +649,10 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     - the bands: every entry is within gamma_{16(d+2)} (``_band_error``)
       of its exact value relative to the same sum over |c|.  With the
       computed weights, err = gamma_{16(d+2)} + e_s + gamma_{4m} bounds the
-      relative error of a, b and c (of c against sqrt(a b)), and
+      relative error of a, b and c (of c against sqrt(a b)): a diagonal
+      entry G[k, k] equals its sum over |c|, and by Cauchy-Schwarz that of
+      G[k + 1, k] is at most sqrt(G[k + 1, k + 1] G[k, k]), while
+      sum_k s_k sqrt(G[k + 1, k + 1] G[k, k]) <= sqrt(a b); and
       |G_band - G|_2 <= err spread, where spread (``_band_spread``) bounds
       the 2-norm of |M| |M|^H: a band of half-width d whose entries are at
       most the largest diagonal one;
@@ -654,7 +664,7 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
       before the square root, which is subtracted;
     - r: x, scaled per point (which leaves r unchanged), is within
       e_x = gamma_{4n+32} (T + 2n + 2) of the exact kernel vector times
-      its scale, relatively (``_range_vectors``), and the partial sums take
+      its scale, relatively (``_point_powers``), and the partial sums take
       4d + 10 roundings more, so the computed p is within
       dp = (gamma_{8(m+d+2)} + e_x) |x| (sum_i (sum_t |c_{i,t}| |w|^t)^2)^(1/2)
       of N x; hi times dp goes to the numerator and dp is taken off the
@@ -792,44 +802,71 @@ def _bidiagonal_beta(s, aw):
     return beta, _gamma(16 * n + 32) * scale + _gamma(8)
 
 
-def _range_vectors(table, s, points):
-    """The kernel vector x, x' = dx / d conj(w), p = N x and p' = N x', one row per point.
+def _point_powers(s, points, d):
+    """The kernel vector x and the powers w^t for t <= d, one row per point.
 
-    x_k = conj(w)^k / nu_k, with nu_k = |z^k|, is its modulus from
-    ``_log_kernel_vector``, scaled per point by exp(-max_k log |x_k|), times
-    the phase (conj(w) / |w|)^k, a running product; x'_k = k x_{k-1} /
-    s_{k-1} has the same scale.  With T = n |log |w|| + sum_k |log s_k|
-    (T without its first term at w = 0, where x = e_0 exactly), every entry
-    of x is within gamma_{4n+32} (T + 2n + 2) of the exact kernel vector
-    times that scale, relatively: the logs, their running sum, the
-    exponential and the k products of the phase; an entry that underflows
-    is off by at most 2^-1074, against |x| >= 1.
-    N = [M2^H; -M1^H] for the P_n-truncated multiplier, n = s.size: block i
-    of N^H x holds (M_i^H x)_l = x_l conj(sum_{t <= n - l} c_{i,t} w^t), and
-    its derivative in conj(w) adds x_l conj(sum_{t <= n - l} t c_{i,t} w^(t-1))
+    x_k = conj(w)^k / nu_k, with nu_k = |z^k| and k <= n = s.size, is its
+    modulus from ``_log_kernel_vector``, scaled per point by
+    exp(-max_k log |x_k|), times the phase (conj(w) / |w|)^k, a running
+    product.  With T = n |log |w|| + sum_k |log s_k| (T without its first
+    term at w = 0, where x = e_0 exactly), every entry of x is within
+    gamma_{4n+32} (T + 2n + 2) of the exact kernel vector times that scale,
+    relatively: the logs, their running sum, the exponential and the k
+    products of the phase; an entry that underflows is off by at most
+    2^-1074, against |x| >= 1.
+    """
+    x = np.exp(_log_kernel_vector(s, np.abs(points))).astype(complex)
+    unit = np.exp(-1j * np.angle(points))[:, None]
+    x[:, 1:] *= np.cumprod(np.broadcast_to(unit, (len(points), s.size)), axis=1)
+    ones = np.ones((len(points), 1))
+    steps = np.broadcast_to(points[:, None], (len(points), d))
+    return x, np.concatenate([ones, np.cumprod(steps, axis=1)], axis=1)
+
+
+def _partial_sums(table, powers, n):
+    """conj(sum_{t <= n - l} c_{i,t} powers[:, t]) for l = 0..n, one block per component.
+
+    One row per point.  With the kernel vector x and the powers w^t of
+    ``_point_powers``, N = [M2^H; -M1^H] for the P_n-truncated multiplier
+    gives N x from them: (M_i^H x)_l = x_l conj(sum_{t <= n - l} c_{i,t} w^t).
+    """
+    cut = np.minimum(n - np.arange(n + 1), table.shape[1] - 1)
+    return np.cumsum(table[:, None, :] * powers, axis=2)[:, :, cut].conj()
+
+
+def _range_vectors(table, s, points):
+    """The kernel vector x, x' = dx / d conj(w), p = N x and p' its derivative, one row per point.
+
+    x as in ``_point_powers`` and p from ``_partial_sums``; x'_k =
+    k x_{k-1} / s_{k-1} has the scale of x.  The derivative of
+    (M_i^H x)_l in conj(w) adds x_l conj(sum_{t <= n - l} t c_{i,t} w^(t-1))
     to x'_l times the same partial sum.
     """
     n = s.size
     d = table.shape[1] - 1
-    k = np.arange(n + 1)
-    x = np.exp(_log_kernel_vector(s, np.abs(points))).astype(complex)
-    unit = np.exp(-1j * np.angle(points))[:, None]
-    x[:, 1:] *= np.cumprod(np.broadcast_to(unit, (len(points), n)), axis=1)
-    dx = np.zeros_like(x)
-    np.multiply(x[:, :-1], k[1:] / s, out=dx[:, 1:])
-    ones = np.ones((len(points), 1))
-    powers = np.concatenate(
-        [ones, np.cumprod(np.broadcast_to(points[:, None], (len(points), d)), axis=1)], axis=1
-    )
+    x, powers = _point_powers(s, points, d)
+    zero = np.zeros((len(points), 1))
+    dx = np.concatenate([zero, x[:, :-1] * (np.arange(1, n + 1) / s)], axis=1)
     # t w^(t-1), the powers of theta'
-    dpowers = np.zeros_like(powers)
-    dpowers[:, 1:] = np.arange(1, d + 1) * powers[:, :-1]
-    cut = np.minimum(n - k, d)
-    sums = np.cumsum(table[:, None, :] * powers, axis=2)[:, :, cut].conj()
-    dsums = np.cumsum(table[:, None, :] * dpowers, axis=2)[:, :, cut].conj()
+    dpowers = np.concatenate([zero, np.arange(1, d + 1) * powers[:, :-1]], axis=1)
+    sums = _partial_sums(table, powers, n)
+    dsums = _partial_sums(table, dpowers, n)
     p = np.concatenate([x * sums[1], -(x * sums[0])], axis=1)
     dp = np.concatenate([dx * sums[1] + x * dsums[1], -(dx * sums[0] + x * dsums[0])], axis=1)
     return x, dx, p, dp
+
+
+def _shift_traces(gram, kind, s):
+    """a = |M S|_F^2, b = |M|_F^2 and c = <M S, M> of route 1, traces against the band of G.
+
+    The P_n-truncated blocks commute with the shift S (weights s), so
+    a = tr(S^H S G) = sum_k s_k^2 G[k, k], b = tr G and
+    c = tr(S^H G) = sum_k s_k G[k + 1, k], which is 0 when d = 0 and G is
+    diagonal (see ``dim_ker_estimate``).
+    """
+    a = float(np.dot(_norm_ratios(kind, s.size), gram[:-1, 0].real))
+    c = np.dot(s, gram[:-1, 1]) if gram.shape[1] > 1 else 0.0
+    return a, float(np.sum(gram[:, 0].real)), c
 
 
 # per-point bounds of route 1, one array entry per point: hi and lo bound
@@ -858,11 +895,7 @@ def _gram_bounds(table, kind, gram, s, points, gap_tol):
     e_s = _gamma(2)
     err = _band_error(d) + e_s + _gamma(4 * m)
 
-    cols = _gram_band(table, kind, n, m, columns=True, width=2)
-    b = float(np.sum(gram[:, 0].real))
-    # a = |M S|_F^2 = sum_k s_k^2 H[k+1, k+1], c = <M S, M> = sum_k s_k H[k+1, k]
-    a = float(np.dot(_norm_ratios(kind, n), cols[1:, 0].real))
-    c = np.dot(s, cols[1:, 1].conj())
+    a, b, c = _shift_traces(gram, kind, s)
 
     aw = np.abs(points)
     # the largest exact weight
@@ -872,7 +905,9 @@ def _gram_bounds(table, kind, gram, s, points, gap_tol):
     z2 -= 4.0 * err * (np.sqrt(a) + aw * np.sqrt(b)) ** 2
     lo = np.sqrt(np.maximum(z2, 0.0)) / np.sqrt(b * (1.0 + err)) * (1.0 - gn)
 
-    x, _, pk, _ = _range_vectors(table, s, points)
+    x, powers = _point_powers(s, points, d)
+    sums = _partial_sums(table, powers, n)
+    pk = np.concatenate([x * sums[1], -(x * sums[0])], axis=1)
     # (S2^H - conj(w)) p: S2^H moves entry k + 1 of each block to entry k,
     # weighted s_k
     resid = -np.conj(points)[:, None] * pk
@@ -881,7 +916,7 @@ def _gram_bounds(table, kind, gram, s, points, gap_tol):
     norm_p = np.linalg.norm(pk, axis=1)
     # the distance of the computed p to N x: x and the partial sums against
     # the sums of |c_{i,t}| |w|^t; e_x is the relative error of x stated in
-    # _range_vectors
+    # _point_powers
     reach = np.linalg.norm(np.abs(table) @ (aw[None, :] ** np.arange(d + 1)[:, None]), axis=0)
     log_w = np.abs(np.log(np.where(aw > 0, aw, 1.0)))
     e_x = _gamma(4 * n + 32) * (n * log_w + np.sum(np.abs(np.log(s))) + 2 * n + 2)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import diskmod.oracle
 from diskmod import SpecFileError, base_curvature, HARDY, poly
 from diskmod.cli import canonical_problem_text, main, parse_problem
 
@@ -409,6 +410,22 @@ def test_verify_counts_kernels_where_the_monomial_norms_underflow(tmp_path, caps
     check = strict_json(out.read_text())["oracle"]["moduleA"]["dim_ker"]
     assert check == {"values": [1, 1, 1, 0, 0], "ok": False}
     assert all(type(v) is int for v in check["values"])
+
+
+def test_verify_builds_two_gram_bands_per_module(tmp_path, capsys, monkeypatch):
+    # G for the kernel counts, whose diagonals also give route 1 its traces,
+    # and H for the multiplier bound
+    calls = []
+    gram_band = diskmod.oracle._gram_band
+
+    def recording_gram_band(*args, **kwargs):
+        calls.append(kwargs.get("columns", False))
+        return gram_band(*args, **kwargs)
+
+    monkeypatch.setattr(diskmod.oracle, "_gram_band", recording_gram_band)
+    path = write(tmp_path, "iso.spec", SPEC_ISO)
+    assert main(["verify", path, "--out", str(tmp_path / "v.json")]) == 0
+    assert calls == [False, True] * 2
 
 
 def test_verify_uncertified_stops_before_oracle(tmp_path, capsys):

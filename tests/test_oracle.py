@@ -43,12 +43,14 @@ from diskmod.oracle import (
     _bidiagonal_beta,
     _band_spread,
     _dense_hermitian,
+    _flip,
     _gram_band,
     _gram_bounds,
     _log_kernel_vector,
     _pencil_band,
     _pencil_count,
     _range_vectors,
+    _shift_traces,
     _taylor_table,
 )
 from reference import (
@@ -585,6 +587,8 @@ def _truncated_multiplier(spec, n):
 
 
 BASIS_BASES = (HARDY, BERGMAN, weighted_bergman(1.5))
+# d = 0: G and H are bands of one column, and route 1's c is 0
+CONSTANT_PAIR = (weighted_bergman(1.5), MultiplierPair(poly([1]), poly([0.5j])))
 BASIS_PAIRS = (
     MultiplierPair(poly([-0.5, 1]), poly([1, 0.5])),
     MultiplierPair(rational([1], [1, 0.5]), poly([0, 1])),
@@ -807,6 +811,7 @@ def test_gram_certificate_settles_without_the_pencil(monkeypatch, corpus):
 
     monkeypatch.setattr(diskmod.oracle, "_pencil_count", no_pencil)
     specs = list(corpus) + [make_spec(b, p) for b in BASIS_BASES for p in BASIS_PAIRS]
+    specs.append(make_spec(*CONSTANT_PAIR))
     for spec in specs:
         assert dim_ker_estimate(spec, DIM_KER_POINTS, 120) == [1] * len(DIM_KER_POINTS)
 
@@ -865,6 +870,7 @@ def _with_certificate(spec, theta=None, epsilon=None):
 
 def test_multiplier_bound_holds_on_the_corpus_and_ill_conditioned_pairs(corpus):
     specs = list(corpus) + [make_spec(base, pair, 1e-12) for base, pair in ILL_CONDITIONED]
+    specs.append(make_spec(*CONSTANT_PAIR))
     for spec in specs:
         for n in (60, 120):
             bound = multiplier_lower_bound(spec, n)
@@ -985,14 +991,17 @@ def test_gram_bands_match_the_dense_products(base, n):
         full = _full_multiplier(pair, base, dom)
         ref = full.conj().T @ full
         band = _gram_band(table, base, dom + d, dom + 1, columns=True)
-        err = np.linalg.norm(_dense_hermitian(band, columns=True) - ref, 2)
+        err = np.linalg.norm(_dense_hermitian(band) - ref, 2)
         assert err <= _band_margin(band, dom + d + 1)
-        # the two diagonals of the truncated column Gram that route 1 reads
-        cols = _gram_band(table, base, n, m, columns=True, width=2)
-        ref = mult.conj().T @ mult
-        assert np.allclose(cols[:, 0], ref.diagonal(), rtol=1e-13, atol=0)
-        scale = np.max(ref.diagonal().real)
-        assert np.allclose(cols[1:, 1], ref.diagonal(1), rtol=1e-12, atol=1e-15 * scale)
+        # route 1's traces a = |M S|_F^2, b = |M|_F^2 and c = <M S, M> from
+        # the band of G, within the relative error stated in dim_ker_estimate
+        # and the rounding of the dense reference
+        a, b, c = _shift_traces(_gram_band(table, base, n, m), base, shift_weights(base, n))
+        moved = mult @ build_shift(base, n)
+        tol = _band_error(d) + _gamma(2) + 2 * _gamma(4 * m)
+        assert abs(a - np.linalg.norm(moved) ** 2) <= tol * a
+        assert abs(b - np.linalg.norm(mult) ** 2) <= tol * b
+        assert abs(c - np.vdot(moved, mult)) <= tol * np.sqrt(a * b)
 
 
 @pytest.mark.parametrize("base", FIVE_BASES)
@@ -1011,7 +1020,7 @@ def test_range_vectors_match_the_dense_product(base):
     # p = N x and p' = N x' from partial sums of the coefficients, against N
     # of the stored P_n-truncated multiplier times x and x'; x and x' against
     # the kernel vector and its derivative in conj(w), scaled by the largest
-    # entry of |x|, within the relative bound stated in _range_vectors
+    # entry of |x|, within the relative bound stated in _point_powers
     points = np.array([0, 0.3, -0.3, 0.45j, 0.6, 0.25 - 0.5j])
     for pair in BAND_PAIRS:
         table, _ = _taylor_table(pair)
@@ -1052,10 +1061,10 @@ def test_band_cholesky_brackets_the_smallest_eigenvalue(rows, columns):
     assert _BandCholesky(band, err).margin == (
         (2.0 * gw + err) * _band_spread(band, err)
     )
-    lam = np.linalg.eigvalsh(_dense_hermitian(band, columns))[0]
-    below = _BandCholesky(band, err, columns)
+    lam = np.linalg.eigvalsh(_dense_hermitian(band))[0]
+    below = _BandCholesky(band, err)
     assert below.factors(lam - 2.0 * below.margin)
-    above = _BandCholesky(band, err, columns)
+    above = _BandCholesky(band, err)
     assert not above.factors(lam * (1.0 + 1e-6) + above.margin)
 
 
@@ -1079,9 +1088,9 @@ def test_windowed_factorisation_agrees_with_the_dense_cholesky(rows, d, columns)
     cod = rows - 1 + d if columns else rows - 1
     band = _gram_band(table, weighted_bergman(1.5), cod, rows, columns=columns)
     assert band.shape == (rows, d + 1)
-    dense = _dense_hermitian(band, columns)
+    dense = _dense_hermitian(band)
     lam = np.linalg.eigvalsh(dense)[0]
-    chol = _BandCholesky(band, _band_error(d), columns)
+    chol = _BandCholesky(band, _band_error(d))
 
     def dense_factors(shift):
         try:
@@ -1118,6 +1127,25 @@ def test_pencil_band_matches_the_dense_product(base):
             # the half-width is d + 1
             d = gram.shape[1] - 1
             assert np.all(np.abs(np.tril(ref, -(d + 2))) == 0)
+
+
+@pytest.mark.parametrize("base", FIVE_BASES)
+def test_flip_reverses_every_band_exactly(base):
+    # _flip of a band upside down is the band of the reversed matrix, bit for
+    # bit: G, H and pencil bands, also with fewer rows than d + 1 (d is 41
+    # and 58 for the rational pairs, 0 for the constant one)
+    for pair in BAND_PAIRS:
+        table, _ = _taylor_table(pair)
+        d = table.shape[1] - 1
+        for rows in (1, 3, d + 1, 61):
+            gram = _gram_band(table, base, rows - 1, rows)
+            pencil = _pencil_band(gram, shift_weights(base, rows - 1), 0.3 - 0.2j, 1e-3)
+            cols = _gram_band(table, base, rows - 1 + d, rows, columns=True)
+            for band in (gram, cols, pencil):
+                flipped = _flip(band[::-1])
+                assert flipped.shape == band.shape
+                ref = _dense_hermitian(band)[::-1, ::-1]
+                assert np.array_equal(_dense_hermitian(flipped), ref)
 
 
 def _leading_minors(band, shift):
