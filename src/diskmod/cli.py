@@ -320,7 +320,7 @@ def _run(args):
         code = EXIT_UNCERTIFIED
     else:
         code = body(prob, specs, args, report)
-    report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
+    report.setdefault("timing", {})["seconds"] = round(time.perf_counter() - started, 6)
     text = json.dumps(report, indent=2, sort_keys=True)
     # the --out of curvature names the CSV, so its report goes to stdout
     if args.out and args.command != "curvature":
@@ -338,16 +338,23 @@ def _corona(prob, specs, args, report):
     return EXIT_OK
 
 
+def _gnuplot_string(text):
+    """A gnuplot single-quoted string; inside one, '' stands for '."""
+    return "'" + text.replace("'", "''") + "'"
+
+
 def _curvature(prob, specs, args, report):
     field = curvature_field(specs["moduleA"], prob.grid)
     out_csv = args.out or "curvature.csv"
+    started = time.perf_counter()
     _write(out_csv, field)
+    report["timing"] = {"csv_write_seconds": round(time.perf_counter() - started, 6)}
     _write(
         os.path.splitext(out_csv)[0] + ".gp",
         "set datafile separator ','\n"
-        f"set title '{field.label}'\n"
+        f"set title {_gnuplot_string(field.label)}\n"
         "set xlabel 're'\nset ylabel 'im'\n"
-        f"splot '{out_csv}' every ::1 using 1:2:3 with points palette "
+        f"splot {_gnuplot_string(out_csv)} every ::1 using 1:2:3 with points palette "
         "pointtype 7 title 'curvature'\n",
     )
     lo, hi = float(np.min(field.values)), float(np.max(field.values))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -279,6 +280,29 @@ def test_curvature_script_beside_extensionless_csv_in_dotted_dir(tmp_path):
     script = (folder / "field.gp").read_text()
     assert f"splot '{out}'" in script
     assert not (tmp_path / "a.gp").exists()
+
+
+def gnuplot_strings(script):
+    """The single-quoted strings of a gnuplot script, with '' read as '."""
+    return [s.replace("''", "'") for s in re.findall(r"'((?:[^']|'')*)'", script)]
+
+
+def test_curvature_script_quotes_a_path_with_an_apostrophe(tmp_path):
+    path = write(tmp_path, "a.spec", SPEC_A)
+    folder = tmp_path / "it's"
+    folder.mkdir()
+    out = str(folder / "field.csv")
+    assert main(["curvature", path, "--grid", "0.5,2,3", "--out", out]) == 0
+    strings = gnuplot_strings((folder / "field.gp").read_text())
+    assert out in strings
+    assert "curvature" in strings
+
+
+def test_curvature_report_times_the_csv_write(tmp_path, capsys):
+    path = write(tmp_path, "a.spec", SPEC_A)
+    assert main(["curvature", path, "--out", str(tmp_path / "f.csv")]) == 0
+    timing = stdout_report(capsys.readouterr().out)["timing"]
+    assert 0 <= timing["csv_write_seconds"] <= timing["seconds"]
 
 
 def test_curvature_command_value_near_origin(tmp_path):

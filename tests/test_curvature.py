@@ -2,6 +2,7 @@
 
 import io
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from diskmod import (
     quotient_curvature,
     rational,
 )
-from diskmod.curvature import _CSV_BLOCK_ROWS
+from diskmod.curvature import _CSV_BLOCK_ROWS, _csv_rows, _significand
 from reference import fd_laplacian
 
 PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
@@ -304,6 +305,62 @@ def test_csv_block_writer_matches_row_writer(rows, tmp_path):
     buf = io.StringIO()
     field._write(buf, pts)
     assert buf.getvalue() == reference_csv(pts, values)
+
+
+def formatter_classes():
+    """Values by class, each class with both signs, for the %.17g formatter."""
+    rng = np.random.default_rng(27)
+    powers = np.array([float(f"1e{e}") for e in range(-6, 19)])
+    ties = []
+    for k in range(-4, 16):
+        # j / 2^(17 - k), j odd, times 10^(16 - k) is j 5^(16 - k) / 2: the
+        # 17th digit is followed by exactly one half (j < 2^53 stays exact)
+        p = 17 - k
+        lo, hi = int(10.0**k * 2**p), min(int(10.0 ** (k + 1) * 2**p), 2**53)
+        ties.append((2 * rng.integers(lo // 2 + 1, hi // 2 - 1, 50) + 1) / 2.0**p)
+    classes = {
+        "decades": np.concatenate([rng.uniform(1, 10, 200) * 10.0**e for e in range(-5, 18)]),
+        "powers and neighbours": np.concatenate(
+            [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]
+        ),
+        "ties": np.concatenate(ties),
+        "round up to a power of ten": np.array(
+            [float(f"9.99999999999999999e{e}") for e in range(-6, 18)]
+        ),
+        "integers": np.concatenate(
+            [np.arange(1000.0), rng.integers(1, 2**53, 500).astype(float), 2.0 ** np.arange(60)]
+        ),
+        "special": np.array([0.0, np.inf, np.nan, 5e-324, np.finfo(float).max]),
+        "random bits": rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64),
+    }
+    return {name: np.concatenate([v, -v]) for name, v in classes.items()}
+
+
+def test_csv_formatter_matches_percent_g_by_class():
+    classes = formatter_classes()
+    for name, v in classes.items():
+        v = np.resize(v, 3 * -(-len(v) // 3))
+        got = _csv_rows(v.reshape(-1, 3)).replace("\n", ",").split(",")[:-1]
+        want = ["%.17g" % t for t in v.tolist()]
+        bad = [(t, g, w) for t, g, w in zip(v.tolist(), got, want) if g != w]
+        assert len(got) == len(want) and not bad, (name, bad[:5])
+
+    # the ties are ties: digit 18 is a 5 with nothing after it
+    for t in classes["ties"].tolist():
+        scaled = Decimal(t).scaleb(16 - Decimal(t).adjusted())
+        assert abs(scaled) % 1 == Decimal("0.5")
+
+    # an exponent estimate one off either way gives the same digits: np.log10
+    # may round across a power of ten, and so may another platform's
+    a = np.abs(np.concatenate([v for name, v in classes.items() if name != "random bits"]))
+    a = np.unique(a[(a >= 1e-4) & (a < 1e16)])
+    exact = np.array([Decimal(t).adjusted() for t in a.tolist()])
+    want = [("%.16e" % t).replace(".", "").split("e") for t in a.tolist()]
+    want_n = np.array([int(m) for m, _ in want])
+    want_k = np.array([int(e) for _, e in want])
+    for step in (-1, 0, 1):
+        n, k = _significand(a, exact + step)
+        assert np.array_equal(n, want_n) and np.array_equal(k, want_k), step
 
 
 def test_rational_pair_through_curvature():
