@@ -17,8 +17,8 @@ goes to ``--out``, or to stdout for ``curvature``, whose ``--out`` names the
 CSV.
 
 Exit codes: 0 success/Isomorphic, 1 parse or usage error (also an output path
-that cannot be written), 2 certification failure, 3 NotIsomorphic, 4
-Inconclusive, 5 internal tolerance failure.
+that cannot be written, or a stdout closed by its reader), 2 certification
+failure, 3 NotIsomorphic, 4 Inconclusive, 5 internal tolerance failure.
 """
 
 from __future__ import annotations
@@ -525,7 +525,15 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the rest of the output goes to devnull, so
+        # the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -78,8 +78,9 @@ class NoSpectralGap(DiskModError):
     The band pencil counts a different number of singular values below the
     upper threshold than below a tenth of the lower one, so the singular
     values may not fall apart by a factor 10 around the threshold; or a
-    threshold lies inside the rounding margin; or the quotient frame N is
-    rank-deficient.
+    threshold lies inside the rounding margin; or G = N^H N of the quotient
+    frame N is not proved positive definite, because N is rank-deficient or
+    G too ill-conditioned for double precision.
     """
 
 

@@ -18,11 +18,11 @@ safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import FunctionParseError, InvalidFunction, PointOutsideDomain
+from .errors import FunctionParseError, InvalidFunction, PointOutsideDomain, TailBoundExceeded
 
 npp = np.polynomial.polynomial
 
@@ -231,25 +231,6 @@ def derivative(f):
     return HoloFun(tuple(top), tuple(npp.polymul(f.denom, f.denom)))
 
 
-@dataclass(frozen=True)
-class MultiplierPair:
-    """An ordered pair of multipliers, not both identically zero."""
-
-    theta1: HoloFun
-    theta2: HoloFun
-
-    def __post_init__(self):
-        if self.theta1.is_zero and self.theta2.is_zero:
-            raise InvalidFunction("multiplier pair must not be identically zero")
-
-    def __iter__(self):
-        return iter((self.theta1, self.theta2))
-
-    def scale(self, f):
-        """The pair {f*theta1, f*theta2}."""
-        return MultiplierPair(f * self.theta1, f * self.theta2)
-
-
 def common_zeros_in_disk(pair):
     """All points of the open disk where both components vanish.
 
@@ -267,6 +248,11 @@ def common_zeros_in_disk(pair):
 
 # ---------------------------------------------------------------------------
 # Taylor data for the matrix-truncation layer
+
+# largest Taylor degree of a rational component, and the bound its tail must meet
+RATIONAL_TAYLOR_DEGREE = 64
+TAIL_TOL = 1e-10
+
 
 def taylor_coefficients(f, n):
     """First n+1 Taylor coefficients of ``f`` at the origin.
@@ -321,6 +307,62 @@ def taylor_tail_bound(f, n):
             tail = m * np.power(r, -degrees, dtype=float) / (r - 1.0)
         best = np.where(np.isfinite(tail) & (tail < best), tail, best)
     return float(best) if degrees.ndim == 0 else best
+
+
+@dataclass(frozen=True)
+class MultiplierPair:
+    """An ordered pair of multipliers, not both identically zero."""
+
+    theta1: HoloFun
+    theta2: HoloFun
+
+    def __post_init__(self):
+        if self.theta1.is_zero and self.theta2.is_zero:
+            raise InvalidFunction("multiplier pair must not be identically zero")
+
+    def __iter__(self):
+        return iter((self.theta1, self.theta2))
+
+    def scale(self, f):
+        """The pair {f*theta1, f*theta2}."""
+        return MultiplierPair(f * self.theta1, f * self.theta2)
+
+    @cached_property
+    def _taylor(self):
+        """Taylor coefficients of the pair, one row per component, and its tail.
+
+        A polynomial component enters exactly with tail 0; a rational one by
+        its Taylor polynomial of the smallest degree k <=
+        ``RATIONAL_TAYLOR_DEGREE`` whose certified tail bound, the distance
+        to it on the disk, is at most ``TAIL_TOL`` (TailBoundExceeded when no
+        such k exists).  One call of ``taylor_tail_bound`` bounds the tails
+        of every degree at once.  Rows are zero-padded to d + 1, d the
+        largest Taylor degree, and the pair's tail is the root sum of
+        squares of the two component tails.  Computed once per pair, on
+        first use, and shared read-only by every truncation of the pair.
+        """
+        coeffs = []
+        tails = []
+        for f in self:
+            if f.is_polynomial:
+                coeffs.append(np.asarray(f.numer, complex))
+                tails.append(0.0)
+                continue
+            bounds = taylor_tail_bound(f, np.arange(RATIONAL_TAYLOR_DEGREE + 1))
+            within = np.flatnonzero(bounds <= TAIL_TOL)
+            if within.size == 0:
+                raise TailBoundExceeded(
+                    f"Taylor tail bound {bounds[-1]:.3e} exceeds {TAIL_TOL:.0e} at degree "
+                    f"{RATIONAL_TAYLOR_DEGREE}; denominator zeros sit too close to the disk"
+                )
+            degree = int(within[0])
+            coeffs.append(taylor_coefficients(f, degree))
+            tails.append(float(bounds[degree]))
+        table = np.zeros((len(coeffs), max(len(c) for c in coeffs)), complex)
+        for row, comp in zip(table, coeffs):
+            row[: len(comp)] = comp
+        table.flags.writeable = False
+        return table, float(np.hypot(*tails))
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,16 @@ factorisation (``_BandCholesky.negatives``).  Closed range of M_Theta is
 proved by the same factorisation of the band M^H M: it shows
 sigma_min(M)^2 >= epsilon - slack for the certified epsilon of the corona
 certificate (``multiplier_lower_bound``).  Each component enters by its
-Taylor coefficients, which ``_taylor_table`` computes together with the
-pair's tail bound; a rational component is cut at the smallest degree, at
-most 64, whose certified tail meets ``TAIL_TOL``, which keeps the bands
-narrow.  The kernel vector x_k = conj(w)^k / |z^k| and the frame N x are
-formed from the shift weights in log space (``_point_powers``), so no
-monomial norm is formed and a large weight alpha neither overflows nor
-underflows.  Truncation degrees default to 120 and evaluation points stay
-within |w| <= 0.6-0.7 so geometric kernel tails are negligible against the
-assertions made downstream.
+Taylor coefficients, which the pair computes once with its tail bound
+(``MultiplierPair._taylor``) and every function here reads; a rational
+component is cut at the smallest degree, at most 64, whose certified tail
+meets ``holofun.TAIL_TOL``, which keeps the bands narrow.  The kernel
+vector x_k = conj(w)^k / |z^k| and the frame N x are formed from the shift
+weights in log space (``_kernel_frame``), so no monomial norm is formed
+and a large weight alpha neither overflows nor underflows.  Truncation
+degrees default to 120 and evaluation points stay within |w| <= 0.6-0.7 so
+geometric kernel tails are negligible against the assertions made
+downstream.
 """
 
 from __future__ import annotations
@@ -46,12 +47,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .corona import _UNIT, _gamma
 from .curvature import _require_certified
 from .errors import NoSpectralGap, TailBoundExceeded
-from .holofun import taylor_coefficients, taylor_tail_bound
 from .rkhs import _norm_ratios, shift_weights
 
-# largest Taylor degree of a rational component
-RATIONAL_TAYLOR_DEGREE = 64
-TAIL_TOL = 1e-10
 GAP_FACTOR = 10.0
 DEFAULT_DEGREE = 120
 # smallest truncation degree the kernel count accepts
@@ -67,40 +64,6 @@ def _require(spec, n, least=1):
         raise ValueError(f"truncation degree must be at least {least}")
 
 
-def _taylor_table(theta):
-    """Taylor coefficients of the pair, one row per component, and its tail.
-
-    A polynomial component enters exactly with tail 0; a rational one by its
-    Taylor polynomial of the smallest degree k <= ``RATIONAL_TAYLOR_DEGREE``
-    whose certified tail bound, the distance to it on the disk, is at most
-    ``TAIL_TOL`` (TailBoundExceeded when no such k exists).  One call of
-    ``taylor_tail_bound`` bounds the tails of every degree at once.  Rows
-    are zero-padded to d + 1, d the largest Taylor degree, and the pair's
-    tail is the root sum of squares of the two component tails.
-    """
-    coeffs = []
-    tails = []
-    for f in theta:
-        if f.is_polynomial:
-            coeffs.append(np.asarray(f.numer, complex))
-            tails.append(0.0)
-            continue
-        bounds = taylor_tail_bound(f, np.arange(RATIONAL_TAYLOR_DEGREE + 1))
-        within = np.flatnonzero(bounds <= TAIL_TOL)
-        if within.size == 0:
-            raise TailBoundExceeded(
-                f"Taylor tail bound {bounds[-1]:.3e} exceeds {TAIL_TOL:.0e} at degree "
-                f"{RATIONAL_TAYLOR_DEGREE}; denominator zeros sit too close to the disk"
-            )
-        degree = int(within[0])
-        coeffs.append(taylor_coefficients(f, degree))
-        tails.append(float(bounds[degree]))
-    table = np.zeros((len(coeffs), max(len(c) for c in coeffs)), complex)
-    for row, comp in zip(table, coeffs):
-        row[: len(comp)] = comp
-    return table, float(np.hypot(*tails))
-
-
 def _gram_band(table, kind, cod, size, columns=False):
     """A Gram matrix of the multiplier as a band of half-width d, from ``table``.
 
@@ -114,8 +77,12 @@ def _gram_band(table, kind, cod, size, columns=False):
         H[l - o, l] = (nu_l / nu_{l-o}) sum_t conj(P_o[t]) (nu_{l+t} / nu_l)^2,
 
     so the band is one product of a sliding window of norm ratios, running
-    backward for G and forward for H, with P^T; H comes out by columns,
-    entry (l, o) = H[l - o, l], and ``_flip`` takes it to the layout of G.
+    backward for G and forward for H, with P^T.  H comes out by columns,
+    entry (l, o) = H[l - o, l], 0 for l < o; upside down, entry (l, o) is
+    H[m - 1 - l - o, m - 1 - l] = (J H J)[l + o, l], J the reversal of the
+    m = size rows.  So with ``columns`` the band returned, a view, is that of
+    J H J in the layout of G: it has the eigenvalues of H, and its largest
+    diagonal entry, d and m are those of H.
     Every ratio is a product of at most d of the ratios |z^j|^2 / |z^(j-1)|^2
     and no monomial norm is formed, so a large weight alpha neither
     underflows nor overflows the band.  Each entry is within
@@ -140,7 +107,7 @@ def _gram_band(table, kind, cod, size, columns=False):
     window, scale = (up, down) if columns else (down, up)
     # complex P^T through its real view: one real product
     band = (window @ np.ascontiguousarray(pmat.T).view(float)).view(complex) * np.sqrt(scale)
-    return _flip(band) if columns else band
+    return band[::-1] if columns else band
 
 
 def _flip(band):
@@ -282,16 +249,19 @@ class _BandCholesky:
         Needs shift >= 0.  A twisted factorisation of fl(A) - s I, with
         s = shift + delta for the upper bound and shift - delta for the
         lower one: the middle window of 2d rows is placed around row
-        ``twist`` and clipped to the matrix.  Cholesky sweeps factor the rows
-        above it and the rows below it, the latter on the reversed matrix,
-        whose band is ``_flip`` of the band upside down; their Schur
-        complements replace the first and last d rows and columns of the
-        middle window, and the top and bottom rows are not coupled.  If both
-        sweeps run through, the top and bottom blocks of fl(A) - s I + F are
-        positive definite, F the backward error of the sweeps, so by
-        Haynsworth's inertia additivity its negative eigenvalues are those of
-        the Schur complement of the middle window, which ``_eigen_inertia``
-        bounds.
+        ``twist`` and clipped to the matrix, rows lo to hi.  Cholesky sweeps
+        factor the rows above it and the rows below it.  The bottom sweep
+        runs on the reversed trailing block J A[hi - d:, hi - d:] J, J the
+        reversal: the band of A[hi - d:, hi - d:] is the last size - hi + d
+        rows of the band, the only ones this sweep reads, and ``_flip`` of
+        them upside down is the band of the reversed block.  The Schur
+        complements of the two sweeps replace the first and last d rows and
+        columns of the middle window, and the top and bottom rows are not
+        coupled.  If both sweeps run through, the top and bottom blocks of
+        fl(A) - s I + F are positive definite, F the backward error of the
+        sweeps, so by Haynsworth's inertia additivity its negative eigenvalues
+        are those of the Schur complement of the middle window, which
+        ``_eigen_inertia`` bounds.
 
         F is the gw |R^H| |R| of Thm 10.3 on the swept rows, and on the
         middle's corners the rounding of the Schur products,
@@ -321,7 +291,7 @@ class _BandCholesky:
                 return None
             middle[:d, :d] = top
         if hi < size:
-            bottom = self._sweep(_flip(self.band[::-1]), shift, size - hi + d)
+            bottom = self._sweep(_flip(self.band[hi - d :][::-1]), shift, size - hi + d)
             if bottom is None:
                 return None
             middle[hi - lo - d :, hi - lo - d :] = bottom[::-1, ::-1]
@@ -437,14 +407,14 @@ def oracle_curvature(spec, z, n=DEFAULT_DEGREE):
     budget:
     - rounding: the entries of x, and so of p and p', are within
       gamma_{4n+32} (T + 2n + 2) of their exact values relatively, T as
-      in ``_point_powers``, a bound of 1e-10 at n = 300 and |w| = 0.7 on
+      in ``_kernel_frame``, a bound of 1e-10 at n = 300 and |w| = 0.7 on
       Hardy, where 1e-14 is observed on the benchmark corpus; a, b and c,
       sums of 2 (n + 1) terms, add gamma_{2n+2}, and a b - |c|^2 loses the
       factor a b / (a b - |c|^2) to cancellation;
     - the Taylor tail: a rational component enters by its Taylor
-      polynomial, within tau = ``TAIL_TOL`` = 1e-10 of theta on the disk,
-      and by Cauchy's estimate within tau' = tau / (1 - |w|) <= 3.4e-10 in
-      theta' at |w| <= 0.7.  To first order that moves K by at most
+      polynomial, within tau = ``holofun.TAIL_TOL`` = 1e-10 of theta on the
+      disk, and by Cauchy's estimate within tau' = tau / (1 - |w|) <=
+      3.4e-10 in theta' at |w| <= 0.7.  To first order that moves K by at most
       (8 |theta'|^2 tau + 4 |theta| |theta'| tau') / |theta|^3, with
       |theta|^2 = |theta1|^2 + |theta2|^2: about 2e-9 where |theta| and
       |theta'| are of order 1.
@@ -457,7 +427,7 @@ def oracle_curvature(spec, z, n=DEFAULT_DEGREE):
     """
     _require(spec, n)
     scalar, points = _frame_points(z)
-    table, _ = _taylor_table(spec.theta)
+    table, _ = spec.theta._taylor
     _, _, p, dp = _range_vectors(table, shift_weights(spec.base, n), points)
     a = np.sum(np.abs(p) ** 2, axis=1)
     b = np.sum(np.abs(dp) ** 2, axis=1)
@@ -521,20 +491,24 @@ def multiplier_lower_bound(spec, n=DEFAULT_DEGREE):
     certified |theta1|^2 + |theta2|^2 >= epsilon of the corona certificate
     gives |Theta f|^2 >= epsilon |f|^2, and sigma_min(M)^2 >= epsilon for a
     polynomial pair.  A rational component enters by its Taylor polynomial
-    of the smallest degree <= 64 whose certified tail meets ``TAIL_TOL``,
-    and the pair's tail bound (``_taylor_table``) makes the
-    target (sqrt(epsilon) - tail)^2.  The computed Taylor coefficients are
-    taken as stored, as everywhere in the oracle.
+    of the smallest degree <= 64 whose certified tail meets
+    ``holofun.TAIL_TOL``, and the pair's tail bound
+    (``MultiplierPair._taylor``) makes the target (sqrt(epsilon) - tail)^2.
+    The computed Taylor coefficients are taken as stored, as everywhere in
+    the oracle.
 
-    H = M^H M comes from ``_gram_band``, each entry within
-    err = ``_band_error(d)`` of the exact one.  One Cholesky factorisation
-    of fl(H) - target I proves lambda_min(H) >= target - slack, with slack
-    the margin of ``_BandCholesky``.  The check is ok when the
-    factorisation runs through and target > slack.  A certificate that
-    claims more than the operator allows fails it.
+    ``_gram_band`` gives H = M^H M reversed: the band of J H J, J the
+    reversal, in the layout of G, each entry within err = ``_band_error(d)``
+    of the exact one.  J H J has the eigenvalues of H, and its largest
+    diagonal entry, d and order are those of H, so the margin of
+    ``_BandCholesky`` is the same for both.  One Cholesky factorisation of
+    fl(J H J) - target I proves lambda_min(H) >= target - slack, with slack
+    that margin.  The check is ok when the factorisation runs through and
+    target > slack.  A certificate that claims more than the operator allows
+    fails it.
     """
     _require(spec, n)
-    table, tail = _taylor_table(spec.theta)
+    table, tail = spec.theta._taylor
     d = table.shape[1] - 1
     dom = max(n - d, n // 4, 1)
     band = _gram_band(table, spec.base, dom + d, dom + 1, columns=True)
@@ -582,9 +556,11 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
        Eigenvalue Problem, Sec. 3), read from a twisted factorisation of
        the band (``_BandCholesky.negatives``).
     Route 2 needs G positive definite: one more Cholesky factorisation
-    proves lambda_min(G) >= margin > 0, and when it fails N is
-    rank-deficient (theta1(0) and theta2(0) both near 0) and NoSpectralGap
-    is raised.
+    proves lambda_min(G) >= margin > 0.  When it fails, NoSpectralGap is
+    raised and names G[0, 0] = |theta1(0)|^2 + |theta2(0)|^2 and the
+    margin: N is rank-deficient where G[0, 0] <= 2 margin, as theta1(0) and
+    theta2(0) nearly vanish; otherwise G is too ill-conditioned to prove
+    positive definite in double precision.
 
     The count rule.  With hi >= sigma_1(C_w) >= lo from route 1,
     t_hi = gap_tol hi and t_lo = gap_tol lo, the count is
@@ -592,10 +568,12 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     with delta the rounding margin below; NoSpectralGap otherwise, naming
     both counts.  By Weyl the first is an upper bound on the exact number of
     singular values below t_hi and the second a lower bound on the number
-    below t_lo / 10, and neg(M_w(t)) grows with t as G is positive
-    definite, so when they agree no
-    singular value lies in [gap_tol lo / 10, gap_tol hi).  That interval
-    holds [gap_tol sigma_1 / 10, gap_tol sigma_1], so the count is the
+    below t_lo / 10.  Where route 1's r >= sigma_m(C_w) is below t_lo / 10,
+    at least one singular value is, and the lower count is at least 1, also
+    when its factorisation fails.  neg(M_w(t)) grows with t as G is
+    positive definite, so when the counts agree no singular value lies in
+    [gap_tol lo / 10, gap_tol hi).  That interval holds
+    [gap_tol sigma_1 / 10, gap_tol sigma_1], so the count is the
     number below gap_tol sigma_1 and a factor-10 gap separates them from the
     rest: the rule implies the factor-10 gap rule on the singular values
     and is stricter than it, since the empty interval must reach from
@@ -664,7 +642,7 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
       before the square root, which is subtracted;
     - r: x, scaled per point (which leaves r unchanged), is within
       e_x = gamma_{4n+32} (T + 2n + 2) of the exact kernel vector times
-      its scale, relatively (``_point_powers``), and the partial sums take
+      its scale, relatively (``_kernel_frame``), and the partial sums take
       4d + 10 roundings more, so the computed p is within
       dp = (gamma_{8(m+d+2)} + e_x) |x| (sum_i (sum_t |c_{i,t}| |w|^t)^2)^(1/2)
       of N x; hi times dp goes to the numerator and dp is taken off the
@@ -719,7 +697,7 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
         raise ValueError(f"gap_tol must lie strictly between 0 and 1, got {gap_tol!r}")
     scalar, points = _frame_points(w, 0.6)
 
-    table, _ = _taylor_table(spec.theta)
+    table, _ = spec.theta._taylor
     s = shift_weights(spec.base, n)
     gram = _gram_band(table, spec.base, n, n + 1)
     bounds = _gram_bounds(table, spec.base, gram, s, points, gap_tol)
@@ -728,22 +706,28 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     if opened.size:
         chol = _BandCholesky(gram, _band_error(table.shape[1] - 1))
         if not chol.factors(2.0 * chol.margin):
-            raise NoSpectralGap(f"N is rank-deficient at degree {n}: G = N^H N is not proved "
-                                f"positive definite, as theta1(0) and theta2(0) nearly vanish")
+            corner = float(gram[0, 0].real)
+            cause = (f"N is rank-deficient at degree {n}, as theta1(0) and theta2(0) nearly vanish"
+                     if corner <= 2.0 * chol.margin else
+                     f"G = N^H N at degree {n} is too ill-conditioned to prove positive definite "
+                     f"in double precision")
+            raise NoSpectralGap(f"{cause}: G[0, 0] = {corner:.3e} against a margin of "
+                                f"{chol.margin:.3e}")
         twists = np.argmax(_log_kernel_vector(s, np.abs(points[opened])), axis=1)
         for i, twist in zip(opened, twists):
-            counts[i] = _pencil_count(
-                table, gram, s, points[i], bounds.hi[i], bounds.lo[i], gap_tol, int(twist))
+            counts[i] = _pencil_count(table, gram, s, points[i], bounds.hi[i], bounds.lo[i],
+                                      bounds.r[i], gap_tol, int(twist))
     return counts[0] if scalar else counts
 
 
-def _pencil_count(table, gram, s, w, hi, lo, gap_tol, twist):
+def _pencil_count(table, gram, s, w, hi, lo, r, gap_tol, twist):
     """Route 2 of ``dim_ker_estimate`` at one point: the count rule on the band pencil.
 
     ``table`` holds the Taylor coefficients, ``gram`` is the band of G, s
-    the shift weights, hi and lo bound sigma_1 as route 1 takes them and
-    ``twist`` is the row of the middle window; the thresholds and the margin
-    are the ones stated in ``dim_ker_estimate``.
+    the shift weights, hi and lo bound sigma_1 and r bounds sigma_m as route
+    1 takes them, and ``twist`` is the row of the middle window; the
+    thresholds, the margin and the use of r are the ones stated in
+    ``dim_ker_estimate``.
     """
     t_hi, t_lo = gap_tol * hi, gap_tol * max(lo, 0.0) / GAP_FACTOR
     m, width = gram.shape
@@ -761,6 +745,8 @@ def _pencil_count(table, gram, s, w, hi, lo, gap_tol, twist):
         )
         found.append(chol.negatives(0.0, twist, upper))
     upper, lower = found
+    if r < t_lo:
+        lower = max(lower or 0, 1)
     if upper is None or upper != lower:
         told = ["an unresolved number of" if c is None else c for c in (lower, upper)]
         raise NoSpectralGap(
@@ -802,14 +788,16 @@ def _bidiagonal_beta(s, aw):
     return beta, _gamma(16 * n + 32) * scale + _gamma(8)
 
 
-def _point_powers(s, points, d):
-    """The kernel vector x and the powers w^t for t <= d, one row per point.
+def _kernel_frame(table, s, points):
+    """x, the powers w^t, their partial sums and p = N x, one row per point.
 
-    x_k = conj(w)^k / nu_k, with nu_k = |z^k| and k <= n = s.size, is its
-    modulus from ``_log_kernel_vector``, scaled per point by
-    exp(-max_k log |x_k|), times the phase (conj(w) / |w|)^k, a running
-    product.  With T = n |log |w|| + sum_k |log s_k| (T without its first
-    term at w = 0, where x = e_0 exactly), every entry of x is within
+    x is the kernel vector, the powers run over t <= d, d the largest Taylor
+    degree in ``table``, and the partial sums and N are those of
+    ``_partial_sums``.  x_k = conj(w)^k / nu_k, with nu_k = |z^k| and
+    k <= n = s.size, is its modulus from ``_log_kernel_vector``, scaled per
+    point by exp(-max_k log |x_k|), times the phase (conj(w) / |w|)^k, a
+    running product.  With T = n |log |w|| + sum_k |log s_k| (T without its
+    first term at w = 0, where x = e_0 exactly), every entry of x is within
     gamma_{4n+32} (T + 2n + 2) of the exact kernel vector times that scale,
     relatively: the logs, their running sum, the exponential and the k
     products of the phase; an entry that underflows is off by at most
@@ -819,15 +807,17 @@ def _point_powers(s, points, d):
     unit = np.exp(-1j * np.angle(points))[:, None]
     x[:, 1:] *= np.cumprod(np.broadcast_to(unit, (len(points), s.size)), axis=1)
     ones = np.ones((len(points), 1))
-    steps = np.broadcast_to(points[:, None], (len(points), d))
-    return x, np.concatenate([ones, np.cumprod(steps, axis=1)], axis=1)
+    steps = np.broadcast_to(points[:, None], (len(points), table.shape[1] - 1))
+    powers = np.concatenate([ones, np.cumprod(steps, axis=1)], axis=1)
+    sums = _partial_sums(table, powers, s.size)
+    return x, powers, sums, np.concatenate([x * sums[1], -(x * sums[0])], axis=1)
 
 
 def _partial_sums(table, powers, n):
     """conj(sum_{t <= n - l} c_{i,t} powers[:, t]) for l = 0..n, one block per component.
 
     One row per point.  With the kernel vector x and the powers w^t of
-    ``_point_powers``, N = [M2^H; -M1^H] for the P_n-truncated multiplier
+    ``_kernel_frame``, N = [M2^H; -M1^H] for the P_n-truncated multiplier
     gives N x from them: (M_i^H x)_l = x_l conj(sum_{t <= n - l} c_{i,t} w^t).
     """
     cut = np.minimum(n - np.arange(n + 1), table.shape[1] - 1)
@@ -837,21 +827,18 @@ def _partial_sums(table, powers, n):
 def _range_vectors(table, s, points):
     """The kernel vector x, x' = dx / d conj(w), p = N x and p' its derivative, one row per point.
 
-    x as in ``_point_powers`` and p from ``_partial_sums``; x'_k =
-    k x_{k-1} / s_{k-1} has the scale of x.  The derivative of
-    (M_i^H x)_l in conj(w) adds x_l conj(sum_{t <= n - l} t c_{i,t} w^(t-1))
-    to x'_l times the same partial sum.
+    x and p as in ``_kernel_frame``; x'_k = k x_{k-1} / s_{k-1} has the
+    scale of x.  The derivative of (M_i^H x)_l in conj(w) adds
+    x_l conj(sum_{t <= n - l} t c_{i,t} w^(t-1)) to x'_l times the same
+    partial sum.
     """
     n = s.size
-    d = table.shape[1] - 1
-    x, powers = _point_powers(s, points, d)
+    x, powers, sums, p = _kernel_frame(table, s, points)
     zero = np.zeros((len(points), 1))
     dx = np.concatenate([zero, x[:, :-1] * (np.arange(1, n + 1) / s)], axis=1)
     # t w^(t-1), the powers of theta'
-    dpowers = np.concatenate([zero, np.arange(1, d + 1) * powers[:, :-1]], axis=1)
-    sums = _partial_sums(table, powers, n)
+    dpowers = np.concatenate([zero, np.arange(1, table.shape[1]) * powers[:, :-1]], axis=1)
     dsums = _partial_sums(table, dpowers, n)
-    p = np.concatenate([x * sums[1], -(x * sums[0])], axis=1)
     dp = np.concatenate([dx * sums[1] + x * dsums[1], -(dx * sums[0] + x * dsums[0])], axis=1)
     return x, dx, p, dp
 
@@ -880,10 +867,11 @@ _GramBounds = namedtuple("_GramBounds", "hi lo r floor settled")
 def _gram_bounds(table, kind, gram, s, points, gap_tol):
     """Route 1 of ``dim_ker_estimate``: bounds from G = N^H N and one Cholesky.
 
-    ``table`` holds the Taylor coefficients of the pair (``_taylor_table``),
-    ``kind`` is the base, ``gram`` the band of G, s the shift weights of the
-    truncation degree and ``points`` a 1-D complex array; the inequalities
-    and rounding margins are those stated in ``dim_ker_estimate``.
+    ``table`` holds the Taylor coefficients of the pair
+    (``MultiplierPair._taylor``), ``kind`` is the base, ``gram`` the band of
+    G, s the shift weights of the truncation degree and ``points`` a 1-D
+    complex array; the inequalities and rounding margins are those stated in
+    ``dim_ker_estimate``.
     """
     m = gram.shape[0]
     n = m - 1
@@ -905,9 +893,7 @@ def _gram_bounds(table, kind, gram, s, points, gap_tol):
     z2 -= 4.0 * err * (np.sqrt(a) + aw * np.sqrt(b)) ** 2
     lo = np.sqrt(np.maximum(z2, 0.0)) / np.sqrt(b * (1.0 + err)) * (1.0 - gn)
 
-    x, powers = _point_powers(s, points, d)
-    sums = _partial_sums(table, powers, n)
-    pk = np.concatenate([x * sums[1], -(x * sums[0])], axis=1)
+    x, _, _, pk = _kernel_frame(table, s, points)
     # (S2^H - conj(w)) p: S2^H moves entry k + 1 of each block to entry k,
     # weighted s_k
     resid = -np.conj(points)[:, None] * pk
@@ -916,7 +902,7 @@ def _gram_bounds(table, kind, gram, s, points, gap_tol):
     norm_p = np.linalg.norm(pk, axis=1)
     # the distance of the computed p to N x: x and the partial sums against
     # the sums of |c_{i,t}| |w|^t; e_x is the relative error of x stated in
-    # _point_powers
+    # _kernel_frame
     reach = np.linalg.norm(np.abs(table) @ (aw[None, :] ** np.arange(d + 1)[:, None]), axis=0)
     log_w = np.abs(np.log(np.where(aw > 0, aw, 1.0)))
     e_x = _gamma(4 * n + 32) * (n * log_w + np.sum(np.abs(np.log(s))) + 2 * n + 2)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from diskmod import NoSpectralGap, PointOutsideDomain, kernel_eval, shift_weights
-from diskmod.oracle import GAP_FACTOR, _taylor_table
+from diskmod.oracle import GAP_FACTOR
 
 # a QR pivot below this fraction of the largest column norm is rank-deficient
 QR_RANK_REL_TOL = 1e-10
@@ -116,12 +116,12 @@ def gamma_gram(spec, points):
 def multiplier_matrix(theta, kind, n, cod):
     """Columns theta_i e_k for k <= n in the doubled basis of degree cod.
 
-    Each component enters by its Taylor coefficients (``_taylor_table``).
+    Each component enters by its Taylor coefficients (``MultiplierPair._taylor``).
     cod = n + d, d the largest Taylor degree, keeps every product; a smaller
     cod drops the products beyond it and gives the P_cod truncation of the
     range.  Rows are stacked component-major.
     """
-    table, _ = _taylor_table(theta)
+    table, _ = theta._taylor
     norms = np.sqrt(monomial_norms_sq(kind, cod))
     m = np.zeros((len(table) * (cod + 1), n + 1), complex)
     k = np.arange(n + 1)[:, None]

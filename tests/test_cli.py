@@ -62,6 +62,19 @@ theta1 = poly:[1]
 theta2 = poly:[0,1]
 """
 
+# two modules with three rational components between them
+SPEC_RATIONAL = """\
+[moduleA]
+base = hardy
+theta1 = rat:[1]/[1,-0.5]
+theta2 = poly:[0,1]
+
+[moduleB]
+base = bergman
+theta1 = rat:[1,0.2]/[1,0.4]
+theta2 = rat:[0,1]/[1,-0.3]
+"""
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -452,6 +465,22 @@ def test_verify_builds_two_gram_bands_per_module(tmp_path, capsys, monkeypatch):
     assert calls == [False, True] * 2
 
 
+def test_verify_builds_one_taylor_table_per_module(tmp_path, capsys, monkeypatch):
+    # every oracle check of a module reads the one Taylor table of its pair,
+    # so each rational component has its tail bounded once
+    calls = []
+    tail_bound = diskmod.holofun.taylor_tail_bound
+
+    def recording_tail_bound(f, degree):
+        calls.append(f)
+        return tail_bound(f, degree)
+
+    monkeypatch.setattr(diskmod.holofun, "taylor_tail_bound", recording_tail_bound)
+    path = write(tmp_path, "rat.spec", SPEC_RATIONAL)
+    assert main(["verify", path, "--out", str(tmp_path / "v.json")]) == 0
+    assert len(calls) == 3
+
+
 def test_verify_uncertified_stops_before_oracle(tmp_path, capsys):
     path = write(tmp_path, "fail.spec", SPEC_FAIL)
     assert main(["verify", path]) == 2
@@ -582,3 +611,19 @@ def test_module_entry_point_exit_code(tmp_path, text, code):
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.startswith("corona moduleA: ")
     assert "moduleA" in stdout_report(proc.stdout)["corona"]
+
+
+def test_module_entry_point_exits_quietly_when_stdout_closes(tmp_path):
+    # the reader of stdout is gone before the first line arrives: exit 1, as
+    # for output that cannot be written, with no traceback
+    path = write(tmp_path, "a.spec", SPEC_A)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diskmod.cli", "corona", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -51,7 +51,6 @@ from diskmod.oracle import (
     _pencil_count,
     _range_vectors,
     _shift_traces,
-    _taylor_table,
 )
 from reference import (
     build_shift,
@@ -70,7 +69,7 @@ PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
 
 def _full_multiplier(pair, kind, n):
     # the multiplier from degree n into degree n + d, which keeps every product
-    d = _taylor_table(pair)[0].shape[1] - 1
+    d = pair._taylor[0].shape[1] - 1
     return multiplier_matrix(pair, kind, n, n + d)
 
 
@@ -166,7 +165,7 @@ def test_multiplier_matrix_matches_loop_reference(base):
         MultiplierPair(rational([1, 0.3j], [1, -0.4 + 0.2j]), rational([2], [1, 0.6])),
     )
     for pair in pairs:
-        coeffs, _ = _taylor_table(pair)
+        coeffs, _ = pair._taylor
         d = coeffs.shape[1] - 1
         for n, cod in ((120, 120), (60, 60 + d), (5, 5 + d), (4, 2), (80, 100)):
             got = multiplier_matrix(pair, base, n, cod)
@@ -177,11 +176,11 @@ def test_multiplier_matrix_matches_loop_reference(base):
 
 def test_multiplier_rational_component_within_tail_bound():
     pair = MultiplierPair(rational([1], [1, 0.5]), poly([0, 1]))
-    table, tail = _taylor_table(pair)
+    table, tail = pair._taylor
     k = table.shape[1] - 1
-    assert table.shape == (2, k + 1) and 1 < k <= diskmod.oracle.RATIONAL_TAYLOR_DEGREE
-    assert 0.0 < tail <= diskmod.oracle.TAIL_TOL
-    assert _taylor_table(PAIR_1Z)[1] == 0.0
+    assert table.shape == (2, k + 1) and 1 < k <= diskmod.holofun.RATIONAL_TAYLOR_DEGREE
+    assert 0.0 < tail <= diskmod.holofun.TAIL_TOL
+    assert PAIR_1Z._taylor[1] == 0.0
     m = _full_multiplier(pair, HARDY, 5)
     # codomain covers the degree-k Taylor expansion
     assert m.shape == (2 * (5 + k + 1), 6)
@@ -203,18 +202,18 @@ RATIONAL_COMPONENTS = (
 def test_rational_taylor_degree_is_the_smallest_within_the_tail_tolerance():
     # a rational component enters at the smallest degree whose certified tail
     # meets TAIL_TOL, with that tail
-    tol = diskmod.oracle.TAIL_TOL
+    tol = diskmod.holofun.TAIL_TOL
     for f in RATIONAL_COMPONENTS:
-        table, tail = _taylor_table(MultiplierPair(f, poly([0, 1])))
+        table, tail = MultiplierPair(f, poly([0, 1]))._taylor
         k = table.shape[1] - 1
         assert taylor_tail_bound(f, k) <= tol < taylor_tail_bound(f, k - 1)
         assert tail == taylor_tail_bound(f, k)
         assert table[0].tobytes() == taylor_coefficients(f, k).tobytes()
     # the pair pads to the larger degree and adds the tails in quadrature
     f, g = RATIONAL_COMPONENTS[1], RATIONAL_COMPONENTS[3]
-    table, tail = _taylor_table(MultiplierPair(f, g))
-    kf = _taylor_table(MultiplierPair(f, poly([1])))[0].shape[1] - 1
-    kg = _taylor_table(MultiplierPair(g, poly([1])))[0].shape[1] - 1
+    table, tail = MultiplierPair(f, g)._taylor
+    kf = MultiplierPair(f, poly([1]))._taylor[0].shape[1] - 1
+    kg = MultiplierPair(g, poly([1]))._taylor[0].shape[1] - 1
     assert table.shape == (2, max(kf, kg) + 1)
     assert tail == np.hypot(taylor_tail_bound(f, kf), taylor_tail_bound(g, kg))
 
@@ -223,7 +222,7 @@ def test_multiplier_rational_tail_bound_exceeded():
     # denominator zero just outside the gate makes the degree-64 tail huge
     pair = MultiplierPair(rational([1], [1, -1 / 1.001]), poly([0, 1]))
     with pytest.raises(TailBoundExceeded):
-        _taylor_table(pair)
+        pair._taylor
 
 
 def test_gamma_gram_single_point():
@@ -543,16 +542,16 @@ def test_compressed_shift_matches_dense_reference(base):
 
 
 def _bounds(spec, n, points, gap_tol=1e-4):
-    table, _ = _taylor_table(spec.theta)
+    table, _ = spec.theta._taylor
     gram = _gram_band(table, spec.base, n, n + 1)
     s = shift_weights(spec.base, n)
     return _gram_bounds(table, spec.base, gram, s, np.asarray(points, complex), gap_tol)
 
 
 def _pencil_counts(spec, n, points, gap_tol=1e-4):
-    # route 2 at every point, also where route 1 settles; None where the
-    # count rule raises NoSpectralGap
-    table, _ = _taylor_table(spec.theta)
+    # route 2 alone at every point, also where route 1 settles: r = inf
+    # gives no lower count; None where the count rule raises NoSpectralGap
+    table, _ = spec.theta._taylor
     gram = _gram_band(table, spec.base, n, n + 1)
     s = shift_weights(spec.base, n)
     pts = np.asarray(points, complex)
@@ -561,7 +560,7 @@ def _pencil_counts(spec, n, points, gap_tol=1e-4):
     counts = []
     for w, hi, lo, twist in zip(pts, bounds.hi, bounds.lo, twists):
         try:
-            count = _pencil_count(table, gram, s, w, hi, lo, gap_tol, int(twist))
+            count = _pencil_count(table, gram, s, w, hi, lo, np.inf, gap_tol, int(twist))
         except NoSpectralGap:
             count = None
         counts.append(count)
@@ -739,6 +738,40 @@ def test_ill_conditioned_pairs_fall_through_to_the_singular_values(base, pair):
         assert dim_ker_estimate(spec, DIM_KER_POINTS, n) == [1] * len(DIM_KER_POINTS)
 
 
+def _binomial_pair(k, coprime):
+    # (2 + z)^k {1, z}, or {(2 + z)^k, 0.5 + z^(k+1)} with no common factor:
+    # integer coefficients, exact in double precision, and a condition number
+    # of G that grows like max u / min u on the circle
+    power = [math.comb(k, j) * 2.0 ** (k - j) for j in range(k + 1)]
+    other = [0.5] + [0.0] * k + [1.0] if coprime else [0.0] + power
+    return MultiplierPair(poly(power), poly(other))
+
+
+@pytest.mark.parametrize("coprime", [False, True])
+@pytest.mark.parametrize("base", [HARDY, BERGMAN])
+def test_route_one_bound_gives_the_pencil_its_lower_count(base, coprime):
+    # from k = 8 route 1 settles no point, and the pencil cannot resolve its
+    # lower count at t_lo / 10; route 1's r >= sigma_m lies below it and
+    # proves one singular value there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in range(8, 13):
+            spec = make_spec(base, _binomial_pair(k, coprime))
+            for n in (120, 300):
+                assert not _bounds(spec, n, DIM_KER_POINTS).settled.any()
+                assert dim_ker_estimate(spec, DIM_KER_POINTS, n) == [1] * len(DIM_KER_POINTS)
+
+
+def test_an_unproved_g_names_its_conditioning():
+    # theta1(0) = 2^13: G[0, 0] is far above the margin, so the failed proof
+    # of G blames its condition number, not the pair
+    spec = make_spec(HARDY, _binomial_pair(13, False))
+    with pytest.raises(NoSpectralGap, match="too ill-conditioned") as caught:
+        dim_ker_estimate(spec, DIM_KER_POINTS, 120)
+    assert "nearly vanish" not in str(caught.value)
+    assert "G[0, 0] = 6.711e+07" in str(caught.value)
+
+
 @pytest.mark.parametrize("n", [60, 120, 300])
 def test_pencil_counts_equal_the_svd_rule(n):
     # the pencil at every point, also where route 1 settles, against the
@@ -907,20 +940,26 @@ def test_multiplier_bound_rejects_a_certificate_above_the_operator(base):
 
 
 def test_multiplier_bound_takes_one_tail_bound_per_rational_component(monkeypatch):
+    # fresh pairs, since a pair keeps its Taylor table; the kernel count and
+    # the curvature on the same spec read that table and bound no tail again
     calls = []
-    tail_bound = diskmod.oracle.taylor_tail_bound
+    tail_bound = diskmod.holofun.taylor_tail_bound
 
     def recording_tail_bound(f, degree):
         calls.append(f)
         return tail_bound(f, degree)
 
-    monkeypatch.setattr(diskmod.oracle, "taylor_tail_bound", recording_tail_bound)
+    monkeypatch.setattr(diskmod.holofun, "taylor_tail_bound", recording_tail_bound)
     two_rational = MultiplierPair(rational([1, 0.3j], [1, -0.4 + 0.2j]), rational([2], [1, 0.6]))
-    for pair in MILD_PAIRS + (two_rational,):
+    for shared in MILD_PAIRS + (two_rational,):
+        pair = MultiplierPair(*shared)
         spec = make_spec(BERGMAN, pair)
         calls.clear()
         assert multiplier_lower_bound(spec, 120).ok
         assert [id(f) for f in calls] == [id(f) for f in pair if not f.is_polynomial]
+        dim_ker_estimate(spec, DIM_KER_POINTS, 120)
+        oracle_curvature(spec, [0.0, 0.5], 120)
+        assert len(calls) == sum(not f.is_polynomial for f in pair)
 
 
 @pytest.mark.parametrize("base", FIVE_BASES)
@@ -976,7 +1015,7 @@ def _band_margin(band, rows):
 @pytest.mark.parametrize("base", FIVE_BASES)
 def test_gram_bands_match_the_dense_products(base, n):
     for pair in BAND_PAIRS:
-        table, _ = _taylor_table(pair)
+        table, _ = pair._taylor
         d = table.shape[1] - 1
         m = n + 1
         # G = M1 M1^H + M2 M2^H of the P_n-truncated multiplier
@@ -986,12 +1025,13 @@ def test_gram_bands_match_the_dense_products(base, n):
         assert band.shape == (m, d + 1)
         err = np.linalg.norm(_dense_hermitian(band) - ref, 2)
         assert err <= _band_margin(band, m)
-        # H = M^H M of the multiplier that keeps every product
+        # H = M^H M of the multiplier that keeps every product, as the band
+        # of the reversed J H J
         dom = max(n - d, 1)
         full = _full_multiplier(pair, base, dom)
         ref = full.conj().T @ full
         band = _gram_band(table, base, dom + d, dom + 1, columns=True)
-        err = np.linalg.norm(_dense_hermitian(band) - ref, 2)
+        err = np.linalg.norm(_dense_hermitian(band) - ref[::-1, ::-1], 2)
         assert err <= _band_margin(band, dom + d + 1)
         # route 1's traces a = |M S|_F^2, b = |M|_F^2 and c = <M S, M> from
         # the band of G, within the relative error stated in dim_ker_estimate
@@ -1008,7 +1048,7 @@ def test_gram_bands_match_the_dense_products(base, n):
 def test_band_norm1_matches_the_dense_matrix(base):
     # |G|_1 from the band, both halves of every column, against the dense G
     for pair in BAND_PAIRS:
-        table, _ = _taylor_table(pair)
+        table, _ = pair._taylor
         for n in (60, 120):
             band = _gram_band(table, base, n, n + 1)
             norm1 = np.max(np.sum(np.abs(_dense_hermitian(band)), axis=0))
@@ -1020,10 +1060,10 @@ def test_range_vectors_match_the_dense_product(base):
     # p = N x and p' = N x' from partial sums of the coefficients, against N
     # of the stored P_n-truncated multiplier times x and x'; x and x' against
     # the kernel vector and its derivative in conj(w), scaled by the largest
-    # entry of |x|, within the relative bound stated in _point_powers
+    # entry of |x|, within the relative bound stated in _kernel_frame
     points = np.array([0, 0.3, -0.3, 0.45j, 0.6, 0.25 - 0.5j])
     for pair in BAND_PAIRS:
-        table, _ = _taylor_table(pair)
+        table, _ = pair._taylor
         for n in (60, 120):
             m = n + 1
             s = shift_weights(base, n)
@@ -1053,7 +1093,7 @@ def test_band_cholesky_brackets_the_smallest_eigenvalue(rows, columns):
     # is the short case); a shift below lambda_min - margin factors and one
     # above lambda_min does not
     pair = BAND_PAIRS[1]
-    table, _ = _taylor_table(pair)
+    table, _ = pair._taylor
     d = table.shape[1] - 1
     band = _gram_band(table, BERGMAN, rows - 1 + d, rows, columns=columns)
     err = _band_error(d)
@@ -1112,7 +1152,7 @@ def test_pencil_band_matches_the_dense_product(base):
     # A_w - t^2 G with A_w = B_w^H G B_w, B_w = S^H - conj(w) I, from the
     # dense G of the band and the dense shift
     for pair in BAND_PAIRS:
-        table, _ = _taylor_table(pair)
+        table, _ = pair._taylor
         n = 60
         gram = _gram_band(table, base, n, n + 1)
         dense = _dense_hermitian(gram)
@@ -1135,7 +1175,7 @@ def test_flip_reverses_every_band_exactly(base):
     # bit: G, H and pencil bands, also with fewer rows than d + 1 (d is 41
     # and 58 for the rational pairs, 0 for the constant one)
     for pair in BAND_PAIRS:
-        table, _ = _taylor_table(pair)
+        table, _ = pair._taylor
         d = table.shape[1] - 1
         for rows in (1, 3, d + 1, 61):
             gram = _gram_band(table, base, rows - 1, rows)
@@ -1311,7 +1351,7 @@ def test_gram_bands_are_warning_free_at_large_alpha(alpha, n):
     # degree 250 on)
     base = weighted_bergman(alpha)
     for pair in BASIS_PAIRS:
-        table, _ = _taylor_table(pair)
+        table, _ = pair._taylor
         d = table.shape[1] - 1
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
