@@ -73,7 +73,8 @@ class _BoxBounds:
     """Vectorized per-box bounds for u = (|P1|^2 + |P2|^2) / |Q|^2.
 
     P1 = p1 q2, P2 = p2 q1 and Q = q1 q2 are the cross products of the
-    numerators and denominators (Q = 1 for a polynomial pair).  Column
+    numerators and denominators (Q = 1 for a polynomial pair), which the
+    pair holds as ``MultiplierPair._cleared``.  Column
     f * (n + 1) + j of ``shift`` maps the powers c^m to the j-th Taylor
     coefficient of polynomial f at c: sum_m C(m + j, j) a_f[m + j] c^m.
     ``shift_abs`` is the same map on |a| * |b|, which bounds the exact
@@ -81,11 +82,8 @@ class _BoxBounds:
     """
 
     def __init__(self, theta):
-        t1, t2 = theta
-        factors = ((t1.numer, t2.denom), (t2.numer, t1.denom), (t1.denom, t2.denom))
-        prods = [np.convolve(a, b) for a, b in factors]
-        prods_abs = [np.convolve(np.abs(a), np.abs(b)) for a, b in factors]
-        n = max(len(p) for p in prods) - 1
+        prods, prods_abs = theta._cleared
+        n = prods.shape[1] - 1
         m, j = np.indices((n + 1, n + 1))
         index = np.minimum(m + j, n)
         # C(m + j, j), zero where m + j > n
@@ -94,15 +92,9 @@ class _BoxBounds:
              for r in range(n + 1)],
             dtype=float,
         )
-
-        def shift_matrix(coeffs):
-            padded = np.zeros(n + 1, dtype=coeffs.dtype)
-            padded[: len(coeffs)] = coeffs
-            return binom * padded[index]
-
         self.n = n
-        self.shift = np.hstack([shift_matrix(p) for p in prods])
-        self.shift_abs = np.hstack([shift_matrix(p) for p in prods_abs])
+        self.shift = np.hstack([binom * p[index] for p in prods])
+        self.shift_abs = np.hstack([binom * p[index] for p in prods_abs])
         # rounding of the products (sums of <= n + 1 complex terms), of the
         # shift matrix entries, of the powers c^m (n complex products) and of
         # the complex matrix product; doubled for the complex operations.

@@ -2,7 +2,8 @@
 
 The quotient curvature is the base curvature minus a quarter of the
 Laplacian of log(|theta1|^2 + |theta2|^2), computed analytically from the
-multiplier data by Wirtinger calculus.  The Laplacian convention is
+multiplier data by Wirtinger calculus, in the Lagrange form over the pair's
+cleared polynomials (``laplacian_log_sumsq``).  The Laplacian convention is
 4 del delbar everywhere; a factor-of-4 drift here would corrupt every
 identity the test suite checks.  The independent check is the curvature of
 the eigenvector frame of the truncated quotient (``oracle.oracle_curvature``),
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegeneratePoint, PointOutsideDomain, UncertifiedSpec, _RangeError
-from .holofun import MultiplierPair, derivative, format_function
+from .holofun import MultiplierPair, format_function
 from .rkhs import ModuleKind, base_curvature, format_module_kind
 
 if TYPE_CHECKING:
@@ -28,6 +29,15 @@ if TYPE_CHECKING:
 DEGENERACY_THRESHOLD = 1e-30
 # CSV rows formatted at once; bounds the scratch and text held in memory
 _CSV_BLOCK_ROWS = 4096
+# unit roundoff of IEEE double precision
+_UNIT = 2.0**-53
+# on a grid, a point keeps its power sums where their error bound, carried
+# into the Laplacian L, is at most this share of 1 + L (see _grid_laplacian)
+_GRID_TRUST = 1e-13
+# complex multiply-adds per matrix product of _grid_laplacian.  OpenBLAS
+# splits larger complex products across its threads, and on a busy host such
+# a product at times takes a hundred times as long as on one thread
+_GRID_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -52,10 +62,15 @@ class DiskGrid:
                 "grid must have at least one radius and one angle",
             )
 
-    def points(self, rotate=0.0):
-        """Flat complex array of grid points, radius-major order."""
+    def _polar(self, rotate=0.0):
+        """The radii r_j and the angles phi_k."""
         r = self.r_max * (np.arange(self.n_r) + 0.5) / self.n_r
         phi = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta + rotate
+        return r, phi
+
+    def points(self, rotate=0.0):
+        """Flat complex array of grid points, radius-major order."""
+        r, phi = self._polar(rotate)
         return (r[:, None] * np.exp(1j * phi)[None, :]).ravel()
 
     def __len__(self):
@@ -101,34 +116,147 @@ def _require_certified(spec):
     )
 
 
+def _laplacian_rows(theta):
+    """Coefficient rows P1, P2, P1', P2' of the pair over one denominator, and Q if rational."""
+    cleared, _ = theta._cleared
+    width = cleared.shape[1]
+    slopes = np.zeros((2, width), complex)
+    slopes[:, :-1] = cleared[:2, 1:] * np.arange(1, width)
+    rows = [cleared[:2], slopes]
+    if not (theta.theta1.is_polynomial and theta.theta2.is_polynomial):
+        rows.append(cleared[2:])
+    return np.concatenate(rows)
+
+
+def _horner_rows(rows, z):
+    """Every coefficient row at the flat points z by Horner's rule, one row per polynomial."""
+    acc = np.zeros((len(rows), z.size), complex)
+    for c in rows.T[::-1]:
+        acc *= z
+        acc += c[:, None]
+    return acc
+
+
+def _lagrange(v):
+    """U = |P1|^2 + |P2|^2 and the Laplacian 4 |P1 P2' - P2 P1'|^2 / U^2.
+
+    ``v`` holds the values of P1, P2, P1' and P2' in its first four rows;
+    the Laplacian is inf or nan where U is 0 (see ``_check_degenerate``).
+    """
+    p1, p2, d1, d2 = v[:4]
+    u = np.abs(p1) ** 2 + np.abs(p2) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return u, 4.0 * np.abs(p1 * d2 - p2 * d1) ** 2 / u**2
+
+
+def _check_degenerate(u, q, point):
+    """Raise DegeneratePoint at the first point with U below DEGENERACY_THRESHOLD |Q|^2.
+
+    ``q`` holds the values of Q (None for a polynomial pair, Q = 1), and
+    ``point(k)`` gives the k-th point; the error carries u = U / |Q|^2.
+    """
+    q2 = 1.0 if q is None else np.abs(q) ** 2
+    small = u < DEGENERACY_THRESHOLD * q2
+    if np.any(small):
+        k = int(np.argmax(small))
+        raise DegeneratePoint(point(k), u[k] / (1.0 if q is None else q2[k]))
+
+
 def laplacian_log_sumsq(theta, z):
     """Laplacian of log(|theta1|^2 + |theta2|^2) at z, analytically.
 
-    With u = |theta1|^2 + |theta2|^2 the value is
-    4 (u * (|theta1'|^2 + |theta2'|^2) - |theta1' conj(theta1) +
-    theta2' conj(theta2)|^2) / u^2, exact up to rounding; the derivatives are
-    formal.  Accepts scalars or arrays of points in the open disk.
+    Over one denominator, theta_i = P_i / Q with P1 = p1 q2, P2 = p2 q1 and
+    Q = q1 q2 (the pair's cleared polynomials), and log |Q|^2 is harmonic on
+    the disk, so the Lagrange identity gives the value
+    4 |P1 P2' - P2 P1'|^2 / (|P1|^2 + |P2|^2)^2, exact up to rounding; the
+    derivatives are formal.  The polynomials are evaluated by Horner's rule.
+    Accepts scalars or arrays of points in the open disk; a point where
+    u = |theta1|^2 + |theta2|^2 is below ``DEGENERACY_THRESHOLD`` raises
+    DegeneratePoint.  ``curvature_field`` and ``decide_equivalence`` take the
+    same values on a ``DiskGrid`` from its rings and angles instead.
     """
     zz = np.asarray(z, complex)
     if np.any(np.abs(zz) >= 1):
         raise PointOutsideDomain("points must lie in the open disk")
-    t1, t2 = theta
-    d1, d2 = derivative(t1), derivative(t2)
-    v1, v2 = t1(zz), t2(zz)
-    w1, w2 = d1(zz), d2(zz)
-    u = np.abs(v1) ** 2 + np.abs(v2) ** 2
-    small = u < DEGENERACY_THRESHOLD
-    if np.any(small):
-        idx = np.argmax(small)
-        pt = zz if zz.ndim == 0 else zz.ravel()[idx]
-        val = u if zz.ndim == 0 else u.ravel()[idx]
-        raise DegeneratePoint(pt, val)
-    du = w1 * np.conj(v1) + w2 * np.conj(v2)
-    ddu = np.abs(w1) ** 2 + np.abs(w2) ** 2
-    out = 4.0 * (u * ddu - np.abs(du) ** 2) / u**2
+    rows = _laplacian_rows(theta)
+    pts = zz.ravel()
+    v = _horner_rows(rows, pts)
+    u, out = _lagrange(v)
+    _check_degenerate(u, v[4] if len(v) > 4 else None, pts.__getitem__)
     if zz.ndim == 0:
-        return float(out)
-    return out
+        return float(out[0])
+    return out.reshape(zz.shape)
+
+
+def _grid_laplacian(theta, grid, rotate=0.0):
+    """``laplacian_log_sumsq`` at ``grid.points(rotate)``, from the grid's rings and angles.
+
+    At z = r_j w_k a polynomial is the power sum sum_m (c_m r_j^m) w_k^m, so
+    the values of a row on a block of rings are one complex product
+    (rings x m) @ (m x angles) of its scaled coefficients with the table of
+    w_k^m; each product takes at most ``_GRID_BLOCK`` multiply-adds.  A
+    power sum loses more digits than Horner's rule where its terms cancel,
+    though both share the a-priori bound e = gamma sum_m |c_m| r_j^m per row
+    and ring (Higham, Accuracy and Stability, 2nd ed., section 5.1), which
+    costs one real product (rows x m) @ (m x rings).  Carried to first order
+    through U = |P1|^2 + |P2|^2, W = P1 P2' - P2 P1' and L = 4 |W|^2 / U^2,
+    with |P'| at most its coefficient sum s, it bounds the error of L by
+
+        4 sqrt(L) (a / sqrt(U) + b / U) + 4 L c / sqrt(U),
+
+    a = e(P1') + e(P2'), b = s(P2') e(P1) + s(P1') e(P2), c = e(P1) + e(P2).
+    A point keeps its power sums where this is at most ``_GRID_TRUST``
+    (1 + L), the scale on which the CSV and ``decide`` read L, and goes
+    back to Horner's rule otherwise.
+    """
+    rows = _laplacian_rows(theta)
+    n = rows.shape[1] - 1
+    r, phi = grid._polar(rotate)
+    n_theta = len(phi)
+    m = np.arange(n + 1)[:, None]
+    omega = np.exp(1j * (2.0 * np.pi * ((m * np.arange(n_theta)) % n_theta) / n_theta + m * rotate))
+    powers = r[:, None] ** m.T
+    v = np.empty((len(rows), len(r), n_theta), complex)
+    step = max(1, _GRID_BLOCK // ((n + 1) * n_theta))
+    for row, out in zip(rows[:, None, :] * powers, v):
+        for j0 in range(0, len(r), step):
+            np.matmul(row[j0 : j0 + step], omega, out=out[j0 : j0 + step])
+    v = v.reshape(len(rows), -1)
+    u, lap = _lagrange(v)
+
+    sums = np.abs(rows) @ powers.T
+    # gamma_k for k = 4 n + 16: the complex operations of a degree-n sum,
+    # with room for the rounding of the tables
+    err = (4 * n + 16) * _UNIT / (1.0 - (4 * n + 16) * _UNIT) * sums
+    abc = (4.0 / _GRID_TRUST) * np.stack(
+        [err[2] + err[3], sums[3] * err[0] + sums[2] * err[1], err[0] + err[1]]
+    )
+    # each ring at its smallest U and largest L (the bound grows with L and
+    # falls with U), then the rings that fail it point by point
+    x, y = u.reshape(len(r), n_theta), lap.reshape(len(r), n_theta)
+    rings = np.flatnonzero(~(_grid_bound(x.min(1), y.max(1), *abc) <= 1.0))
+    fails = ~(_grid_bound(x[rings], y[rings], *abc[:, rings, None]) <= 1.0 + y[rings])
+    redo = (rings[:, None] * n_theta + np.arange(n_theta))[fails]
+    circle = np.exp(1j * phi)
+
+    def point(i):
+        return r[i // n_theta] * circle[i % n_theta]
+
+    if redo.size:
+        v[:, redo] = _horner_rows(rows, point(redo))
+        u[redo], lap[redo] = _lagrange(v[:, redo])
+    _check_degenerate(u, v[4] if len(v) > 4 else None, point)
+    return lap
+
+
+def _grid_bound(u, lap, a, b, c):
+    """``_grid_laplacian``'s first-order bound on the error of L, over ``_GRID_TRUST``.
+
+    ``a``, ``b`` and ``c`` come multiplied by 4 / ``_GRID_TRUST``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = 1.0 / np.sqrt(u)
+        return np.sqrt(lap) * x * (a + b * x) + lap * c * x
 
 
 def quotient_curvature(spec, z):
@@ -296,7 +424,12 @@ class CurvatureField:
 
 
 def curvature_field(spec, grid):
-    """quotient_curvature at every grid point; per-point failures identify the point."""
+    """quotient_curvature at every grid point; per-point failures identify the point.
+
+    The Laplacian comes from the grid's rings and angles (``_grid_laplacian``:
+    the Lagrange form of ``laplacian_log_sumsq`` on power sums, with Horner's
+    rule wherever their error bound is not small next to the value).
+    """
     _require_certified(spec)
-    values = quotient_curvature(spec, grid.points())
+    values = base_curvature(spec.base, grid.points()) - 0.25 * _grid_laplacian(spec.theta, grid)
     return CurvatureField(grid=grid, values=values, label=spec.label())

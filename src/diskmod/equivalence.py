@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import DiskGrid, _require_certified, laplacian_log_sumsq
+from .curvature import DiskGrid, _grid_laplacian, _require_certified
 from .rkhs import base_curvature
 
 DEFAULT_TOL = 1e-6
@@ -55,11 +55,12 @@ class Verdict:
     max_deviation: float
 
 
-def _deviation_data(theta_a, theta_b, pts):
-    """Laplacians of log u for both pairs on pts, the witness of their largest
-    difference, and the threshold scale 1 + the larger field magnitude."""
-    la = laplacian_log_sumsq(theta_a, pts)
-    lb = laplacian_log_sumsq(theta_b, pts)
+def _deviation_data(theta_a, theta_b, grid, pts, rotate=0.0):
+    """Laplacians of log u for both pairs on pts = grid.points(rotate), the
+    witness of their largest difference, and the threshold scale 1 + the
+    larger field magnitude."""
+    la = _grid_laplacian(theta_a, grid, rotate)
+    lb = _grid_laplacian(theta_b, grid, rotate)
     diff = la - lb
     idx = int(np.argmax(np.abs(diff)))
     worst = Witness(point=complex(pts[idx]), obstruction=float(diff[idx]))
@@ -94,7 +95,7 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
         _require_certified(spec)
 
     pts = grid.points()
-    la, lb, worst, scale = _deviation_data(spec_a.theta, spec_b.theta, pts)
+    la, lb, worst, scale = _deviation_data(spec_a.theta, spec_b.theta, grid, pts)
     max_dev = abs(worst.obstruction)
 
     if spec_a.base != spec_b.base:
@@ -116,8 +117,10 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
 
     # a grid aligned with a symmetry of the deviation field could hit an
     # accidental zero set, so acceptance requires a second, rotated grid
-    off = grid.points(rotate=math.pi / grid.n_theta)
-    _, _, worst2, scale2 = _deviation_data(spec_a.theta, spec_b.theta, off)
+    rotate = math.pi / grid.n_theta
+    _, _, worst2, scale2 = _deviation_data(
+        spec_a.theta, spec_b.theta, grid, grid.points(rotate), rotate
+    )
     both_dev = max(max_dev, abs(worst2.obstruction))
     both_scale = max(scale, scale2)
 

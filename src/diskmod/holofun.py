@@ -364,6 +364,29 @@ class MultiplierPair:
         table.flags.writeable = False
         return table, float(np.hypot(*tails))
 
+    @cached_property
+    def _cleared(self):
+        """The pair over one denominator: rows P1 = p1 q2, P2 = p2 q1, Q = q1 q2.
+
+        With theta_i = p_i / q_i, u = |theta1|^2 + |theta2|^2 =
+        (|P1|^2 + |P2|^2) / |Q|^2, and Q = 1 for a polynomial pair.  Returns
+        the coefficients of the three products and, in the same layout, the
+        products of the coefficient moduli (|p1| * |q2| and so on), which
+        bound the exact products coefficientwise.  Rows are zero-padded to a
+        common length; computed once per pair, on first use, and read-only.
+        """
+        t1, t2 = self
+        factors = ((t1.numer, t2.denom), (t2.numer, t1.denom), (t1.denom, t2.denom))
+        width = max(len(a) + len(b) - 1 for a, b in factors)
+        coeffs = np.zeros((3, width), complex)
+        bounds = np.zeros((3, width))
+        for k, (a, b) in enumerate(factors):
+            coeffs[k, : len(a) + len(b) - 1] = np.convolve(a, b)
+            bounds[k, : len(a) + len(b) - 1] = np.convolve(np.abs(a), np.abs(b))
+        coeffs.flags.writeable = False
+        bounds.flags.writeable = False
+        return coeffs, bounds
+
 
 # ---------------------------------------------------------------------------
 # the function-literal grammar: poly:[c0,c1,...] and rat:[...]/[...]

@@ -751,8 +751,9 @@ def _pencil_count(table, gram, s, w, hi, lo, r, gap_tol, twist):
         told = ["an unresolved number of" if c is None else c for c in (lower, upper)]
         raise NoSpectralGap(
             f"no spectral gap at w = {complex(w):.6g}: the band pencil counts {told[0]} "
-            f"singular values below {t_lo:.3e} and {told[1]} below {t_hi:.3e}; "
-            f"increase the truncation degree"
+            f"singular values below {t_lo:.3e} and {told[1]} singular values below "
+            f"{t_hi:.3e}; either the truncation degree {m - 1} is too small, or "
+            f"G = N^H N is too ill-conditioned to prove the count in double precision"
         )
     return upper
 

@@ -9,10 +9,11 @@ compressed shift on a QR basis of the truncated quotient.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from diskmod import NoSpectralGap, PointOutsideDomain, kernel_eval, shift_weights
+from diskmod import MultiplierPair, NoSpectralGap, PointOutsideDomain, kernel_eval, poly, shift_weights
 from diskmod.oracle import GAP_FACTOR
 
 # a QR pivot below this fraction of the largest column norm is rank-deficient
@@ -190,3 +191,47 @@ def svd_kernel_count(adj, w, gap_tol):
                 f"by a factor {GAP_FACTOR:g}"
             )
     return count
+
+
+def binomial_pair(k, coprime):
+    """(2 + z)^k {1, z}, or {(2 + z)^k, 0.5 + z^(k+1)} with no common factor.
+
+    Integer coefficients, exact in double precision; near z = -1 the
+    expanded (2 + z)^k loses about k log10((2 + |z|) / |2 + z|) digits, and
+    the condition number of G grows like max u / min u on the circle.
+    """
+    power = [math.comb(k, j) * 2.0 ** (k - j) for j in range(k + 1)]
+    other = [0.5] + [0.0] * k + [1.0] if coprime else [0.0] + power
+    return MultiplierPair(poly(power), poly(other))
+
+
+def _split_dyadic(z):
+    """Integers a, b and a power of two d with z = (a + b i) / d exactly."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    d = max(x.denominator, y.denominator)
+    return int(x * d), int(y * d), d
+
+
+def binomial_laplacian(k, coprime, z):
+    """Laplacian of log u for ``binomial_pair(k, coprime)`` at the double z, rounded once.
+
+    The pairs are (2 + z)^k {1, z}, whose Laplacian is 4 / (1 + |z|^2)^2,
+    and {(2 + z)^k, 1/2 + z^(k+1)}, for which the Lagrange form reads
+    4 |2 + z|^(2k - 2) |A|^2 / U^2 with A = 2 (k + 1) z^k + z^(k+1) - k / 2
+    and U = |2 + z|^(2k) + |1/2 + z^(k+1)|^2.  Everything is computed in
+    integers over a power of two d, z = (a + b i) / d; the one rounding is
+    the final division, which Python's integers round correctly.
+    """
+    a, b, d = _split_dyadic(complex(z))
+    if not coprime:
+        return 4 * d**4 / (d * d + a * a + b * b) ** 2
+    re, im = 1, 0  # (a + b i)^k
+    for _ in range(k):
+        re, im = re * a - im * b, re * b + im * a
+    re1, im1 = re * a - im * b, re * b + im * a  # (a + b i)^(k + 1)
+    s = (2 * d + a) ** 2 + b * b  # |2 + z|^2 d^2
+    # 2 A d^(k + 1) and |1/2 + z^(k+1)|^2 4 d^(2k + 2)
+    ar = 4 * (k + 1) * re * d + 2 * re1 - k * d ** (k + 1)
+    ai = 4 * (k + 1) * im * d + 2 * im1
+    t = (d ** (k + 1) + 2 * re1) ** 2 + (2 * im1) ** 2
+    return 16 * s ** (k - 1) * (ar * ar + ai * ai) * d**4 / (4 * s**k * d * d + t) ** 2

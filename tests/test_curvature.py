@@ -26,8 +26,8 @@ from diskmod import (
     quotient_curvature,
     rational,
 )
-from diskmod.curvature import _CSV_BLOCK_ROWS, _csv_rows, _significand
-from reference import fd_laplacian
+from diskmod.curvature import _CSV_BLOCK_ROWS, _csv_rows, _grid_laplacian, _significand
+from reference import binomial_laplacian, binomial_pair, fd_laplacian
 
 PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
 
@@ -374,3 +374,84 @@ def test_rational_pair_through_curvature():
     assert quotient_curvature(s, z) == pytest.approx(
         base_curvature(HARDY, z) - 0.25 * analytic, rel=1e-14
     )
+
+
+@pytest.mark.parametrize("r_max", [0.8, 0.95])
+@pytest.mark.parametrize("coprime", [False, True])
+def test_grid_laplacian_is_no_less_accurate_than_horner(coprime, r_max):
+    # near z = -1 the power sums of (2 + z)^k lose about
+    # k log10((2 + |z|) / |2 + z|) digits, more than Horner's rule; the error
+    # bound sends those points back to Horner, so the grid's worst error
+    # against the exact Laplacian is Horner's.  The base does not enter the
+    # Laplacian, so one run covers Hardy and Bergman alike.
+    grid = DiskGrid(r_max=r_max, n_r=40, n_theta=80)
+    pts = grid.points()
+    for k in range(8, 29, 5):
+        pair = binomial_pair(k, coprime)
+        exact = np.array([binomial_laplacian(k, coprime, z) for z in pts])
+
+        def worst(values):
+            return np.max(np.abs(values - exact) / (1.0 + exact))
+
+        assert worst(_grid_laplacian(pair, grid)) <= worst(laplacian_log_sumsq(pair, pts)), k
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        MultiplierPair(poly([-0.375, 1]), poly([-0.75, 1.625, 1])),  # (z - 3/8) {1, z + 2}
+        MultiplierPair(rational([-0.375, 1], [1, 0.5]), poly([-0.375, 1])),
+    ],
+    ids=["polynomial", "rational"],
+)
+def test_grid_laplacian_raises_at_a_common_zero_on_the_grid(pair):
+    # z = 3/8 is the grid point of ring 1 at angle 0, where both power sums
+    # vanish exactly
+    grid = DiskGrid(r_max=0.5, n_r=2, n_theta=4)
+    assert grid.points()[4] == 0.375
+    with pytest.raises(DegeneratePoint) as info:
+        _grid_laplacian(pair, grid)
+    assert info.value.point == 0.375
+    with pytest.raises(DegeneratePoint) as info:
+        laplacian_log_sumsq(pair, grid.points())
+    assert info.value.point == 0.375
+
+
+def test_grid_laplacian_keeps_every_power_sum_on_mild_pairs(monkeypatch, corpus):
+    # well-conditioned pairs never go back to Horner's rule on the grid
+    def refuse(rows, z):
+        raise AssertionError(f"Horner's rule at {z.size} grid points")
+
+    mild = [spec.theta for spec in corpus] + [
+        MultiplierPair(rational([1, 0.1 + 0.05j], [1, -1 / 6.5]), poly([0, 0.3 - 0.1j, 0.05j]))
+    ]
+    grid = DiskGrid(r_max=0.9, n_r=30, n_theta=60)
+    expect = [laplacian_log_sumsq(theta, grid.points()) for theta in mild]
+    monkeypatch.setattr("diskmod.curvature._horner_rows", refuse)
+    for theta, want in zip(mild, expect):
+        got = _grid_laplacian(theta, grid)
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-14
+
+
+def test_curvature_field_uses_the_grid_laplacian(corpus):
+    grid = DiskGrid(r_max=0.7, n_r=5, n_theta=9)
+    for spec in corpus:
+        field = curvature_field(spec, grid)
+        want = base_curvature(spec.base, grid.points()) - 0.25 * _grid_laplacian(spec.theta, grid)
+        assert field.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("delta", [3e-8, 1e-8, 2e-9])
+def test_laplacian_takes_a_pole_closer_to_the_circle_than_derivative_does(delta):
+    # the cleared polynomials need no quotient rule, so no squared
+    # denominator with double zeros meets the root gate: every rational
+    # function that constructs has a Laplacian
+    grid = DiskGrid(r_max=0.5, n_r=2, n_theta=4)
+    for t in range(50):
+        r = (1 + delta) * np.exp(2j * np.pi * t / 50)
+        pair = MultiplierPair(rational([1], [1, -1 / r]), poly([0, 1]))
+        z = 0.5 * np.exp(2j * np.pi * t / 50)
+        value = laplacian_log_sumsq(pair, z)
+        fd = fd_laplacian(log_sumsq_sampler(pair), z, 1e-3)
+        assert abs(value - fd) <= 1e-3 * (1 + abs(value))
+        assert np.all(np.isfinite(_grid_laplacian(pair, grid)))

@@ -226,6 +226,29 @@ def test_multiplier_pair_rejects_double_zero():
         MultiplierPair(poly([0]), poly([0]))
 
 
+def test_cleared_pair_puts_u_over_one_denominator():
+    # rows P1 = p1 q2, P2 = p2 q1 and Q = q1 q2, zero-padded, and the same
+    # products of the coefficient moduli; built once and read-only
+    t1 = rational([1, 0.5j], [1, -0.25])
+    t2 = rational([0, 2], [1, 0.5, 0.1])
+    pair = MultiplierPair(t1, t2)
+    coeffs, bounds = pair._cleared
+    assert pair._cleared[0] is coeffs
+    assert not coeffs.flags.writeable and not bounds.flags.writeable
+    assert coeffs.shape == bounds.shape == (3, 4)
+    factors = ((t1.numer, t2.denom), (t2.numer, t1.denom), (t1.denom, t2.denom))
+    for row, bound, (a, b) in zip(coeffs, bounds, factors):
+        width = len(a) + len(b) - 1
+        assert list(row[:width]) == poly_mul(a, b) and not row[width:].any()
+        assert list(bound[:width]) == poly_mul(np.abs(a), np.abs(b)) and not bound[width:].any()
+    for z in (0.0, 0.3 - 0.4j, -0.9j):
+        p1, p2, q = (_horner(tuple(row), np.complex128(z)) for row in coeffs)
+        u = abs(t1(z)) ** 2 + abs(t2(z)) ** 2
+        assert (abs(p1) ** 2 + abs(p2) ** 2) / abs(q) ** 2 == pytest.approx(u, rel=1e-14)
+    polynomial = MultiplierPair(poly([1, 2]), poly([0, 1j]))
+    assert polynomial._cleared[0].tolist() == [[1, 2], [0, 1j], [1, 0]]
+
+
 def test_polynomial_roots_basic():
     roots = sorted(polynomial_roots([2, -3, 1]), key=lambda z: z.real)  # (z-1)(z-2)
     assert abs(roots[0] - 1) < 1e-10 and abs(roots[1] - 2) < 1e-10

@@ -53,6 +53,7 @@ from diskmod.oracle import (
     _shift_traces,
 )
 from reference import (
+    binomial_pair,
     build_shift,
     compressed,
     fd_laplacian,
@@ -738,15 +739,6 @@ def test_ill_conditioned_pairs_fall_through_to_the_singular_values(base, pair):
         assert dim_ker_estimate(spec, DIM_KER_POINTS, n) == [1] * len(DIM_KER_POINTS)
 
 
-def _binomial_pair(k, coprime):
-    # (2 + z)^k {1, z}, or {(2 + z)^k, 0.5 + z^(k+1)} with no common factor:
-    # integer coefficients, exact in double precision, and a condition number
-    # of G that grows like max u / min u on the circle
-    power = [math.comb(k, j) * 2.0 ** (k - j) for j in range(k + 1)]
-    other = [0.5] + [0.0] * k + [1.0] if coprime else [0.0] + power
-    return MultiplierPair(poly(power), poly(other))
-
-
 @pytest.mark.parametrize("coprime", [False, True])
 @pytest.mark.parametrize("base", [HARDY, BERGMAN])
 def test_route_one_bound_gives_the_pencil_its_lower_count(base, coprime):
@@ -756,7 +748,7 @@ def test_route_one_bound_gives_the_pencil_its_lower_count(base, coprime):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for k in range(8, 13):
-            spec = make_spec(base, _binomial_pair(k, coprime))
+            spec = make_spec(base, binomial_pair(k, coprime))
             for n in (120, 300):
                 assert not _bounds(spec, n, DIM_KER_POINTS).settled.any()
                 assert dim_ker_estimate(spec, DIM_KER_POINTS, n) == [1] * len(DIM_KER_POINTS)
@@ -765,11 +757,25 @@ def test_route_one_bound_gives_the_pencil_its_lower_count(base, coprime):
 def test_an_unproved_g_names_its_conditioning():
     # theta1(0) = 2^13: G[0, 0] is far above the margin, so the failed proof
     # of G blames its condition number, not the pair
-    spec = make_spec(HARDY, _binomial_pair(13, False))
+    spec = make_spec(HARDY, binomial_pair(13, False))
     with pytest.raises(NoSpectralGap, match="too ill-conditioned") as caught:
         dim_ker_estimate(spec, DIM_KER_POINTS, 120)
     assert "nearly vanish" not in str(caught.value)
     assert "G[0, 0] = 6.711e+07" in str(caught.value)
+
+
+def test_an_unresolved_pencil_count_names_both_causes():
+    # on Bergman at degree 120, G is proved positive definite but the pencil
+    # leaves its count at t_hi open; degree 300 fails as well (on the proof
+    # of G), so the message names both causes instead of prescribing a degree
+    spec = make_spec(BERGMAN, binomial_pair(13, False))
+    with pytest.raises(NoSpectralGap, match="band pencil counts") as caught:
+        dim_ker_estimate(spec, DIM_KER_POINTS, 120)
+    text = str(caught.value)
+    assert "an unresolved number of singular values below" in text
+    assert "the truncation degree 120 is too small" in text
+    assert "G = N^H N is too ill-conditioned" in text
+    assert "increase the truncation degree" not in text
 
 
 @pytest.mark.parametrize("n", [60, 120, 300])
