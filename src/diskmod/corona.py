@@ -35,7 +35,7 @@ import numpy as np
 
 from .curvature import QuotientSpec
 from .errors import CoronaFailure, DepthExceeded
-from .holofun import MultiplierPair, common_zeros_in_disk
+from .holofun import _UNIT, MultiplierPair, _gamma, _powers, common_zeros_in_disk
 
 MAX_DEPTH = 24
 # hard cap on processed boxes; certification that needs more is hopeless anyway
@@ -43,16 +43,9 @@ BOX_BUDGET = 2_000_000
 DEFAULT_TARGET_GAP = 1e-6
 # boxes evaluated per numpy batch; bounds the working memory of a wide level
 _CHUNK = 8192
-# unit roundoff of IEEE double precision
-_UNIT = 2.0**-53
 # a 4 x 4 block of next-level boxes around a box: its children and the
 # nearest children of its eight neighbours
 _WINDOW = np.array([-3.0, -1.0, 1.0, 3.0])
-
-
-def _gamma(k):
-    """Higham's gamma_k = k u / (1 - k u)."""
-    return k * _UNIT / (1.0 - k * _UNIT)
 
 
 @dataclass(frozen=True)
@@ -106,14 +99,8 @@ class _BoxBounds:
 
     def center_values(self, c):
         """(|P1(c)|^2 + |P2(c)|^2) / |Q(c)|^2 on an array of disk points."""
-        b = self._powers(c) @ self.shift[:, :: self.n + 1]
+        b = _powers(c, self.n) @ self.shift[:, :: self.n + 1]
         return (np.abs(b[:, 0]) ** 2 + np.abs(b[:, 1]) ** 2) / np.abs(b[:, 2]) ** 2
-
-    def _powers(self, c):
-        powers = np.ones((len(c), self.n + 1), dtype=complex)
-        if self.n:
-            powers[:, 1:] = np.cumprod(np.repeat(c[:, None], self.n, axis=1), axis=1)
-        return powers
 
     def bounds(self, c, rho):
         """Certified lower bound of u on each box, and u at each center.
@@ -122,7 +109,7 @@ class _BoxBounds:
         the common half-diagonal, already rounded up.
         """
         n = self.n
-        powers = self._powers(c)
+        powers = _powers(c, n)
         coeffs = np.abs(powers @ self.shift).reshape(len(c), 3, n + 1)
         err = self.coeff_gamma * (np.abs(powers) @ self.shift_abs)
         err = err.reshape(len(c), 3, n + 1)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegeneratePoint, PointOutsideDomain, UncertifiedSpec, _RangeError
-from .holofun import MultiplierPair, format_function
+from .holofun import MultiplierPair, _gamma, _horner_rows, format_function
 from .rkhs import ModuleKind, base_curvature, format_module_kind
 
 if TYPE_CHECKING:
@@ -29,8 +29,6 @@ if TYPE_CHECKING:
 DEGENERACY_THRESHOLD = 1e-30
 # CSV rows formatted at once; bounds the scratch and text held in memory
 _CSV_BLOCK_ROWS = 4096
-# unit roundoff of IEEE double precision
-_UNIT = 2.0**-53
 # on a grid, a point keeps its power sums where their error bound, carried
 # into the Laplacian L, is at most this share of 1 + L (see _grid_laplacian)
 _GRID_TRUST = 1e-13
@@ -128,15 +126,6 @@ def _laplacian_rows(theta):
     return np.concatenate(rows)
 
 
-def _horner_rows(rows, z):
-    """Every coefficient row at the flat points z by Horner's rule, one row per polynomial."""
-    acc = np.zeros((len(rows), z.size), complex)
-    for c in rows.T[::-1]:
-        acc *= z
-        acc += c[:, None]
-    return acc
-
-
 def _lagrange(v):
     """U = |P1|^2 + |P2|^2 and the Laplacian 4 |P1 P2' - P2 P1'|^2 / U^2.
 
@@ -227,7 +216,7 @@ def _grid_laplacian(theta, grid, rotate=0.0):
     sums = np.abs(rows) @ powers.T
     # gamma_k for k = 4 n + 16: the complex operations of a degree-n sum,
     # with room for the rounding of the tables
-    err = (4 * n + 16) * _UNIT / (1.0 - (4 * n + 16) * _UNIT) * sums
+    err = _gamma(4 * n + 16) * sums
     abc = (4.0 / _GRID_TRUST) * np.stack(
         [err[2] + err[3], sums[3] * err[0] + sums[2] * err[1], err[0] + err[1]]
     )

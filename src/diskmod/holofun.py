@@ -32,6 +32,13 @@ EVAL_MARGIN = 0.25
 DISK_ROOT_TOL = 1e-9
 # remainder-is-zero threshold for the numeric GCD, relative to the largest input coefficient
 GCD_REL_TOL = 1e-10
+# unit roundoff of IEEE double precision
+_UNIT = 2.0**-53
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * _UNIT / (1.0 - k * _UNIT)
 
 
 def _trim(coeffs):
@@ -44,6 +51,11 @@ def _trim(coeffs):
 
 
 def _horner(coeffs, z):
+    """sum_m coeffs[m] z^m by Horner's rule, coefficients ascending.
+
+    Each coefficient is a scalar or an array that broadcasts against z, and
+    the result has the shape of z (see ``_horner_rows``).
+    """
     acc = np.zeros_like(z)
     if acc.size <= 1:
         # numpy may round a lone complex product differently from the in-place
@@ -55,6 +67,19 @@ def _horner(coeffs, z):
         acc *= z
         acc += c
     return acc
+
+
+def _horner_rows(rows, z):
+    """Every row of a coefficient table at the flat points z, one row of values per row."""
+    return _horner(rows.T[:, :, None], np.broadcast_to(z, (len(rows), z.size)))
+
+
+def _powers(z, n):
+    """The powers z^0 ... z^n of the flat points z, one row per point, by running products."""
+    powers = np.ones((len(z), n + 1), dtype=complex)
+    if n:
+        powers[:, 1:] = np.cumprod(np.repeat(z[:, None], n, axis=1), axis=1)
+    return powers
 
 
 def poly_mul(a, b):
@@ -345,19 +370,19 @@ class MultiplierPair:
         tails = []
         for f in self:
             if f.is_polynomial:
-                coeffs.append(np.asarray(f.numer, complex))
-                tails.append(0.0)
-                continue
-            bounds = taylor_tail_bound(f, np.arange(RATIONAL_TAYLOR_DEGREE + 1))
-            within = np.flatnonzero(bounds <= TAIL_TOL)
-            if within.size == 0:
-                raise TailBoundExceeded(
-                    f"Taylor tail bound {bounds[-1]:.3e} exceeds {TAIL_TOL:.0e} at degree "
-                    f"{RATIONAL_TAYLOR_DEGREE}; denominator zeros sit too close to the disk"
-                )
-            degree = int(within[0])
+                degree, tail = f.degree, 0.0
+            else:
+                bounds = taylor_tail_bound(f, np.arange(RATIONAL_TAYLOR_DEGREE + 1))
+                within = np.flatnonzero(bounds <= TAIL_TOL)
+                if within.size == 0:
+                    raise TailBoundExceeded(
+                        f"Taylor tail bound {bounds[-1]:.3e} exceeds {TAIL_TOL:.0e} at degree "
+                        f"{RATIONAL_TAYLOR_DEGREE}; denominator zeros sit too close to the disk"
+                    )
+                degree = int(within[0])
+                tail = float(bounds[degree])
             coeffs.append(taylor_coefficients(f, degree))
-            tails.append(float(bounds[degree]))
+            tails.append(tail)
         table = np.zeros((len(coeffs), max(len(c) for c in coeffs)), complex)
         for row, comp in zip(table, coeffs):
             row[: len(comp)] = comp

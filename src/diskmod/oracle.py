@@ -44,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corona import _UNIT, _gamma
 from .curvature import _require_certified
 from .errors import NoSpectralGap, TailBoundExceeded
+from .holofun import _UNIT, _gamma, _powers
 from .rkhs import _norm_ratios, shift_weights
 
 GAP_FACTOR = 10.0
@@ -805,11 +805,8 @@ def _kernel_frame(table, s, points):
     2^-1074, against |x| >= 1.
     """
     x = np.exp(_log_kernel_vector(s, np.abs(points))).astype(complex)
-    unit = np.exp(-1j * np.angle(points))[:, None]
-    x[:, 1:] *= np.cumprod(np.broadcast_to(unit, (len(points), s.size)), axis=1)
-    ones = np.ones((len(points), 1))
-    steps = np.broadcast_to(points[:, None], (len(points), table.shape[1] - 1))
-    powers = np.concatenate([ones, np.cumprod(steps, axis=1)], axis=1)
+    x *= _powers(np.exp(-1j * np.angle(points)), s.size)
+    powers = _powers(points, table.shape[1] - 1)
     sums = _partial_sums(table, powers, s.size)
     return x, powers, sums, np.concatenate([x * sums[1], -(x * sums[0])], axis=1)
 

@@ -253,6 +253,25 @@ def test_corona_command_failure_below_target_without_common_zero(tmp_path, capsy
     assert abs(complex(failed["witness"]["re"], failed["witness"]["im"]) - 0.5005) < 1e-6
 
 
+def test_corona_command_reports_depth_exceeded(tmp_path, capsys):
+    # the sharp dip of test_corona: u = |z - 1/2|^2 + 2.5e-15 clears the
+    # target 2e-16 only on boxes finer than maximal depth, and stays above
+    # ten times the target there
+    text = (
+        "[moduleA]\nbase = hardy\ntheta1 = poly:[-0.5,1]\ntheta2 = poly:[5e-8]\n"
+        "\n[tolerances]\ntarget_gap = 2e-16\n"
+    )
+    path = write(tmp_path, "dip.spec", text)
+    assert main(["corona", path]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].startswith("corona moduleA: DEPTH EXCEEDED best_bound=")
+    failed = stdout_report(out)["corona"]["moduleA"]["failed"]
+    assert failed["depth_exceeded"] is True
+    assert 0.0 < failed["best_bound"] <= 2.5e-15
+    assert failed["value"] >= 10 * 2e-16
+    assert abs(complex(failed["witness"]["re"], failed["witness"]["im"]) - 0.5) < 1e-6
+
+
 def test_corona_command_parse_error(tmp_path, capsys):
     path = write(tmp_path, "bad.spec", "[moduleA]\nbase = hardy\ntheta1 = poly:[oops]\ntheta2 = poly:[1]\n")
     with pytest.raises(SystemExit) as info:

@@ -81,6 +81,26 @@ def test_decide_rejects_scaled_coordinate():
     assert fd_a - fd_b == pytest.approx(-12.0, abs=1e-3)
 
 
+def test_decide_rejects_on_the_rotated_grid():
+    # {1 + a z^4, z/2} and {1 + conj(a) z^4, z/2} are each other's mirror
+    # image across every ray at angle pi j / 4, the rays of the first grid,
+    # so their Laplacians agree there to rounding; the second grid, turned by
+    # pi / 8, finds them apart by 2.59
+    a = 0.5j
+    spec_a = make_spec(HARDY, MultiplierPair(poly([1, 0, 0, 0, a]), poly([0, 0.5])))
+    spec_b = make_spec(HARDY, MultiplierPair(poly([1, 0, 0, 0, a.conjugate()]), poly([0, 0.5])))
+    grid = DiskGrid(r_max=0.8, n_r=6, n_theta=8)
+    pts = grid.points()
+    first = laplacian_log_sumsq(spec_a.theta, pts) - laplacian_log_sumsq(spec_b.theta, pts)
+    assert np.max(np.abs(first)) <= 1e-14
+    v = decide_equivalence(spec_a, spec_b, grid, tol=1e-6)
+    assert v.outcome is Outcome.NOT_ISOMORPHIC
+    assert v.detail == "Theorem 4.4"
+    assert v.witness.point in grid.points(math.pi / 8)
+    assert v.witness.obstruction == pytest.approx(2.5867, abs=1e-4)
+    assert v.max_deviation == abs(v.witness.obstruction)
+
+
 def test_decide_inconclusive_band():
     a = make_spec(HARDY, PAIR_1Z)
     b = make_spec(HARDY, MultiplierPair(poly([1]), poly([0, 1 + 2e-6])))

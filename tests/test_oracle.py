@@ -33,8 +33,7 @@ from diskmod import (
     weighted_bergman,
 )
 from diskmod.cli import _verify_points
-from diskmod.corona import _UNIT, _gamma
-from diskmod.holofun import taylor_coefficients, taylor_tail_bound
+from diskmod.holofun import _UNIT, _gamma, taylor_coefficients, taylor_tail_bound
 from diskmod.oracle import (
     CURVATURE_TOL,
     _band_error,
@@ -181,6 +180,9 @@ def test_multiplier_rational_component_within_tail_bound():
     k = table.shape[1] - 1
     assert table.shape == (2, k + 1) and 1 < k <= diskmod.holofun.RATIONAL_TAYLOR_DEGREE
     assert 0.0 < tail <= diskmod.holofun.TAIL_TOL
+    # a polynomial component enters exactly, zero-padded, with tail 0
+    assert table[1].tolist() == [0, 1] + [0] * (k - 1)
+    assert PAIR_1Z._taylor[0].tolist() == [[1, 0], [0, 1]]
     assert PAIR_1Z._taylor[1] == 0.0
     m = _full_multiplier(pair, HARDY, 5)
     # codomain covers the degree-k Taylor expansion
