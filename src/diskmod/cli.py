@@ -426,7 +426,7 @@ def _verify(prob, specs, args, report):
         dims = dim_ker_estimate(spec, (0, 0.3, -0.3, 0.45j, 0.6), degree)
         checks["dim_ker"] = {"values": dims, "ok": dims == [1] * len(dims)}
 
-        # sigma_min(M_Theta)^2 >= epsilon - slack, proved from the operator side
+        # sigma_min(M_Theta)^2 >= target - slack, proved from the operator side
         checks["multiplier_min_singular_value"] = dataclasses.asdict(
             multiplier_lower_bound(spec, degree)
         )

@@ -43,9 +43,14 @@ BOX_BUDGET = 2_000_000
 DEFAULT_TARGET_GAP = 1e-6
 # boxes evaluated per numpy batch; bounds the working memory of a wide level
 _CHUNK = 8192
-# a 4 x 4 block of next-level boxes around a box: its children and the
-# nearest children of its eight neighbours
-_WINDOW = np.array([-3.0, -1.0, 1.0, 3.0])
+# center offsets of a box's four children, in half-widths of the next level;
+# a level lists every first child, then every second one, and so on, and
+# argmin breaks ties in that order
+_CHILDREN = np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j])
+# center offsets of a 4 x 4 block of next-level boxes around a box: its
+# children and the nearest children of its eight neighbours, one row of equal
+# imaginary offset after another, which fixes how the descent breaks ties
+_WINDOW = np.add.outer(1j * np.array([-3.0, -1.0, 1.0, 3.0]), [-3.0, -1.0, 1.0, 3.0]).ravel()
 
 
 @dataclass(frozen=True)
@@ -124,17 +129,16 @@ class _BoxBounds:
         return (lower / q_max) ** 2 * (1.0 - g), (num / den) ** 2
 
 
-def _project(cx, cy):
-    """Box centers as complex numbers, projected onto the closed disk."""
-    c = cx + 1j * cy
+def _project(c):
+    """Box centers projected onto the closed disk."""
     r = np.abs(c)
     return np.where(r > 1.0, c / np.maximum(r, 1.0), c)
 
 
-def _meets_disk(cx, cy, half):
+def _meets_disk(c, half):
     """Mask of the boxes that intersect the closed disk."""
-    ox = np.maximum(np.abs(cx) - half, 0.0)
-    oy = np.maximum(np.abs(cy) - half, 0.0)
+    ox = np.maximum(np.abs(c.real) - half, 0.0)
+    oy = np.maximum(np.abs(c.imag) - half, 0.0)
     return ox * ox + oy * oy <= 1.0
 
 
@@ -143,7 +147,7 @@ def _half_diagonal(half):
     return half * math.sqrt(2.0) * (1.0 + 4.0 * _UNIT) + 4.0 * _UNIT
 
 
-def _descend(boxes, cx, cy, value, half, depth):
+def _descend(boxes, c, value, half, depth):
     """Follow the smallest center value from one box down to MAX_DEPTH.
 
     Each step keeps the best of the next-level boxes in a 4 x 4 window around
@@ -152,15 +156,13 @@ def _descend(boxes, cx, cy, value, half, depth):
     """
     while depth < MAX_DEPTH:
         half /= 2.0
-        gx, gy = np.meshgrid(cx + half * _WINDOW, cy + half * _WINDOW)
-        gx, gy = gx.ravel(), gy.ravel()
-        keep = _meets_disk(gx, gy, half)
-        gx, gy = gx[keep], gy[keep]
-        values = boxes.center_values(_project(gx, gy))
+        g = c + half * _WINDOW
+        g = g[_meets_disk(g, half)]
+        values = boxes.center_values(_project(g))
         k = int(np.argmin(values))
-        cx, cy, value = gx[k], gy[k], values[k]
+        c, value = g[k], values[k]
         depth += 1
-    return complex(_project(cx, cy)), float(value)
+    return complex(_project(c)), float(value)
 
 
 def _fail_at_common_zero(boxes, theta, target_gap):
@@ -192,8 +194,7 @@ def certify(theta, target_gap=DEFAULT_TARGET_GAP):
     if not 0.0 < target_gap < math.inf:
         raise ValueError(f"target_gap must be finite and positive, got {target_gap!r}")
     boxes = _BoxBounds(theta)
-    cx = np.zeros(1)
-    cy = np.zeros(1)
+    c = np.zeros(1, dtype=complex)
     half = 1.0
     depth = 0
     accepted_min = np.inf
@@ -201,46 +202,44 @@ def certify(theta, target_gap=DEFAULT_TARGET_GAP):
     checked = 0
 
     while True:
-        checked += len(cx)
+        checked += len(c)
         rho = _half_diagonal(half)
-        lower = np.empty(len(cx))
-        values = np.empty(len(cx))
-        for s in range(0, len(cx), _CHUNK):
+        lower, values = np.empty((2, len(c)))
+        for s in range(0, len(c), _CHUNK):
             part = slice(s, s + _CHUNK)
-            lower[part], values[part] = boxes.bounds(_project(cx[part], cy[part]), rho)
+            lower[part], values[part] = boxes.bounds(_project(c[part]), rho)
 
-        passed = lower >= target_gap
-        if passed.any():
-            accepted_min = min(accepted_min, float(lower[passed].min()))
+        # a NaN bound leaves its box open
+        is_open = ~(lower >= target_gap)
+        if not is_open.all():
+            accepted_min = min(accepted_min, float(lower[~is_open].min()))
             accepted_depth = depth
-        if passed.all():
+        if not is_open.any():
             return CoronaCertificate(
                 epsilon=accepted_min,
                 depth=accepted_depth,
                 boxes_checked=checked,
                 theta=theta,
             )
-        cx, cy, lower, values = cx[~passed], cy[~passed], lower[~passed], values[~passed]
+        c, lower, values = c[is_open], lower[is_open], values[is_open]
         # sound global bound: accepted boxes plus every open box of this level
         best_bound = min(accepted_min, float(lower.min()))
         k = int(np.argmin(values))
         if values[k] < target_gap:
             _fail_at_common_zero(boxes, theta, target_gap)
         if values[k] < target_gap or depth >= MAX_DEPTH:
-            witness, value = _descend(boxes, cx[k], cy[k], values[k], half, depth)
+            witness, value = _descend(boxes, c[k], values[k], half, depth)
             if value < 10.0 * target_gap:
                 raise CoronaFailure(witness=witness, value=value, common_zero=False)
             raise DepthExceeded(best_bound, witness=witness, value=value)
-        if checked + 4 * len(cx) > BOX_BUDGET:
-            witness = complex(_project(cx[k], cy[k]))
+        if checked + 4 * len(c) > BOX_BUDGET:
+            witness = complex(_project(c[k]))
             raise DepthExceeded(best_bound, witness=witness, value=values[k])
 
         half /= 2.0
         depth += 1
-        cx = np.concatenate([cx - half, cx + half, cx - half, cx + half])
-        cy = np.concatenate([cy - half, cy - half, cy + half, cy + half])
-        keep = _meets_disk(cx, cy, half)
-        cx, cy = cx[keep], cy[keep]
+        c = (c + half * _CHILDREN[:, None]).ravel()
+        c = c[_meets_disk(c, half)]
 
 
 def certify_spec(spec, target_gap=DEFAULT_TARGET_GAP):

@@ -468,19 +468,23 @@ def eigenvector_residual(spec, w, n=DEFAULT_DEGREE):
 class MultiplierBound:
     """Outcome of ``multiplier_lower_bound``.
 
-    ``ok`` means sigma_min(M)^2 >= (sqrt(epsilon) - tail)^2 - slack > 0 is
-    proved for the truncated multiplier M; epsilon is the certified bound of
-    the corona certificate and tail that of the Taylor truncation.
+    ``ok`` means sigma_min(M)^2 >= target - slack > 0 is proved for the
+    truncated multiplier M, with target = (sqrt(epsilon) - tail)^2; epsilon
+    is the certified bound of the corona certificate and tail that of the
+    Taylor truncation.  When ``ok`` is false, target <= slack means the bound
+    is unproved, and target > slack that the Cholesky factorisation of
+    H - target I failed.
     """
 
     epsilon: float
     tail: float
+    target: float
     slack: float
     ok: bool
 
 
 def multiplier_lower_bound(spec, n=DEFAULT_DEGREE):
-    """Prove sigma_min(M)^2 >= epsilon - slack with one shifted Cholesky.
+    """Prove sigma_min(M)^2 >= target - slack with one shifted Cholesky.
 
     M is the multiplier f -> (theta1 f, theta2 f) from degree
     dom = max(n - d, n // 4, 1) into degree dom + d, d the largest Taylor
@@ -517,7 +521,9 @@ def multiplier_lower_bound(spec, n=DEFAULT_DEGREE):
     target = root * root
     chol = _BandCholesky(band, _band_error(d))
     ok = target > chol.margin and chol.factors(target)
-    return MultiplierBound(epsilon=epsilon, tail=tail, slack=float(chol.margin), ok=bool(ok))
+    return MultiplierBound(
+        epsilon=epsilon, tail=tail, target=float(target), slack=float(chol.margin), ok=bool(ok)
+    )
 
 
 def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):

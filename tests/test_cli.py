@@ -1,6 +1,7 @@
 """Command-line interface: spec files, exit codes, reports, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -280,6 +281,61 @@ def test_corona_command_parse_error(tmp_path, capsys):
     assert "oops" in capsys.readouterr().err
 
 
+def _module_a(theta1="poly:[1]", theta2="poly:[0,1]", base="hardy"):
+    return f"[moduleA]\nbase = {base}\ntheta1 = {theta1}\ntheta2 = {theta2}\n"
+
+
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        (SPEC_A + "[moduleA]\n", [], "line 5: duplicate section [moduleA]"),
+        (
+            _module_a().replace("theta1 = ", "theta1 "), [],
+            "line 3, column 1: expected 'key = value', got 'theta1 poly:[1]'",
+        ),
+        ("base = hardy\n" + SPEC_A, [], "line 1: key outside any section"),
+        (
+            _module_a().replace("hardy\n", "hardy\nbase = hardy\n"), [],
+            "line 3: duplicate key 'base' in section [moduleA]",
+        ),
+        ("[moduleA]\nbase = hardy\ntheta1 = poly:[1]\n", [], "section [moduleA] is missing key 'theta2'"),
+        (
+            _module_a(base="bergman(alpha=x)"), [],
+            "line 2, column 7: bad module kind 'bergman(alpha=x)': "
+            "could not convert string to float: 'x'",
+        ),
+        (
+            _module_a("poly:[0]", "poly:[0]"), [],
+            "line 3: multiplier pair must not be identically zero",
+        ),
+        (
+            _module_a("poly:[1j]"), [],
+            "line 3, column 9: bad coefficient '1j': use 'i' for the imaginary unit",
+        ),
+        (_module_a("poly:[1,,2]"), [], "line 3, column 9: empty coefficient"),
+        (_module_a("poly:[1e400]"), [], "line 3, column 9: non-finite coefficient '1e400'"),
+        (_module_a("rat:[1]/[0]"), [], "line 3, column 9: denominator is identically zero"),
+        (
+            SPEC_A, ["--grid", "0.5,x,8"],
+            "error: bad --grid value: invalid literal for int() with base 10: 'x'",
+        ),
+    ],
+    ids=[
+        "duplicate-section", "no-equals", "key-outside-section", "duplicate-key",
+        "missing-theta2", "bad-alpha", "zero-pair", "python-imaginary", "empty-coefficient",
+        "non-finite-coefficient", "zero-denominator", "bad-grid-flag",
+    ],
+)
+def test_spec_file_errors_exit_one_with_location(tmp_path, capsys, text, flags, message):
+    path = write(tmp_path, "bad.spec", text)
+    with pytest.raises(SystemExit) as info:
+        main(["corona", path, *flags])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(message + "\n")
+
+
 def test_missing_file_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["corona", "/nonexistent/f.spec"])
@@ -440,6 +496,20 @@ def test_verify_curvature_identity_sees_truncation(tmp_path, capsys, degree, cod
     assert main(["verify", path, "--oracle-degree", str(degree), "--out", str(out)]) == code
     check = json.loads(out.read_text())["oracle"]["moduleA"]["curvature_identity"]
     assert check["ok"] is (code == 0)
+
+
+def test_verify_multiplier_entry_says_unproved(tmp_path, capsys):
+    # {(2+z)^9, 0.5 + z^10} on Hardy, exact integer coefficients: the
+    # certified epsilon lies below the rounding margin of the Cholesky proof,
+    # so the entry fails as unproved (target <= slack), not as refuted
+    power = ",".join(str(math.comb(9, j) * 2 ** (9 - j)) for j in range(10))
+    text = f"[moduleA]\nbase = hardy\ntheta1 = poly:[{power}]\ntheta2 = poly:[0.5{',0' * 9},1]\n"
+    out = tmp_path / "v.json"
+    assert main(["verify", write(tmp_path, "k9.spec", text), "--out", str(out)]) == 5
+    entry = strict_json(out.read_text())["oracle"]["moduleA"]["multiplier_min_singular_value"]
+    assert sorted(entry) == ["epsilon", "ok", "slack", "tail", "target"]
+    assert entry["ok"] is False
+    assert entry["target"] <= entry["slack"]
 
 
 def test_verify_report_is_strict_json_at_large_alpha(tmp_path, capsys):

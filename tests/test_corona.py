@@ -147,6 +147,21 @@ def test_depth_exceeded_on_sharp_dip():
     assert info.value.best_bound <= 2.5e-15
 
 
+def test_box_budget_names_the_projected_open_center(monkeypatch):
+    # u = |z - (0.7 + 0.7i)|^2 + 1e-4; with room for ten boxes the search
+    # stops after the first split, at the open box whose center 0.75 + 0.75i
+    # has the smallest u, and names that center projected onto the circle
+    pair = MultiplierPair(poly([-(0.7 + 0.7j), 1]), poly([0.01]))
+    cert = certify(pair, target_gap=1e-6)
+    assert (cert.depth, cert.boxes_checked) == (8, 37)
+    monkeypatch.setattr(diskmod.corona, "BOX_BUDGET", 10)
+    with pytest.raises(DepthExceeded) as info:
+        certify(pair, target_gap=1e-6)
+    assert info.value.best_bound == 0.0
+    assert abs(info.value.witness - math.sqrt(0.5) * (1 + 1j)) < 1e-15
+    assert info.value.value == pytest.approx(2.01013e-4, rel=1e-5)
+
+
 def test_flat_region_with_huge_high_degree_term_certifies():
     # u = 1 + 1e8 |z|^60: flat at the center, steep near the circle
     pair = MultiplierPair(poly([1]), poly([0] * 30 + [1e4]))

@@ -947,6 +947,23 @@ def test_multiplier_bound_rejects_a_certificate_above_the_operator(base):
             assert not multiplier_lower_bound(planted, n).ok
 
 
+def test_multiplier_bound_tells_unproved_from_refuted():
+    # {(2 + z)^9, 0.5 + z^10} on Hardy: the certified epsilon lies just below
+    # the rounding margin, so the bound is unproved; a certificate 20% above
+    # the operator's bound passes the margin and the factorisation refutes it
+    spec = make_spec(HARDY, binomial_pair(9, True))
+    for n in (120, 300):
+        bound = multiplier_lower_bound(spec, n)
+        assert not bound.ok
+        assert bound.target == pytest.approx(bound.epsilon, rel=1e-15)
+        assert bound.target <= bound.slack
+    pair = MILD_PAIRS[0]
+    planted = _with_certificate(make_spec(HARDY, pair), epsilon=1.2 * _sampled_min_u(pair))
+    bound = multiplier_lower_bound(planted, 120)
+    assert not bound.ok
+    assert bound.target > bound.slack
+
+
 def test_multiplier_bound_takes_one_tail_bound_per_rational_component(monkeypatch):
     # fresh pairs, since a pair keeps its Taylor table; the kernel count and
     # the curvature on the same spec read that table and bound no tail again
