@@ -247,38 +247,26 @@ def _certify(name, module, target_gap, entries):
     """Certify one module, record its ``corona`` entry and print its line.
 
     Returns the certified spec, or None when certification fails; the entry
-    then holds the witness under ``failed``, and for a CoronaFailure whether
-    the witness is a common zero of the numerators.
+    then holds the witness and u there under ``failed``, and either the best
+    bound of a DepthExceeded or whether a CoronaFailure's witness is a common
+    zero of the numerators (``FAILED``) or only a point where u is below
+    target (``BELOW TARGET``).
     """
     try:
         spec = certify_spec(module, target_gap)
-    except CoronaFailure as exc:
-        entries[name] = {
-            "failed": {
-                "witness": _cnum(exc.witness),
-                "value": exc.value,
-                "common_zero": exc.common_zero,
-            }
-        }
-        print(
-            f"corona {name}: FAILED witness="
-            f"({exc.witness.real:.6g}, {exc.witness.imag:.6g}) "
-            f"u={exc.value:.6g}" + (" (common zero)" if exc.common_zero else "")
-        )
-        return None
-    except DepthExceeded as exc:
-        entries[name] = {
-            "failed": {
-                "witness": _cnum(exc.witness),
-                "value": exc.value,
-                "best_bound": exc.best_bound,
-                "depth_exceeded": True,
-            }
-        }
-        print(
-            f"corona {name}: DEPTH EXCEEDED best_bound={exc.best_bound:.6g} "
-            f"worst box near ({exc.witness.real:.6g}, {exc.witness.imag:.6g})"
-        )
+    except (CoronaFailure, DepthExceeded) as exc:
+        failed = {"witness": _cnum(exc.witness), "value": exc.value}
+        near = f"({exc.witness.real:.6g}, {exc.witness.imag:.6g})"
+        if isinstance(exc, DepthExceeded):
+            failed.update(best_bound=exc.best_bound, depth_exceeded=True)
+            line = f"DEPTH EXCEEDED best_bound={exc.best_bound:.6g} worst box near {near}"
+        else:
+            failed["common_zero"] = exc.common_zero
+            kind = "FAILED" if exc.common_zero else "BELOW TARGET"
+            line = f"{kind} witness={near} u={exc.value:.6g}"
+            line += " (common zero)" if exc.common_zero else ""
+        entries[name] = {"failed": failed}
+        print(f"corona {name}: {line}")
         return None
     cert = spec.certificate
     entries[name] = {

@@ -85,7 +85,8 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
     the grid point with the largest curvature gap and is informative only.
     Same base runs the harmonicity defect with thresholds relative to
     1 + field magnitude: accept at ``tol`` (re-checked on a rotated grid),
-    reject above ``10 * tol``, otherwise Inconclusive.
+    reject above ``10 * tol`` (on the first grid alone, or on both),
+    otherwise Inconclusive.
     """
     if grid is None:
         grid = DiskGrid()
@@ -107,44 +108,30 @@ def decide_equivalence(spec_a, spec_b, grid=None, tol=DEFAULT_TOL):
             max_deviation=max_dev,
         )
 
-    if max_dev > REJECT_FACTOR * tol * scale:
-        return Verdict(
-            outcome=Outcome.NOT_ISOMORPHIC,
-            witness=worst,
-            detail=DETAIL_SAME_BASE,
-            max_deviation=max_dev,
-        )
-
     # a grid aligned with a symmetry of the deviation field could hit an
-    # accidental zero set, so acceptance requires a second, rotated grid
-    rotate = math.pi / grid.n_theta
-    _, _, worst2, scale2 = _deviation_data(
-        spec_a.theta, spec_b.theta, grid, grid.points(rotate), rotate
-    )
-    both_dev = max(max_dev, abs(worst2.obstruction))
-    both_scale = max(scale, scale2)
+    # accidental zero set, so only a rejection may rest on the first grid
+    # alone; a NaN deviation also reads the second, rotated grid
+    last = worst
+    if not max_dev > REJECT_FACTOR * tol * scale:
+        rotate = math.pi / grid.n_theta
+        _, _, last, scale2 = _deviation_data(
+            spec_a.theta, spec_b.theta, grid, grid.points(rotate), rotate
+        )
+        scale = max(scale, scale2)
+    dev = max(max_dev, abs(last.obstruction))
 
-    if both_dev <= tol * both_scale:
-        return Verdict(
-            outcome=Outcome.ISOMORPHIC,
-            witness=None,
-            detail=DETAIL_SAME_BASE,
-            max_deviation=both_dev,
-        )
-    if both_dev > REJECT_FACTOR * tol * both_scale:
-        return Verdict(
-            outcome=Outcome.NOT_ISOMORPHIC,
-            witness=worst2 if abs(worst2.obstruction) >= max_dev else worst,
-            detail=DETAIL_SAME_BASE,
-            max_deviation=both_dev,
-        )
-    return Verdict(
-        outcome=Outcome.INCONCLUSIVE,
-        witness=worst,
-        detail=(
-            f"{DETAIL_SAME_BASE}: deviation {both_dev:.3e} falls between "
+    detail = DETAIL_SAME_BASE
+    if dev <= tol * scale:
+        outcome, witness = Outcome.ISOMORPHIC, None
+    elif dev > REJECT_FACTOR * tol * scale:
+        # the larger deviation names the witness, the rotated grid's on a tie
+        outcome = Outcome.NOT_ISOMORPHIC
+        witness = last if abs(last.obstruction) >= max_dev else worst
+    else:
+        outcome, witness = Outcome.INCONCLUSIVE, worst
+        detail = (
+            f"{DETAIL_SAME_BASE}: deviation {dev:.3e} falls between "
             f"{tol:.1e} and {REJECT_FACTOR * tol:.1e} (relative); refine the "
             "grid or tolerance"
-        ),
-        max_deviation=both_dev,
-    )
+        )
+    return Verdict(outcome=outcome, witness=witness, detail=detail, max_deviation=dev)

@@ -248,7 +248,7 @@ def test_corona_command_failure_below_target_without_common_zero(tmp_path, capsy
     assert main(["corona", path]) == 2
     out = capsys.readouterr().out
     line = out.splitlines()[0]
-    assert "FAILED" in line and "common zero" not in line
+    assert line.startswith("corona moduleA: BELOW TARGET witness=") and "common zero" not in line
     failed = stdout_report(out)["corona"]["moduleA"]["failed"]
     assert failed["common_zero"] is False
     assert abs(complex(failed["witness"]["re"], failed["witness"]["im"]) - 0.5005) < 1e-6
@@ -510,6 +510,25 @@ def test_verify_multiplier_entry_says_unproved(tmp_path, capsys):
     assert sorted(entry) == ["epsilon", "ok", "slack", "tail", "target"]
     assert entry["ok"] is False
     assert entry["target"] <= entry["slack"]
+
+
+def test_verify_error_in_its_own_step_exits_five_without_a_report(tmp_path, capsys):
+    # (2+z)^13 {1, z} on Hardy, exact integer coefficients, certifies; at
+    # degree 120 its Gram matrix G is too ill-conditioned to prove positive
+    # definite, so the oracle raises, main prints the error and exits 5, and
+    # the report is not written
+    power = ",".join(str(math.comb(13, j) * 2 ** (13 - j)) for j in range(14))
+    text = f"[moduleA]\nbase = hardy\ntheta1 = poly:[{power}]\ntheta2 = poly:[0,{power}]\n"
+    out = tmp_path / "v.json"
+    path = write(tmp_path, "k13.spec", text)
+    assert main(["verify", path, "--oracle-degree", "120", "--out", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out.startswith("corona moduleA: epsilon=0.424787 depth=5 boxes=473\n")
+    assert captured.err == (
+        "error: G = N^H N at degree 120 is too ill-conditioned to prove positive definite "
+        "in double precision: G[0, 0] = 6.711e+07 against a margin of 1.208e+00\n"
+    )
+    assert not out.exists()
 
 
 def test_verify_report_is_strict_json_at_large_alpha(tmp_path, capsys):

@@ -118,6 +118,12 @@ def test_fd_laplacian_log_kernel_frozen():
     assert fd_laplacian(logk, 0.5, 1e-3) == pytest.approx(64 / 9, abs=1e-3)
 
 
+@pytest.mark.parametrize("z", [1.0, 1.5j, np.array([0.5, -1.0j]), np.array([0.2j, -1.5])])
+def test_laplacian_rejects_points_outside_the_open_disk(z):
+    with pytest.raises(PointOutsideDomain):
+        laplacian_log_sumsq(PAIR_1Z, z)
+
+
 def test_fd_laplacian_stencil_domain():
     with pytest.raises(PointOutsideDomain):
         fd_laplacian(lambda z: abs(z) ** 2, 0.9995, 1e-3)

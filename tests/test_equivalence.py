@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import diskmod.equivalence
 from diskmod import (
     BERGMAN,
     HARDY,
@@ -107,6 +108,34 @@ def test_decide_inconclusive_band():
     v = decide_equivalence(a, b, tol=1e-6)
     assert v.outcome is Outcome.INCONCLUSIVE
     assert v.witness is not None
+
+
+@pytest.mark.parametrize(
+    "base_a, base_b, theta_b, outcome, calls",
+    [
+        (HARDY, BERGMAN, PAIR_1Z, Outcome.NOT_ISOMORPHIC, 2),
+        (BERGMAN, weighted_bergman(1.5), PAIR_1Z, Outcome.NOT_ISOMORPHIC, 2),
+        (HARDY, HARDY, MultiplierPair(poly([1]), poly([0, 0.5])), Outcome.NOT_ISOMORPHIC, 2),
+        (HARDY, HARDY, PAIR_SCALED, Outcome.ISOMORPHIC, 4),
+        (HARDY, HARDY, MultiplierPair(poly([1]), poly([0, 1.000002])), Outcome.INCONCLUSIVE, 4),
+    ],
+)
+def test_decide_reads_the_rotated_grid_only_short_of_rejection(
+    monkeypatch, base_a, base_b, theta_b, outcome, calls
+):
+    # one Laplacian per pair and grid: a different base, or a deviation past
+    # the rejection threshold on the first grid, ends the decision there
+    spec_a, spec_b = make_spec(base_a, PAIR_1Z), make_spec(base_b, theta_b)
+    seen = []
+    grid_laplacian = diskmod.equivalence._grid_laplacian
+
+    def counting_grid_laplacian(*args):
+        seen.append(args)
+        return grid_laplacian(*args)
+
+    monkeypatch.setattr(diskmod.equivalence, "_grid_laplacian", counting_grid_laplacian)
+    assert decide_equivalence(spec_a, spec_b).outcome is outcome
+    assert len(seen) == calls
 
 
 def test_decide_requires_certificates():

@@ -50,6 +50,13 @@ def test_kernel_rejects_boundary():
         kernel_eval(BERGMAN, 0, 1.0)
 
 
+@pytest.mark.parametrize("z", [1.0, 1.5j, np.array([0.5, -1.0j]), np.array([0.2j, -1.5])])
+@pytest.mark.parametrize("kind", [HARDY, weighted_bergman(1.0)])
+def test_base_curvature_rejects_points_outside_the_open_disk(kind, z):
+    with pytest.raises(PointOutsideDomain):
+        base_curvature(kind, z)
+
+
 def test_kernel_hermitian_symmetry():
     rng = np.random.default_rng(5)
     for kind in ALL_KINDS:
