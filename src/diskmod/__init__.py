@@ -13,7 +13,6 @@ from .errors import (
     NoSpectralGap,
     PointOutsideDomain,
     SpecFileError,
-    TailBoundExceeded,
     UncertifiedSpec,
 )
 from .holofun import (

@@ -57,11 +57,16 @@ _WINDOW = np.add.outer(1j * np.array([-3.0, -1.0, 1.0, 3.0]), [-3.0, -1.0, 1.0, 
 class CoronaCertificate:
     """A certified bound inf |theta1|^2 + |theta2|^2 >= epsilon > 0.
 
-    ``theta`` is the pair the bound was proved for; a spec counts as
-    certified only while its own pair equals it.
+    ``cleared_epsilon`` bounds inf |P1|^2 + |P2|^2 in the same way, for the
+    numerators P1 = p1 q2 and P2 = p2 q1 of the pair over one denominator
+    (``MultiplierPair._cleared``), from the same boxes.  For a polynomial
+    pair it lies a rounding allowance above epsilon, as Q = 1.  ``theta``
+    is the pair the bounds were proved for; a spec counts as certified only
+    while its own pair equals it.
     """
 
     epsilon: float
+    cleared_epsilon: float
     depth: int
     boxes_checked: int
     theta: MultiplierPair
@@ -108,7 +113,7 @@ class _BoxBounds:
         return (np.abs(b[:, 0]) ** 2 + np.abs(b[:, 1]) ** 2) / np.abs(b[:, 2]) ** 2
 
     def bounds(self, c, rho):
-        """Certified lower bound of u on each box, and u at each center.
+        """Certified lower bounds of u and of sqrt(|P1|^2 + |P2|^2) on each box, and u at each center.
 
         ``c`` holds the box centers projected onto the closed disk and ``rho``
         the common half-diagonal, already rounded up.
@@ -126,7 +131,7 @@ class _BoxBounds:
         g = self.final_gamma
         lower = np.maximum(num * (1.0 - g) - slack * (1.0 + g), 0.0)
         q_max = (den + err[:, 2, 0] + tails[:, 2]) * (1.0 + g)
-        return (lower / q_max) ** 2 * (1.0 - g), (num / den) ** 2
+        return (lower / q_max) ** 2 * (1.0 - g), lower, (num / den) ** 2
 
 
 def _project(c):
@@ -182,7 +187,8 @@ def certify(theta, target_gap=DEFAULT_TARGET_GAP):
 
     Returns a CoronaCertificate whose epsilon is a sound lower bound for
     u = |theta1|^2 + |theta2|^2 over the closed disk (and at least
-    ``target_gap``).  Once a box center has u below ``target_gap`` no
+    ``target_gap``), and whose cleared_epsilon is one for |P1|^2 + |P2|^2
+    over the same boxes.  Once a box center has u below ``target_gap`` no
     certificate is possible.  If the numerators then have a common zero in
     the disk with u below 10 * target_gap, CoronaFailure is raised there with
     ``common_zero`` True.  Otherwise the search follows the smallest center
@@ -197,26 +203,30 @@ def certify(theta, target_gap=DEFAULT_TARGET_GAP):
     c = np.zeros(1, dtype=complex)
     half = 1.0
     depth = 0
-    accepted_min = np.inf
+    accepted_min = root_min = np.inf
     accepted_depth = 0
     checked = 0
 
     while True:
         checked += len(c)
         rho = _half_diagonal(half)
-        lower, values = np.empty((2, len(c)))
+        lower, root, values = np.empty((3, len(c)))
         for s in range(0, len(c), _CHUNK):
             part = slice(s, s + _CHUNK)
-            lower[part], values[part] = boxes.bounds(_project(c[part]), rho)
+            lower[part], root[part], values[part] = boxes.bounds(_project(c[part]), rho)
 
         # a NaN bound leaves its box open
         is_open = ~(lower >= target_gap)
         if not is_open.all():
             accepted_min = min(accepted_min, float(lower[~is_open].min()))
+            root_min = min(root_min, float(root[~is_open].min()))
             accepted_depth = depth
         if not is_open.any():
             return CoronaCertificate(
                 epsilon=accepted_min,
+                # squaring with rounding is monotone, so this is the
+                # smallest of the boxes' squared bounds
+                cleared_epsilon=root_min * root_min * (1.0 - boxes.final_gamma),
                 depth=accepted_depth,
                 boxes_checked=checked,
                 theta=theta,

@@ -84,10 +84,6 @@ class NoSpectralGap(DiskModError):
     """
 
 
-class TailBoundExceeded(DiskModError):
-    """Taylor truncation of a rational multiplier has a tail above tolerance."""
-
-
 class _RangeError(ValueError):
     """A field value out of range; ``key`` names the field, so that a problem
     file can report the line that set it."""

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import FunctionParseError, InvalidFunction, PointOutsideDomain, TailBoundExceeded
+from .errors import FunctionParseError, InvalidFunction, PointOutsideDomain
 
 npp = np.polynomial.polynomial
 
@@ -271,69 +271,6 @@ def common_zeros_in_disk(pair):
     return sorted(roots, key=lambda r: (r.real, r.imag))
 
 
-# ---------------------------------------------------------------------------
-# Taylor data for the matrix-truncation layer
-
-# largest Taylor degree of a rational component, and the bound its tail must meet
-RATIONAL_TAYLOR_DEGREE = 64
-TAIL_TOL = 1e-10
-
-
-def taylor_coefficients(f, n):
-    """First n+1 Taylor coefficients of ``f`` at the origin.
-
-    Exact for polynomials (higher-degree terms, if any, are simply cut);
-    rational functions go through power-series division by the denominator.
-    """
-    if f.is_polynomial:
-        out = np.zeros(n + 1, complex)
-        d = min(len(f.numer), n + 1)
-        out[:d] = f.numer[:d]
-        return out
-    inv = np.zeros(n + 1, complex)
-    inv[0] = 1.0  # denominator constant term is normalized to 1
-    den = np.zeros(n + 1, complex)
-    den[: min(len(f.denom), n + 1)] = f.denom[: n + 1]
-    for k in range(1, n + 1):
-        inv[k] = -np.dot(den[1 : k + 1], inv[k - 1 :: -1][: k])
-    full = np.convolve(np.asarray(f.numer, complex), inv)
-    return full[: n + 1]
-
-
-def taylor_tail_bound(f, n):
-    """Certified upper bound for sum_{k>n} |c_k| of the Taylor series of ``f``.
-
-    Cauchy estimates on a circle |z| = r strictly between 1 and the smallest
-    denominator-root modulus; several radii are tried and the best bound kept.
-    Zero for polynomials of degree <= n.  ``n`` is a degree (returns a float)
-    or an array of degrees (returns an array of the same shape, each entry
-    the value a call with that degree returns); the denominator roots are
-    computed once per call.
-    """
-    degrees = np.asarray(n)
-    if f.is_polynomial:
-        best = np.array([float(sum(abs(c) for c in f.numer[k + 1 :])) for k in degrees.flat])
-        return float(best[0]) if degrees.ndim == 0 else best.reshape(degrees.shape)
-    roots = polynomial_roots(f.denom)
-    moduli = np.abs(roots)
-    rho = float(np.min(moduli)) - DISK_ROOT_TOL
-    lead = abs(f.denom[-1])
-    best = np.full(degrees.shape, np.inf)
-    for frac in (0.5, 0.75, 0.9, 0.97):
-        r = 1.0 + frac * (rho - 1.0)
-        if r <= 1.0:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            num_max = float(
-                sum(abs(c) * r**k for k, c in enumerate(f.numer))
-            )
-            den_min = lead * float(np.prod(np.maximum(moduli - r, 1e-300)))
-            m = num_max / den_min
-            tail = m * np.power(r, -degrees, dtype=float) / (r - 1.0)
-        best = np.where(np.isfinite(tail) & (tail < best), tail, best)
-    return float(best) if degrees.ndim == 0 else best
-
-
 @dataclass(frozen=True)
 class MultiplierPair:
     """An ordered pair of multipliers, not both identically zero."""
@@ -351,43 +288,6 @@ class MultiplierPair:
     def scale(self, f):
         """The pair {f*theta1, f*theta2}."""
         return MultiplierPair(f * self.theta1, f * self.theta2)
-
-    @cached_property
-    def _taylor(self):
-        """Taylor coefficients of the pair, one row per component, and its tail.
-
-        A polynomial component enters exactly with tail 0; a rational one by
-        its Taylor polynomial of the smallest degree k <=
-        ``RATIONAL_TAYLOR_DEGREE`` whose certified tail bound, the distance
-        to it on the disk, is at most ``TAIL_TOL`` (TailBoundExceeded when no
-        such k exists).  One call of ``taylor_tail_bound`` bounds the tails
-        of every degree at once.  Rows are zero-padded to d + 1, d the
-        largest Taylor degree, and the pair's tail is the root sum of
-        squares of the two component tails.  Computed once per pair, on
-        first use, and shared read-only by every truncation of the pair.
-        """
-        coeffs = []
-        tails = []
-        for f in self:
-            if f.is_polynomial:
-                degree, tail = f.degree, 0.0
-            else:
-                bounds = taylor_tail_bound(f, np.arange(RATIONAL_TAYLOR_DEGREE + 1))
-                within = np.flatnonzero(bounds <= TAIL_TOL)
-                if within.size == 0:
-                    raise TailBoundExceeded(
-                        f"Taylor tail bound {bounds[-1]:.3e} exceeds {TAIL_TOL:.0e} at degree "
-                        f"{RATIONAL_TAYLOR_DEGREE}; denominator zeros sit too close to the disk"
-                    )
-                degree = int(within[0])
-                tail = float(bounds[degree])
-            coeffs.append(taylor_coefficients(f, degree))
-            tails.append(tail)
-        table = np.zeros((len(coeffs), max(len(c) for c in coeffs)), complex)
-        for row, comp in zip(table, coeffs):
-            row[: len(comp)] = comp
-        table.flags.writeable = False
-        return table, float(np.hypot(*tails))
 
     @cached_property
     def _cleared(self):

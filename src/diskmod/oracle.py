@@ -5,11 +5,19 @@ closed form: kernel counts and closed range of the truncated operators, and
 the curvature of the eigenvector frame of the truncated quotient, which
 evaluates neither theta nor the kernel (``oracle_curvature``).  The
 truncated shift is held as its weight vector (``rkhs.shift_weights``) and
-applied by weighted slice moves; no dense shift matrix is built.  Every
+applied by weighted slice moves; no dense shift matrix is built.  The
+oracle reads the pair over one denominator, theta = (P1, P2) / Q with
+P1 = p1 q2, P2 = p2 q1 and Q = q1 q2 (``MultiplierPair._cleared``), and
+works with the polynomials P1 and P2 (``_numerators``).  Q has no zero on
+the closed disk, so multiplication by 1/Q maps the base space H onto
+itself and theta H = (P1, P2) H: both pairs define the same submodule,
+quotient and kernels, and, as log |Q|^2 is harmonic, the same curvature
+(Cowen & Douglas, Acta Math. 141, 1978).  M_P = M_theta M_Q with M_Q
+invertible, so M_P has closed range exactly when M_theta has.  Every
 multiplier block is a weighted Toeplitz matrix D T_i D^-1 of half-width d,
-d the largest Taylor degree, so its Gram matrices are bands of half-width
-d; ``_gram_band`` builds them from the Taylor coefficients and ratios of
-monomial norms alone.  Bands are the only form in which the oracle holds an
+d the degree of P1 and P2, so its Gram matrices are bands of half-width d;
+``_gram_band`` builds them from the coefficients and ratios of monomial
+norms alone.  Bands are the only form in which the oracle holds an
 operator, all in one layout: entry (l, o) of the band of a Hermitian A is
 A[l + o, l].  Kernel counts compress the shift to the truncated quotient,
 the range of N = [M2^H; -M1^H].  The blocks commute with the shift, so the
@@ -20,20 +28,16 @@ every point of a call from bounds on the singular values (route 1 of
 ``dim_ker_estimate``); at the points it leaves open, Sylvester's law of
 inertia counts the singular values below a threshold t as the negative
 eigenvalues of the band A_w - t^2 G, A_w = B_w^H G B_w, read from a twisted
-factorisation (``_BandCholesky.negatives``).  Closed range of M_Theta is
-proved by the same factorisation of the band M^H M: it shows
-sigma_min(M)^2 >= epsilon - slack for the certified epsilon of the corona
-certificate (``multiplier_lower_bound``).  Each component enters by its
-Taylor coefficients, which the pair computes once with its tail bound
-(``MultiplierPair._taylor``) and every function here reads; a rational
-component is cut at the smallest degree, at most 64, whose certified tail
-meets ``holofun.TAIL_TOL``, which keeps the bands narrow.  The kernel
-vector x_k = conj(w)^k / |z^k| and the frame N x are formed from the shift
-weights in log space (``_kernel_frame``), so no monomial norm is formed
-and a large weight alpha neither overflows nor underflows.  Truncation
-degrees default to 120 and evaluation points stay within |w| <= 0.6-0.7 so
-geometric kernel tails are negligible against the assertions made
-downstream.
+factorisation (``_BandCholesky.negatives``).  Closed range of M_P, and so
+of M_theta, is proved by the same factorisation of the band M^H M: it
+shows sigma_min(M)^2 >= epsilon - slack for the certified bound epsilon of
+the corona certificate on |P1|^2 + |P2|^2 (``multiplier_lower_bound``).
+The kernel vector x_k = conj(w)^k / |z^k| and the frame N x are formed
+from the shift weights in log space (``_kernel_frame``), so no monomial
+norm is formed and a large weight alpha neither overflows nor underflows.
+Truncation degrees default to 120 and evaluation points stay within
+|w| <= 0.6-0.7 so geometric kernel tails are negligible against the
+assertions made downstream.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .curvature import _require_certified
-from .errors import NoSpectralGap, TailBoundExceeded
+from .errors import NoSpectralGap
 from .holofun import _UNIT, _gamma, _powers
 from .rkhs import _norm_ratios, shift_weights
 
@@ -62,6 +66,16 @@ def _require(spec, n, least=1):
     _require_certified(spec)
     if n < least:
         raise ValueError(f"truncation degree must be at least {least}")
+
+
+def _numerators(pair):
+    """The rows P1 and P2 of ``MultiplierPair._cleared``, up to their last nonzero column.
+
+    A read-only table of two rows and d + 1 columns, d the degree of the
+    cleared numerators; Q, which may have the higher degree, is dropped.
+    """
+    rows = pair._cleared[0][:2]
+    return rows[:, : np.flatnonzero(np.any(rows != 0, axis=0))[-1] + 1]
 
 
 def _gram_band(table, kind, cod, size, columns=False):
@@ -396,11 +410,14 @@ def oracle_curvature(spec, z, n=DEFAULT_DEGREE):
         K(w) = -(a b - |c|^2) / a^2,    a = |p|^2, b = |p'|^2, c = p^H p',
 
     with p' = N x' and x' = dx / d conj(w); a, b and c equal x^H G x,
-    x'^H G x' and x^H G x' for G = N^H N.  p and p' come from partial sums
-    of the Taylor coefficients of theta and theta' (``_range_vectors``), so
-    no theta value, kernel value or finite difference enters, and the
-    identity behind ``quotient_curvature`` is never used.  x is scaled per
-    point in log space; the scale is the same for x and x', and cancels.
+    x'^H G x' and x^H G x' for G = N^H N.  N is that of the cleared
+    numerators P1 and P2, whose quotient is that of theta: its frame at w
+    is the exact one times conj(Q(w)), which leaves K unchanged.  p and p'
+    come from partial sums of the coefficients of P and P'
+    (``_range_vectors``), so no theta value, kernel value or finite
+    difference enters, and the identity behind ``quotient_curvature`` is
+    never used.  x is scaled per point in log space; the scale is the same
+    for x and x', and cancels.
 
     ``CURVATURE_TOL`` = 1e-8 bounds |K - quotient_curvature| / (1 + |K|)
     where the kernel vector's mass beyond degree n is negligible.  Its
@@ -411,23 +428,23 @@ def oracle_curvature(spec, z, n=DEFAULT_DEGREE):
       Hardy, where 1e-14 is observed on the benchmark corpus; a, b and c,
       sums of 2 (n + 1) terms, add gamma_{2n+2}, and a b - |c|^2 loses the
       factor a b / (a b - |c|^2) to cancellation;
-    - the Taylor tail: a rational component enters by its Taylor
-      polynomial, within tau = ``holofun.TAIL_TOL`` = 1e-10 of theta on the
-      disk, and by Cauchy's estimate within tau' = tau / (1 - |w|) <=
-      3.4e-10 in theta' at |w| <= 0.7.  To first order that moves K by at most
-      (8 |theta'|^2 tau + 4 |theta| |theta'| tau') / |theta|^3, with
-      |theta|^2 = |theta1|^2 + |theta2|^2: about 2e-9 where |theta| and
-      |theta'| are of order 1.
-    The analytic side carries no error bound of its own: near a factor such
-    as (2 + z)^k its Horner evaluation loses digits, 3e-10 at k = 26.  What
-    exceeds the budget is truncation, a degree too small for the base.
+    - the coefficients of P1 and P2: exact for a polynomial pair; for a
+      rational one, each is a sum of at most k + 1 products of a numerator
+      and a denominator coefficient, k the smaller of their degrees, and
+      lies within gamma_{k+3} of its exact value relative to the same sum
+      over the moduli, the second table of ``MultiplierPair._cleared``.
+    theta itself is not truncated: P1 and P2 are polynomials and enter
+    whole.  The analytic side carries no error bound of its own: near a
+    factor such as (2 + z)^k its Horner evaluation loses digits, 3e-10 at
+    k = 26.  What exceeds the budget is truncation, a degree too small for
+    the base.
 
     ``z`` is a point (returns a float) or an array of points with
     |z| <= 0.7 (returns an array of its shape).
     """
     _require(spec, n)
     scalar, points = _frame_points(z)
-    table, _ = spec.theta._taylor
+    table = _numerators(spec.theta)
     _, _, p, dp = _range_vectors(table, shift_weights(spec.base, n), points)
     a = np.sum(np.abs(p) ** 2, axis=1)
     b = np.sum(np.abs(dp) ** 2, axis=1)
@@ -469,15 +486,14 @@ class MultiplierBound:
     """Outcome of ``multiplier_lower_bound``.
 
     ``ok`` means sigma_min(M)^2 >= target - slack > 0 is proved for the
-    truncated multiplier M, with target = (sqrt(epsilon) - tail)^2; epsilon
-    is the certified bound of the corona certificate and tail that of the
-    Taylor truncation.  When ``ok`` is false, target <= slack means the bound
-    is unproved, and target > slack that the Cholesky factorisation of
-    H - target I failed.
+    truncated multiplier M of the cleared numerators (P1, P2), with target
+    the corona certificate's bound on |P1|^2 + |P2|^2 (``cleared_epsilon``);
+    epsilon is its bound on |theta1|^2 + |theta2|^2.  When ``ok`` is false,
+    target <= slack means the bound is unproved, and target > slack that the
+    Cholesky factorisation of H - target I failed.
     """
 
     epsilon: float
-    tail: float
     target: float
     slack: float
     ok: bool
@@ -486,20 +502,19 @@ class MultiplierBound:
 def multiplier_lower_bound(spec, n=DEFAULT_DEGREE):
     """Prove sigma_min(M)^2 >= target - slack with one shifted Cholesky.
 
-    M is the multiplier f -> (theta1 f, theta2 f) from degree
-    dom = max(n - d, n // 4, 1) into degree dom + d, d the largest Taylor
-    degree, so every product is kept.  The floor n // 4 keeps a real
-    truncation when d is close to n: over span{1, z} alone, a certificate
-    20% above the operator's bound passes.  For Hardy and every weighted
-    Bergman space, |f|^2 is integrated against a positive measure, so the
-    certified |theta1|^2 + |theta2|^2 >= epsilon of the corona certificate
-    gives |Theta f|^2 >= epsilon |f|^2, and sigma_min(M)^2 >= epsilon for a
-    polynomial pair.  A rational component enters by its Taylor polynomial
-    of the smallest degree <= 64 whose certified tail meets
-    ``holofun.TAIL_TOL``, and the pair's tail bound
-    (``MultiplierPair._taylor``) makes the target (sqrt(epsilon) - tail)^2.
-    The computed Taylor coefficients are taken as stored, as everywhere in
-    the oracle.
+    M is the multiplier f -> (P1 f, P2 f) of the cleared numerators
+    (``_numerators``) from degree dom = max(n - d, n // 4, 1) into degree
+    dom + d, d their degree, so every product is kept.  The floor n // 4
+    keeps a real truncation when d is close to n: over span{1, z} alone, a
+    certificate 20% above the operator's bound passes.  For Hardy and every
+    weighted Bergman space, |f|^2 is integrated against a positive measure,
+    so the certified |P1|^2 + |P2|^2 >= target of the corona certificate
+    (``CoronaCertificate.cleared_epsilon``) gives |P f|^2 >= target |f|^2,
+    and sigma_min(M)^2 >= target.  M_P = M_theta M_Q with Q = q1 q2
+    zero-free on the closed disk, so M_Q is invertible and closed range of
+    M_P is closed range of M_theta; the bound on M_P is the one proved.  The
+    computed coefficients of P1 and P2 are taken as stored, as everywhere
+    in the oracle.
 
     ``_gram_band`` gives H = M^H M reversed: the band of J H J, J the
     reversal, in the layout of G, each entry within err = ``_band_error(d)``
@@ -512,17 +527,16 @@ def multiplier_lower_bound(spec, n=DEFAULT_DEGREE):
     fails it.
     """
     _require(spec, n)
-    table, tail = spec.theta._taylor
+    table = _numerators(spec.theta)
     d = table.shape[1] - 1
     dom = max(n - d, n // 4, 1)
     band = _gram_band(table, spec.base, dom + d, dom + 1, columns=True)
-    epsilon = float(spec.certificate.epsilon)
-    root = max(np.sqrt(epsilon) - tail, 0.0)
-    target = root * root
+    target = float(spec.certificate.cleared_epsilon)
     chol = _BandCholesky(band, _band_error(d))
     ok = target > chol.margin and chol.factors(target)
     return MultiplierBound(
-        epsilon=epsilon, tail=tail, target=float(target), slack=float(chol.margin), ok=bool(ok)
+        epsilon=float(spec.certificate.epsilon), target=target, slack=float(chol.margin),
+        ok=bool(ok),
     )
 
 
@@ -532,8 +546,9 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     Compresses the doubled shift S2 = S (+) S to the orthogonal complement of
     the (ambient-aligned) truncated multiplication range: columns
     P_n(theta z^k) for every k <= n, so the complement models the quotient
-    with no seam of forgotten range directions even when a component's
-    Taylor degree is comparable to n.  With the truncated multiplier
+    with no seam of forgotten range directions even when the degree d of
+    the cleared numerators P1 and P2 (``_numerators``), which stand for
+    theta, is comparable to n.  With the truncated multiplier
     M = [M1; M2], M_i = D T_i D^-1 with T_i lower triangular Toeplitz and D
     the monomial norms, the blocks commute, so the columns of
     N = [M2^H; -M1^H] lie in ker M^H, and they span it when G = N^H N is
@@ -542,14 +557,14 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
     is the number of singular values of C_w = C - conj(w) I below gap_tol
     sigma_1(C_w).  ``gap_tol`` must lie in the open interval (0, 1).
 
-    Every claim is about the exact truncated operator of the stored Taylor
-    coefficients: N and the shift weights s of S built from exact monomial
-    norms.  M1 and M2 are polynomials in S, so S2^H N = N S^H, and with
+    Every claim is about the exact truncated operator of the stored
+    coefficients of P1 and P2: N and the shift weights s of S built from
+    exact monomial norms.  M1 and M2 are polynomials in S, so S2^H N = N S^H, and with
     N = Q R, R^H R = G and the bidiagonal B_w = S^H - conj(w) I,
 
         C_w = R B_w R^-1.
 
-    No Q is formed: G comes as a band from the Taylor coefficients
+    No Q is formed: G comes as a band from those coefficients
     (``_gram_band``), built once per call, and two routes count:
     1. bounds on the singular values (``_gram_bounds``) settle the expected
        count of 1 at every point of a call with one Cholesky factorisation
@@ -563,8 +578,9 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
        the band (``_BandCholesky.negatives``).
     Route 2 needs G positive definite: one more Cholesky factorisation
     proves lambda_min(G) >= margin > 0.  When it fails, NoSpectralGap is
-    raised and names G[0, 0] = |theta1(0)|^2 + |theta2(0)|^2 and the
-    margin: N is rank-deficient where G[0, 0] <= 2 margin, as theta1(0) and
+    raised and names G[0, 0] = |P1(0)|^2 + |P2(0)|^2, which is
+    |theta1(0)|^2 + |theta2(0)|^2 as q1(0) = q2(0) = 1, and the margin: N
+    is rank-deficient where G[0, 0] <= 2 margin, as theta1(0) and
     theta2(0) nearly vanish; otherwise G is too ill-conditioned to prove
     positive definite in double precision.
 
@@ -624,7 +640,7 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
 
     Rounding margins of route 1, with u the unit roundoff, gamma_k = k u /
     (1 - k u), gn = gamma_{4m+8} for a sum of at most 4m real terms (the
-    norms of vectors of length 2m) and d the largest Taylor degree:
+    norms of vectors of length 2m) and d the degree of P1 and P2:
     - the shift weights: each is within e_s = gamma_2 of its exact value;
       with the computed ones, hi takes max(s) (1 + e_s), r's numerator
       e_s max(s) |p| more, and beta, a bound for the bidiagonal of the
@@ -703,7 +719,7 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
         raise ValueError(f"gap_tol must lie strictly between 0 and 1, got {gap_tol!r}")
     scalar, points = _frame_points(w, 0.6)
 
-    table, _ = spec.theta._taylor
+    table = _numerators(spec.theta)
     s = shift_weights(spec.base, n)
     gram = _gram_band(table, spec.base, n, n + 1)
     bounds = _gram_bounds(table, spec.base, gram, s, points, gap_tol)
@@ -729,9 +745,9 @@ def dim_ker_estimate(spec, w, n=DEFAULT_DEGREE, gap_tol=1e-4):
 def _pencil_count(table, gram, s, w, hi, lo, r, gap_tol, twist):
     """Route 2 of ``dim_ker_estimate`` at one point: the count rule on the band pencil.
 
-    ``table`` holds the Taylor coefficients, ``gram`` is the band of G, s
-    the shift weights, hi and lo bound sigma_1 and r bounds sigma_m as route
-    1 takes them, and ``twist`` is the row of the middle window; the
+    ``table`` holds the coefficients of P1 and P2, ``gram`` is the band of
+    G, s the shift weights, hi and lo bound sigma_1 and r bounds sigma_m as
+    route 1 takes them, and ``twist`` is the row of the middle window; the
     thresholds, the margin and the use of r are the ones stated in
     ``dim_ker_estimate``.
     """
@@ -754,12 +770,13 @@ def _pencil_count(table, gram, s, w, hi, lo, r, gap_tol, twist):
     if r < t_lo:
         lower = max(lower or 0, 1)
     if upper is None or upper != lower:
-        told = ["an unresolved number of" if c is None else c for c in (lower, upper)]
+        told = ["an unresolved number of singular values" if c is None else
+                f"{c} singular value" + "s" * (c != 1) for c in (lower, upper)]
         raise NoSpectralGap(
             f"no spectral gap at w = {complex(w):.6g}: the band pencil counts {told[0]} "
-            f"singular values below {t_lo:.3e} and {told[1]} singular values below "
-            f"{t_hi:.3e}; either the truncation degree {m - 1} is too small, or "
-            f"G = N^H N is too ill-conditioned to prove the count in double precision"
+            f"below {t_lo:.3e} and {told[1]} below {t_hi:.3e}; either the truncation "
+            f"degree {m - 1} is too small, or G = N^H N is too ill-conditioned to prove "
+            f"the count in double precision"
         )
     return upper
 
@@ -798,8 +815,8 @@ def _bidiagonal_beta(s, aw):
 def _kernel_frame(table, s, points):
     """x, the powers w^t, their partial sums and p = N x, one row per point.
 
-    x is the kernel vector, the powers run over t <= d, d the largest Taylor
-    degree in ``table``, and the partial sums and N are those of
+    x is the kernel vector, the powers run over t <= d, d the degree of the
+    polynomials in ``table``, and the partial sums and N are those of
     ``_partial_sums``.  x_k = conj(w)^k / nu_k, with nu_k = |z^k| and
     k <= n = s.size, is its modulus from ``_log_kernel_vector``, scaled per
     point by exp(-max_k log |x_k|), times the phase (conj(w) / |w|)^k, a
@@ -871,11 +888,10 @@ _GramBounds = namedtuple("_GramBounds", "hi lo r floor settled")
 def _gram_bounds(table, kind, gram, s, points, gap_tol):
     """Route 1 of ``dim_ker_estimate``: bounds from G = N^H N and one Cholesky.
 
-    ``table`` holds the Taylor coefficients of the pair
-    (``MultiplierPair._taylor``), ``kind`` is the base, ``gram`` the band of
-    G, s the shift weights of the truncation degree and ``points`` a 1-D
-    complex array; the inequalities and rounding margins are those stated in
-    ``dim_ker_estimate``.
+    ``table`` holds the coefficients of P1 and P2 (``_numerators``),
+    ``kind`` is the base, ``gram`` the band of G, s the shift weights of the
+    truncation degree and ``points`` a 1-D complex array; the inequalities
+    and rounding margins are those stated in ``dim_ker_estimate``.
     """
     m = gram.shape[0]
     n = m - 1

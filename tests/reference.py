@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from diskmod import MultiplierPair, NoSpectralGap, PointOutsideDomain, kernel_eval, poly, shift_weights
-from diskmod.oracle import GAP_FACTOR
+from diskmod.oracle import GAP_FACTOR, _numerators
 
 # a QR pivot below this fraction of the largest column norm is rank-deficient
 QR_RANK_REL_TOL = 1e-10
@@ -117,12 +117,12 @@ def gamma_gram(spec, points):
 def multiplier_matrix(theta, kind, n, cod):
     """Columns theta_i e_k for k <= n in the doubled basis of degree cod.
 
-    Each component enters by its Taylor coefficients (``MultiplierPair._taylor``).
-    cod = n + d, d the largest Taylor degree, keeps every product; a smaller
+    The pair enters by its cleared numerators P1 and P2 (``oracle._numerators``).
+    cod = n + d, d their degree, keeps every product; a smaller
     cod drops the products beyond it and gives the P_cod truncation of the
     range.  Rows are stacked component-major.
     """
-    table, _ = theta._taylor
+    table = _numerators(theta)
     norms = np.sqrt(monomial_norms_sq(kind, cod))
     m = np.zeros((len(table) * (cod + 1), n + 1), complex)
     k = np.arange(n + 1)[:, None]

@@ -507,7 +507,7 @@ def test_verify_multiplier_entry_says_unproved(tmp_path, capsys):
     out = tmp_path / "v.json"
     assert main(["verify", write(tmp_path, "k9.spec", text), "--out", str(out)]) == 5
     entry = strict_json(out.read_text())["oracle"]["moduleA"]["multiplier_min_singular_value"]
-    assert sorted(entry) == ["epsilon", "ok", "slack", "tail", "target"]
+    assert sorted(entry) == ["epsilon", "ok", "slack", "target"]
     assert entry["ok"] is False
     assert entry["target"] <= entry["slack"]
 
@@ -573,20 +573,26 @@ def test_verify_builds_two_gram_bands_per_module(tmp_path, capsys, monkeypatch):
     assert calls == [False, True] * 2
 
 
-def test_verify_builds_one_taylor_table_per_module(tmp_path, capsys, monkeypatch):
-    # every oracle check of a module reads the one Taylor table of its pair,
-    # so each rational component has its tail bounded once
-    calls = []
-    tail_bound = diskmod.holofun.taylor_tail_bound
+# theta1 = 1 / (1 - 0.999 z), whose Taylor coefficients decay like 0.999^k;
+# the oracle works with the cleared numerators {1, z - 0.999 z^2}, which
+# define the same quotient
+SPEC_POLE = """\
+[moduleA]
+base = hardy
+theta1 = rat:[1]/[1,-0.999000999000999]
+theta2 = poly:[0,1]
+"""
 
-    def recording_tail_bound(f, degree):
-        calls.append(f)
-        return tail_bound(f, degree)
 
-    monkeypatch.setattr(diskmod.holofun, "taylor_tail_bound", recording_tail_bound)
-    path = write(tmp_path, "rat.spec", SPEC_RATIONAL)
-    assert main(["verify", path, "--out", str(tmp_path / "v.json")]) == 0
-    assert len(calls) == 3
+@pytest.mark.parametrize("text", [SPEC_RATIONAL, SPEC_POLE], ids=["rational", "pole"])
+def test_verify_passes_rational_modules(tmp_path, capsys, text):
+    out = tmp_path / "v.json"
+    assert main(["verify", write(tmp_path, "rat.spec", text), "--out", str(out)]) == 0
+    for checks in strict_json(out.read_text())["oracle"].values():
+        assert sorted(checks) == [
+            "curvature_identity", "dim_ker", "eigenvector_residual", "multiplier_min_singular_value",
+        ]
+        assert all(entry["ok"] is True for entry in checks.values())
 
 
 def test_verify_uncertified_stops_before_oracle(tmp_path, capsys):

@@ -17,7 +17,7 @@ from diskmod import (
     polynomial_roots,
     rational,
 )
-from diskmod.holofun import _horner, poly_mul, taylor_tail_bound
+from diskmod.holofun import _horner, poly_mul
 
 
 def test_eval_constant_term():
@@ -332,27 +332,3 @@ def test_parse_rejects_malformed(bad):
 )
 def test_grammar_round_trip(f):
     assert parse_function(format_function(f)) == f
-
-
-@pytest.mark.parametrize(
-    "f",
-    [
-        rational([1], [1, 0.5]),
-        rational([1, 0.3j], [1, -0.4 + 0.2j]),
-        rational([1], [1, -1 / 1.001]),
-        poly([1, 0.5, -0.25j, 0.125]),
-    ],
-    ids=["pole_at_2", "complex", "pole_near_circle", "poly"],
-)
-def test_taylor_tail_bound_on_degree_arrays_matches_scalar_calls(f):
-    # an array of degrees gives, entry by entry, what each scalar call gives
-    degrees = np.arange(70).reshape(7, 10)
-    got = taylor_tail_bound(f, degrees)
-    assert got.shape == degrees.shape
-    single = [taylor_tail_bound(f, int(k)) for k in degrees.flat]
-    assert all(type(v) is float for v in single)
-    assert got.tobytes() == np.array(single).reshape(degrees.shape).tobytes()
-    # Cauchy bounds fall with the degree; a polynomial's tail is 0 past its degree
-    assert np.all(np.diff(got.ravel()) <= 0)
-    if f.is_polynomial:
-        assert got.ravel()[3:].tolist() == [0.0] * 67

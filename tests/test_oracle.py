@@ -16,10 +16,11 @@ from diskmod import (
     DepthExceeded,
     MultiplierPair,
     NoSpectralGap,
+    Outcome,
     QuotientSpec,
-    TailBoundExceeded,
     UncertifiedSpec,
     base_curvature,
+    decide_equivalence,
     dim_ker_estimate,
     eigenvector_residual,
     kernel_eval,
@@ -33,7 +34,7 @@ from diskmod import (
     weighted_bergman,
 )
 from diskmod.cli import _verify_points
-from diskmod.holofun import _UNIT, _gamma, taylor_coefficients, taylor_tail_bound
+from diskmod.holofun import _UNIT, _gamma
 from diskmod.oracle import (
     CURVATURE_TOL,
     _band_error,
@@ -46,6 +47,7 @@ from diskmod.oracle import (
     _gram_band,
     _gram_bounds,
     _log_kernel_vector,
+    _numerators,
     _pencil_band,
     _pencil_count,
     _range_vectors,
@@ -69,7 +71,7 @@ PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
 
 def _full_multiplier(pair, kind, n):
     # the multiplier from degree n into degree n + d, which keeps every product
-    d = pair._taylor[0].shape[1] - 1
+    d = _numerators(pair).shape[1] - 1
     return multiplier_matrix(pair, kind, n, n + d)
 
 
@@ -143,7 +145,7 @@ def test_multiplier_columns_evaluate_correctly():
 
 
 def _multiplier_matrix_loop(coeffs, kind, n, cod):
-    # reference: one slice assignment per nonzero Taylor coefficient
+    # reference: one slice assignment per nonzero coefficient
     norms = np.sqrt(monomial_norms_sq(kind, cod))
     m = np.zeros((len(coeffs) * (cod + 1), n + 1), complex)
     for block, comp in enumerate(coeffs):
@@ -165,7 +167,7 @@ def test_multiplier_matrix_matches_loop_reference(base):
         MultiplierPair(rational([1, 0.3j], [1, -0.4 + 0.2j]), rational([2], [1, 0.6])),
     )
     for pair in pairs:
-        coeffs, _ = pair._taylor
+        coeffs = _numerators(pair)
         d = coeffs.shape[1] - 1
         for n, cod in ((120, 120), (60, 60 + d), (5, 5 + d), (4, 2), (80, 100)):
             got = multiplier_matrix(pair, base, n, cod)
@@ -174,22 +176,22 @@ def test_multiplier_matrix_matches_loop_reference(base):
             assert got.tobytes() == ref.tobytes()
 
 
-def test_multiplier_rational_component_within_tail_bound():
-    pair = MultiplierPair(rational([1], [1, 0.5]), poly([0, 1]))
-    table, tail = pair._taylor
-    k = table.shape[1] - 1
-    assert table.shape == (2, k + 1) and 1 < k <= diskmod.holofun.RATIONAL_TAYLOR_DEGREE
-    assert 0.0 < tail <= diskmod.holofun.TAIL_TOL
-    # a polynomial component enters exactly, zero-padded, with tail 0
-    assert table[1].tolist() == [0, 1] + [0] * (k - 1)
-    assert PAIR_1Z._taylor[0].tolist() == [[1, 0], [0, 1]]
-    assert PAIR_1Z._taylor[1] == 0.0
+def test_numerators_are_the_cleared_rows_up_to_their_degree():
+    # P1 = p1 q2 and P2 = p2 q1, read-only, without the columns that only Q
+    # = q1 q2 fills; a polynomial pair enters with its own coefficients
+    pair = MultiplierPair(rational([1], [1, 0.5]), rational([1], [1, -0.25]))
+    table = _numerators(pair)
+    assert table.tolist() == [[1, -0.25], [1, 0.5]]
+    assert not table.flags.writeable
+    assert pair._cleared[0].shape == (3, 3)
+    assert _numerators(PAIR_1Z).tolist() == [[1, 0], [0, 1]]
+    two_rational = MultiplierPair(rational([1, 0.3j], [1, -0.4 + 0.2j]), rational([2], [1, 0.6]))
+    table = _numerators(two_rational)
+    assert table.tolist() == [[1, 0.6 + 0.3j, 0.18j], [2, -0.8 + 0.4j, 0]]
     m = _full_multiplier(pair, HARDY, 5)
-    # codomain covers the degree-k Taylor expansion
-    assert m.shape == (2 * (5 + k + 1), 6)
-    # spot-check: column 0 of the rational block encodes (-1/2)^k coefficients
-    col = m[: m.shape[0] // 2, 0]
-    assert col[3] == pytest.approx((-0.5) ** 3)
+    # the codomain covers degree 5 + d, d = 1
+    assert m.shape == (2 * (5 + 2), 6)
+    assert m[:7, 0].tolist() == [1, -0.25, 0, 0, 0, 0, 0]
 
 
 RATIONAL_COMPONENTS = (
@@ -200,32 +202,6 @@ RATIONAL_COMPONENTS = (
     rational([1, 0.1], [1, -0.15]),
     rational([1], [1, 0, 0.25]),
 )
-
-
-def test_rational_taylor_degree_is_the_smallest_within_the_tail_tolerance():
-    # a rational component enters at the smallest degree whose certified tail
-    # meets TAIL_TOL, with that tail
-    tol = diskmod.holofun.TAIL_TOL
-    for f in RATIONAL_COMPONENTS:
-        table, tail = MultiplierPair(f, poly([0, 1]))._taylor
-        k = table.shape[1] - 1
-        assert taylor_tail_bound(f, k) <= tol < taylor_tail_bound(f, k - 1)
-        assert tail == taylor_tail_bound(f, k)
-        assert table[0].tobytes() == taylor_coefficients(f, k).tobytes()
-    # the pair pads to the larger degree and adds the tails in quadrature
-    f, g = RATIONAL_COMPONENTS[1], RATIONAL_COMPONENTS[3]
-    table, tail = MultiplierPair(f, g)._taylor
-    kf = MultiplierPair(f, poly([1]))._taylor[0].shape[1] - 1
-    kg = MultiplierPair(g, poly([1]))._taylor[0].shape[1] - 1
-    assert table.shape == (2, max(kf, kg) + 1)
-    assert tail == np.hypot(taylor_tail_bound(f, kf), taylor_tail_bound(g, kg))
-
-
-def test_multiplier_rational_tail_bound_exceeded():
-    # denominator zero just outside the gate makes the degree-64 tail huge
-    pair = MultiplierPair(rational([1], [1, -1 / 1.001]), poly([0, 1]))
-    with pytest.raises(TailBoundExceeded):
-        pair._taylor
 
 
 def test_gamma_gram_single_point():
@@ -280,7 +256,7 @@ def _exact_power(k):
 # the points where verify compares the two curvatures: radii 0.1-0.7
 FRAME_POINTS = _verify_points()
 FRAME_SPECS = (
-    # a rational component, Taylor degree 41
+    # a rational component: the cleared numerators have degree 2
     (weighted_bergman(1.5), MultiplierPair(rational([1, 0.2], [1, -0.5]), poly([0, 0.4j, 0.1])), 1e-6),
     # ill-conditioned pairs: near common zero, and a tiny constant component
     (
@@ -498,8 +474,8 @@ def test_dim_ker_is_one_on_examples():
 
 
 def test_dim_ker_is_one_for_rational_multiplier():
-    # the degree-64 Taylor block must not leave a seam of forgotten range
-    # directions (which would fake a second kernel vector)
+    # the cleared numerators {1, z (1 + z / 2)} must not leave a seam of
+    # forgotten range directions (which would fake a second kernel vector)
     pair = MultiplierPair(rational([1], [1, 0.5]), poly([0, 1]))
     s = make_spec(weighted_bergman(0.5), pair)
     for w in (0, 0.3, 0.45j):
@@ -545,7 +521,7 @@ def test_compressed_shift_matches_dense_reference(base):
 
 
 def _bounds(spec, n, points, gap_tol=1e-4):
-    table, _ = spec.theta._taylor
+    table = _numerators(spec.theta)
     gram = _gram_band(table, spec.base, n, n + 1)
     s = shift_weights(spec.base, n)
     return _gram_bounds(table, spec.base, gram, s, np.asarray(points, complex), gap_tol)
@@ -554,7 +530,7 @@ def _bounds(spec, n, points, gap_tol=1e-4):
 def _pencil_counts(spec, n, points, gap_tol=1e-4):
     # route 2 alone at every point, also where route 1 settles: r = inf
     # gives no lower count; None where the count rule raises NoSpectralGap
-    table, _ = spec.theta._taylor
+    table = _numerators(spec.theta)
     gram = _gram_band(table, spec.base, n, n + 1)
     s = shift_weights(spec.base, n)
     pts = np.asarray(points, complex)
@@ -780,6 +756,18 @@ def test_an_unresolved_pencil_count_names_both_causes():
     assert "increase the truncation degree" not in text
 
 
+def test_pencil_message_counts_one_singular_value_in_the_singular(monkeypatch):
+    # a lower count of 1 and an upper count of 2
+    monkeypatch.setattr(_BandCholesky, "negatives", lambda self, shift, twist, upper: 1 + upper)
+    table = _numerators(PAIR_1Z)
+    gram = _gram_band(table, HARDY, 120, 121)
+    with pytest.raises(NoSpectralGap) as caught:
+        _pencil_count(table, gram, shift_weights(HARDY, 120), 0.3, 1.0, 0.5, np.inf, 1e-4, 0)
+    text = str(caught.value)
+    assert "the band pencil counts 1 singular value below 5.000e-06 and 2 singular values " \
+           "below 1.000e-04;" in text
+
+
 @pytest.mark.parametrize("n", [60, 120, 300])
 def test_pencil_counts_equal_the_svd_rule(n):
     # the pencil at every point, also where route 1 settles, against the
@@ -893,36 +881,56 @@ def test_dim_ker_rejects_out_of_range_points(corpus):
         dim_ker_estimate(spec, 0.3, 40)
 
 
-def _sampled_min_u(theta):
-    # u on a polar grid of the closed disk, centre and rim included
-    r = np.linspace(0.0, 1.0, 65)
-    z = (r[:, None] * np.exp(2j * np.pi * np.arange(256) / 256)).ravel()
+def _polar_grid(n_r, n_theta):
+    # a polar grid of the closed disk, centre and rim included
+    r = np.linspace(0.0, 1.0, n_r)
+    return (r[:, None] * np.exp(2j * np.pi * np.arange(n_theta) / n_theta)).ravel()
+
+
+def _sampled_min_u(theta, z=_polar_grid(65, 256)):
     return float(np.min(np.abs(theta.theta1(z)) ** 2 + np.abs(theta.theta2(z)) ** 2))
 
 
-def _with_certificate(spec, theta=None, epsilon=None):
-    # the spec with its pair or its certified epsilon replaced, the
+def _sampled_min_cleared(theta, z=_polar_grid(65, 256)):
+    # |P1|^2 + |P2|^2 of the cleared numerators on the grid
+    values = np.polynomial.polynomial.polyval(z, _numerators(theta).T)
+    return float(np.min(np.sum(np.abs(values) ** 2, axis=0)))
+
+
+def _with_certificate(spec, theta=None, **bounds):
+    # the spec with its pair or its certified bounds replaced, the
     # certificate re-bound by hand so that the oracle accepts it
     theta = spec.theta if theta is None else theta
-    epsilon = spec.certificate.epsilon if epsilon is None else epsilon
-    cert = dataclasses.replace(spec.certificate, theta=theta, epsilon=epsilon)
+    cert = dataclasses.replace(spec.certificate, theta=theta, **bounds)
     return dataclasses.replace(spec, theta=theta, certificate=cert)
+
+
+def _planted(spec):
+    # a certificate 20% above the sampled minima of u and of |P1|^2 + |P2|^2
+    return _with_certificate(spec, epsilon=1.2 * _sampled_min_u(spec.theta),
+                             cleared_epsilon=1.2 * _sampled_min_cleared(spec.theta))
 
 
 def test_multiplier_bound_holds_on_the_corpus_and_ill_conditioned_pairs(corpus):
     specs = list(corpus) + [make_spec(base, pair, 1e-12) for base, pair in ILL_CONDITIONED]
     specs.append(make_spec(*CONSTANT_PAIR))
+    two_rational = MultiplierPair(rational([1, 0.3j], [1, -0.4 + 0.2j]), rational([2], [1, 0.6]))
+    specs.append(make_spec(BERGMAN, two_rational))
     for spec in specs:
         for n in (60, 120):
             bound = multiplier_lower_bound(spec, n)
             assert bound.ok
             assert bound.epsilon == spec.certificate.epsilon
-            assert bound.tail == 0.0
-            assert 0.0 < bound.slack < 0.1 * bound.epsilon
+            assert bound.target == spec.certificate.cleared_epsilon
+            assert 0.0 < bound.slack < 0.1 * min(bound.epsilon, bound.target)
+            # Q = 1 for a polynomial pair, so the two bounds differ by rounding
+            if spec.theta is not two_rational:
+                assert bound.epsilon <= bound.target <= bound.epsilon * (1 + 1e-13)
 
 
 # {(1 + s z) / den, t z + p z^2}, the shape of the benchmark's verify pairs:
-# sigma_min^2 of the multiplier lies within 1% of the sampled minimum of u
+# at n = 120 on the five bases, sigma_min^2 of the multiplier of the cleared
+# numerators lies 0.02-6.4% above the sampled minimum of |P1|^2 + |P2|^2
 MILD_PAIRS = (
     MultiplierPair(poly([1, 0.2]), poly([0, 0.5, 0.1])),
     MultiplierPair(poly([1, -0.15j]), poly([0, 0.3j, -0.05])),
@@ -934,16 +942,13 @@ FIVE_BASES = (HARDY, BERGMAN, weighted_bergman(0.5), weighted_bergman(1.5), weig
 
 @pytest.mark.parametrize("base", FIVE_BASES)
 def test_multiplier_bound_rejects_a_certificate_above_the_operator(base):
-    # at n = 60 the rational pairs have d = 64 > n, so the domain degree is
-    # n // 4 and the band is shorter than its half-width
-    for pair in MILD_PAIRS:
+    # the last pair has d = 64 > 60, so at n = 60 the domain degree is n // 4
+    wide = MultiplierPair(poly([1, 0.2]), poly([0, 0.5, 0.1] + [0] * 61 + [1e-3]))
+    for pair in MILD_PAIRS + (wide,):
         spec = make_spec(base, pair)
-        planted = _with_certificate(spec, epsilon=1.2 * _sampled_min_u(pair))
+        planted = _planted(spec)
         for n in (60, 120):
-            bound = multiplier_lower_bound(spec, n)
-            assert bound.ok
-            if not pair.theta1.is_polynomial:
-                assert 0.0 < bound.tail <= 1e-10
+            assert multiplier_lower_bound(spec, n).ok
             assert not multiplier_lower_bound(planted, n).ok
 
 
@@ -955,36 +960,12 @@ def test_multiplier_bound_tells_unproved_from_refuted():
     for n in (120, 300):
         bound = multiplier_lower_bound(spec, n)
         assert not bound.ok
-        assert bound.target == pytest.approx(bound.epsilon, rel=1e-15)
+        assert bound.target == spec.certificate.cleared_epsilon
         assert bound.target <= bound.slack
-    pair = MILD_PAIRS[0]
-    planted = _with_certificate(make_spec(HARDY, pair), epsilon=1.2 * _sampled_min_u(pair))
+    planted = _planted(make_spec(HARDY, MILD_PAIRS[0]))
     bound = multiplier_lower_bound(planted, 120)
     assert not bound.ok
     assert bound.target > bound.slack
-
-
-def test_multiplier_bound_takes_one_tail_bound_per_rational_component(monkeypatch):
-    # fresh pairs, since a pair keeps its Taylor table; the kernel count and
-    # the curvature on the same spec read that table and bound no tail again
-    calls = []
-    tail_bound = diskmod.holofun.taylor_tail_bound
-
-    def recording_tail_bound(f, degree):
-        calls.append(f)
-        return tail_bound(f, degree)
-
-    monkeypatch.setattr(diskmod.holofun, "taylor_tail_bound", recording_tail_bound)
-    two_rational = MultiplierPair(rational([1, 0.3j], [1, -0.4 + 0.2j]), rational([2], [1, 0.6]))
-    for shared in MILD_PAIRS + (two_rational,):
-        pair = MultiplierPair(*shared)
-        spec = make_spec(BERGMAN, pair)
-        calls.clear()
-        assert multiplier_lower_bound(spec, 120).ok
-        assert [id(f) for f in calls] == [id(f) for f in pair if not f.is_polynomial]
-        dim_ker_estimate(spec, DIM_KER_POINTS, 120)
-        oracle_curvature(spec, [0.0, 0.5], 120)
-        assert len(calls) == sum(not f.is_polynomial for f in pair)
 
 
 @pytest.mark.parametrize("base", FIVE_BASES)
@@ -997,6 +978,43 @@ def test_multiplier_bound_rejects_a_pair_that_lost_a_component(base):
     assert multiplier_lower_bound(spec, 120).ok
     lost = _with_certificate(spec, theta=MultiplierPair(poly([0]), pair.theta2))
     assert not multiplier_lower_bound(lost, 120).ok
+
+
+def test_cleared_epsilon_is_below_the_minimum_of_the_numerators():
+    # cleared_epsilon is a lower bound of |P1|^2 + |P2|^2 on the closed disk,
+    # so it lies below the minimum on a dense polar grid, rim included
+    pole = MultiplierPair(rational([1], [1, -0.999000999000999]), poly([0, 1]))
+    pairs = [(pair, 1e-6) for pair in MILD_PAIRS + (pole,)]
+    pairs += [(pair, 1e-12) for _, pair in ILL_CONDITIONED]
+    pairs += [(MultiplierPair(f, poly([0, 1])), 1e-6) for f in RATIONAL_COMPONENTS]
+    grid = _polar_grid(257, 1024)
+    for pair, gap in pairs:
+        cert = make_spec(HARDY, pair, gap).certificate
+        assert 0.0 < cert.cleared_epsilon <= _sampled_min_cleared(pair, grid)
+
+
+# (1 + z / 2)^k for k = 1, 2, 4, 8: exact in double precision, zero-free on
+# the closed disk
+INVERTIBLE_FACTORS = {k: [math.comb(k, j) / 2.0**j for j in range(k + 1)] for k in (1, 2, 4, 8)}
+
+
+@pytest.mark.parametrize("k", sorted(INVERTIBLE_FACTORS))
+@pytest.mark.parametrize("base", [HARDY, weighted_bergman(1.5)])
+def test_an_invertible_factor_leaves_the_module_unchanged(base, k):
+    # {p1, p2} and {p1 / q, p2 / q} generate the same submodule, as 1 / q is
+    # a multiplier; the oracle, which reads the cleared numerators q {p1, p2},
+    # must count and curve alike, and decide must call them isomorphic
+    q = INVERTIBLE_FACTORS[k]
+    pair = MILD_PAIRS[0]
+    divided = MultiplierPair(*(rational(f.numer, q) for f in pair))
+    spec, other = make_spec(base, pair), make_spec(base, divided)
+    for n in (120, 300):
+        counts = dim_ker_estimate(spec, DIM_KER_POINTS, n)
+        assert dim_ker_estimate(other, DIM_KER_POINTS, n) == counts
+        a = oracle_curvature(spec, FRAME_POINTS, n)
+        b = oracle_curvature(other, FRAME_POINTS, n)
+        assert np.all(np.abs(a - b) <= CURVATURE_TOL * (1 + np.abs(a)))
+    assert decide_equivalence(spec, other).outcome is Outcome.ISOMORPHIC
 
 
 def test_multiplier_bound_requires_certification():
@@ -1040,7 +1058,7 @@ def _band_margin(band, rows):
 @pytest.mark.parametrize("base", FIVE_BASES)
 def test_gram_bands_match_the_dense_products(base, n):
     for pair in BAND_PAIRS:
-        table, _ = pair._taylor
+        table = _numerators(pair)
         d = table.shape[1] - 1
         m = n + 1
         # G = M1 M1^H + M2 M2^H of the P_n-truncated multiplier
@@ -1073,7 +1091,7 @@ def test_gram_bands_match_the_dense_products(base, n):
 def test_band_norm1_matches_the_dense_matrix(base):
     # |G|_1 from the band, both halves of every column, against the dense G
     for pair in BAND_PAIRS:
-        table, _ = pair._taylor
+        table = _numerators(pair)
         for n in (60, 120):
             band = _gram_band(table, base, n, n + 1)
             norm1 = np.max(np.sum(np.abs(_dense_hermitian(band)), axis=0))
@@ -1088,7 +1106,7 @@ def test_range_vectors_match_the_dense_product(base):
     # entry of |x|, within the relative bound stated in _kernel_frame
     points = np.array([0, 0.3, -0.3, 0.45j, 0.6, 0.25 - 0.5j])
     for pair in BAND_PAIRS:
-        table, _ = pair._taylor
+        table = _numerators(pair)
         for n in (60, 120):
             m = n + 1
             s = shift_weights(base, n)
@@ -1117,9 +1135,8 @@ def test_band_cholesky_brackets_the_smallest_eigenvalue(rows, columns):
     # the margin reads min(d, m) off the band's shape (d = 64 here, so m = 16
     # is the short case); a shift below lambda_min - margin factors and one
     # above lambda_min does not
-    pair = BAND_PAIRS[1]
-    table, _ = pair._taylor
-    d = table.shape[1] - 1
+    d = 64
+    table = _band_table(d, seed=rows)
     band = _gram_band(table, BERGMAN, rows - 1 + d, rows, columns=columns)
     err = _band_error(d)
     gw = 4.0 * (min(d, rows) + 10) * _UNIT
@@ -1134,7 +1151,7 @@ def test_band_cholesky_brackets_the_smallest_eigenvalue(rows, columns):
 
 
 def _band_table(d, seed):
-    # a pair of Taylor degree d with theta1(0) = 1 and decaying coefficients
+    # a pair of degree d with theta1(0) = 1 and decaying coefficients
     rng = np.random.default_rng(seed)
     decay = 0.6 ** np.arange(d + 1)
     table = (rng.standard_normal((2, d + 1)) + 1j * rng.standard_normal((2, d + 1))) * decay
@@ -1177,7 +1194,7 @@ def test_pencil_band_matches_the_dense_product(base):
     # A_w - t^2 G with A_w = B_w^H G B_w, B_w = S^H - conj(w) I, from the
     # dense G of the band and the dense shift
     for pair in BAND_PAIRS:
-        table, _ = pair._taylor
+        table = _numerators(pair)
         n = 60
         gram = _gram_band(table, base, n, n + 1)
         dense = _dense_hermitian(gram)
@@ -1197,10 +1214,9 @@ def test_pencil_band_matches_the_dense_product(base):
 @pytest.mark.parametrize("base", FIVE_BASES)
 def test_flip_reverses_every_band_exactly(base):
     # _flip of a band upside down is the band of the reversed matrix, bit for
-    # bit: G, H and pencil bands, also with fewer rows than d + 1 (d is 41
-    # and 58 for the rational pairs, 0 for the constant one)
-    for pair in BAND_PAIRS:
-        table, _ = pair._taylor
+    # bit: G, H and pencil bands, also with fewer rows than d + 1 (d is 2
+    # for the rational pairs, 0 for the constant one and 41 for the table)
+    for table in [_numerators(pair) for pair in BAND_PAIRS] + [_band_table(41, seed=5)]:
         d = table.shape[1] - 1
         for rows in (1, 3, d + 1, 61):
             gram = _gram_band(table, base, rows - 1, rows)
@@ -1376,7 +1392,7 @@ def test_gram_bands_are_warning_free_at_large_alpha(alpha, n):
     # degree 250 on)
     base = weighted_bergman(alpha)
     for pair in BASIS_PAIRS:
-        table, _ = pair._taylor
+        table = _numerators(pair)
         d = table.shape[1] - 1
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
