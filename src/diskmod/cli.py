@@ -281,11 +281,17 @@ def _certify(name, module, target_gap, entries):
     return spec
 
 
+def _seconds_since(started):
+    return round(time.perf_counter() - started, 6)
+
+
 def _run(args):
     """Load, certify, run the subcommand's body and write the report.
 
     Returns the exit code.  The report is written whatever certification
-    found; the body runs only when every module it needs is certified.
+    found; the body runs only when every module it needs is certified.  The
+    ``timing`` block holds ``certify_seconds`` and the whole run's
+    ``seconds``, and a body adds its own stages to it.
     """
     started = time.perf_counter()
     prob = _load(args.specfile, args)
@@ -300,15 +306,17 @@ def _run(args):
         "input": {"canonical": canonical_problem_text(prob)},
         "corona": {},
     }
+    certify_started = time.perf_counter()
     specs = {
         name: _certify(name, modules[name], prob.target_gap, report["corona"])
         for name in names
     }
+    report["timing"] = {"certify_seconds": _seconds_since(certify_started)}
     if any(spec is None for spec in specs.values()):
         code = EXIT_UNCERTIFIED
     else:
         code = body(prob, specs, args, report)
-    report.setdefault("timing", {})["seconds"] = round(time.perf_counter() - started, 6)
+    report["timing"]["seconds"] = _seconds_since(started)
     text = json.dumps(report, indent=2, sort_keys=True)
     # the --out of curvature names the CSV, so its report goes to stdout
     if args.out and args.command != "curvature":
@@ -332,11 +340,13 @@ def _gnuplot_string(text):
 
 
 def _curvature(prob, specs, args, report):
+    started = time.perf_counter()
     field = curvature_field(specs["moduleA"], prob.grid)
+    report["timing"]["field_seconds"] = _seconds_since(started)
     out_csv = args.out or "curvature.csv"
     started = time.perf_counter()
     _write(out_csv, field)
-    report["timing"] = {"csv_write_seconds": round(time.perf_counter() - started, 6)}
+    report["timing"]["csv_write_seconds"] = _seconds_since(started)
     _write(
         os.path.splitext(out_csv)[0] + ".gp",
         "set datafile separator ','\n"

@@ -35,7 +35,7 @@ import numpy as np
 
 from .curvature import QuotientSpec
 from .errors import CoronaFailure, DepthExceeded
-from .holofun import _UNIT, MultiplierPair, _gamma, _powers, common_zeros_in_disk
+from .holofun import _UNIT, MultiplierPair, _gamma, _matmul_blocks, _powers, common_zeros_in_disk
 
 MAX_DEPTH = 24
 # hard cap on processed boxes; certification that needs more is hopeless anyway
@@ -120,8 +120,8 @@ class _BoxBounds:
         """
         n = self.n
         powers = _powers(c, n)
-        coeffs = np.abs(powers @ self.shift).reshape(len(c), 3, n + 1)
-        err = self.coeff_gamma * (np.abs(powers) @ self.shift_abs)
+        coeffs = np.abs(_matmul_blocks(powers, self.shift)).reshape(len(c), 3, n + 1)
+        err = self.coeff_gamma * _matmul_blocks(np.abs(powers), self.shift_abs)
         err = err.reshape(len(c), 3, n + 1)
         rho_pow = rho ** np.arange(1, n + 1)
         tails = (coeffs[:, :, 1:] + err[:, :, 1:]) @ rho_pow

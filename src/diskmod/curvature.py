@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegeneratePoint, PointOutsideDomain, UncertifiedSpec, _RangeError
-from .holofun import MultiplierPair, _gamma, _horner_rows, format_function
+from .holofun import MultiplierPair, _gamma, _horner_rows, _matmul_blocks, format_function
 from .rkhs import ModuleKind, base_curvature, format_module_kind
 
 if TYPE_CHECKING:
@@ -32,10 +32,6 @@ _CSV_BLOCK_ROWS = 4096
 # on a grid, a point keeps its power sums where their error bound, carried
 # into the Laplacian L, is at most this share of 1 + L (see _grid_laplacian)
 _GRID_TRUST = 1e-13
-# complex multiply-adds per matrix product of _grid_laplacian.  OpenBLAS
-# splits larger complex products across its threads, and on a busy host such
-# a product at times takes a hundred times as long as on one thread
-_GRID_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -183,7 +179,7 @@ def _grid_laplacian(theta, grid, rotate=0.0):
     At z = r_j w_k a polynomial is the power sum sum_m (c_m r_j^m) w_k^m, so
     the values of a row on a block of rings are one complex product
     (rings x m) @ (m x angles) of its scaled coefficients with the table of
-    w_k^m; each product takes at most ``_GRID_BLOCK`` multiply-adds.  A
+    w_k^m, in row blocks within ``_PRODUCT_BLOCK`` (``_matmul_blocks``).  A
     power sum loses more digits than Horner's rule where its terms cancel,
     though both share the a-priori bound e = gamma sum_m |c_m| r_j^m per row
     and ring (Higham, Accuracy and Stability, 2nd ed., section 5.1), which
@@ -206,10 +202,8 @@ def _grid_laplacian(theta, grid, rotate=0.0):
     omega = np.exp(1j * (2.0 * np.pi * ((m * np.arange(n_theta)) % n_theta) / n_theta + m * rotate))
     powers = r[:, None] ** m.T
     v = np.empty((len(rows), len(r), n_theta), complex)
-    step = max(1, _GRID_BLOCK // ((n + 1) * n_theta))
     for row, out in zip(rows[:, None, :] * powers, v):
-        for j0 in range(0, len(r), step):
-            np.matmul(row[j0 : j0 + step], omega, out=out[j0 : j0 + step])
+        _matmul_blocks(row, omega, out)
     v = v.reshape(len(rows), -1)
     u, lap = _lagrange(v)
 
@@ -274,9 +268,8 @@ def _split(x):
 
 _POW10 = np.array([float(10**p) for p in range(23)])  # exact up to 10^22
 _POW10_HI, _POW10_LO = _split(_POW10)
-# "0000" to "9999" as 4-byte groups, then a group of zero bytes
-_GROUPS = np.zeros((10001, 4), np.uint8)
-_GROUPS[:10000] = np.arange(10000)[:, None] // (1000, 100, 10, 1) % 10 + ord("0")
+# "0000" to "9999" as 4-byte groups
+_GROUPS = (np.arange(10000)[:, None] // (1000, 100, 10, 1) % 10 + ord("0")).astype(np.uint8)
 _GROUPS = _GROUPS.view(np.uint32).ravel()
 _TRAILING_ZEROS = (np.arange(10000)[:, None] % (10, 100, 1000, 10000) == 0).sum(1)
 
@@ -316,24 +309,35 @@ def _significand(a, k):
 
 
 def _slot_tables():
-    """Byte masks and constants of a value's 28-byte slot, per (k, tz, sign).
+    """Byte masks and constants of a value's 32-byte slot, per (k, tz, sign, column).
 
     The digits S = "000" + the 17 digits of n sit at columns 4..23 as they
     are, giving the integer digits S[3..k+3] (the one zero S[k+3] if k < 0),
     and once more one column to the right, giving the fraction S[k+4..19-tz]
     (tz trailing zeros dropped); the point falls between, at column k + 8.
-    The sign goes just before the integer digits; column 27 holds , or \\n.
+    The sign goes just before the integer digits.  Column 31 holds the
+    separator, "," after the first two values of a row and "\\n" after the
+    third, so the tables are indexed by the value's column in its row too.
+    The slot is 32 bytes wide because np.take copies rows of that width on a
+    fast path that 24- and 28-byte rows miss.
     """
-    k, tz, neg, col = np.ix_(np.arange(-4, 16), np.arange(17), (0, 1), np.arange(28))
+    k, tz, neg, sep, col = np.ix_(
+        np.arange(-4, 16), np.arange(17), (0, 1), (ord(","), ord(","), ord("\n")), np.arange(32)
+    )
     lead = np.minimum(k, 0)
     integer = (col >= lead + 7) & (col <= k + 7)
     fraction = (col >= k + 9) & (col <= 24 - tz)
     const = np.select(
-        [(col == lead + 6) & (neg == 1), (col == 3) & (k == -4), (col == k + 8) & (k + tz <= 15)],
-        [ord("-"), ord("0"), ord(".")],
+        [
+            (col == lead + 6) & (neg == 1),
+            (col == 3) & (k == -4),
+            (col == k + 8) & (k + tz <= 15),
+            col == 31,
+        ],
+        [ord("-"), ord("0"), ord("."), sep],
     )
     return [
-        np.broadcast_to(t, (20, 17, 2, 28)).reshape(-1, 28).astype(np.uint8)
+        np.broadcast_to(t, (20, 17, 2, 3, 32)).reshape(-1, 32).astype(np.uint8)
         for t in (integer * 255, fraction * 255, const)
     ]
 
@@ -341,38 +345,62 @@ def _slot_tables():
 _INTEGER, _FRACTION, _CONST = _slot_tables()
 
 
-def _csv_rows(block):
-    """``"%.17g,%.17g,%.17g\\n" % row`` for every row of a (rows, 3) array."""
+class _CsvBuffers:
+    """The arrays ``_csv_rows`` reuses from block to block, for blocks of up to ``rows`` rows.
+
+    ``groups`` holds each value's n as its leading digit and four groups of
+    four digits, one group per row; ``digits`` their text, one 32-byte slot
+    per value, whose first group and last two groups stay zero.  Each
+    ``to_csv`` call makes its own, so calls on different threads share
+    nothing.
+    """
+
+    def __init__(self, rows):
+        self.groups = np.empty((5, 3 * rows), np.intp)
+        self.digits = np.zeros((3 * rows, 8), np.uint32)
+
+
+def _csv_rows(block, buffers):
+    """``"%.17g,%.17g,%.17g\\n" % row`` for every row of a (rows, 3) array, as ASCII bytes."""
     v = block.ravel()
     a = np.abs(v)
     other = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)))
     a[other] = 1.0  # a stand-in: these slots are filled by "%" below
     n, k = _significand(a, np.floor(np.log10(a)).astype(np.int64))
-    groups = np.full((len(v), 7), 10000)
-    for j in (5, 4, 3, 2):
-        q = n // 10000
-        groups[:, j] = n - 10000 * q
-        n = q
-    groups[:, 1] = n
-    tz = _TRAILING_ZEROS[groups[:, 5]]
-    for j in (4, 3, 2):  # past a group of four zeros, count on in the one before
-        rows = np.flatnonzero(tz == 20 - 4 * j)
-        tz[rows] += _TRAILING_ZEROS[groups[rows, j]]
-    digits = np.take(_GROUPS, groups).view(np.uint8).ravel()
-    idx = ((k + 4) * 17 + tz) * 2 + np.signbit(v)
-    out = np.take(_INTEGER, idx, axis=0).ravel()
-    out &= digits
-    out |= np.take(_CONST, idx, axis=0).ravel()
+    # n = hi 10^8 + lo and hi = top 10^8 + mid; mid and lo are two groups each
+    groups = buffers.groups[:, : len(v)]
+    hi = n // 10**8
+    np.subtract(n, hi * 10**8, out=groups[3])
+    np.floor_divide(hi, 10**8, out=groups[0])
+    np.subtract(hi, groups[0] * 10**8, out=groups[1])
+    high = groups[1::2]
+    q = high // 10000
+    np.subtract(high, q * 10000, out=groups[2::2])
+    high[...] = q
+    tz = _TRAILING_ZEROS[groups[4]]
+    for j in (3, 2, 1):  # past a group of four zeros, count on in the one before
+        rows = np.flatnonzero(tz == 16 - 4 * j)
+        tz[rows] += _TRAILING_ZEROS[groups[j, rows]]
+    slots = buffers.digits[: len(v)]
+    slots[:, 1:6] = _GROUPS[groups.T]
+    digits = slots.view(np.uint8).ravel()
+    # row ((k + 4) 17 + tz) 6 + 3 sign + column of the tables, term by term
+    idx = 102 * k
+    idx += 6 * tz
+    idx += 3 * np.signbit(v)
+    idx.reshape(-1, 3)[...] += 408 + np.arange(3)
+    out = np.take(_INTEGER, idx, axis=0)
+    flat = out.ravel()
+    flat &= digits
+    flat |= np.take(_CONST, idx, axis=0).ravel()
     fraction = np.take(_FRACTION, idx, axis=0).ravel()
     fraction[1:] &= digits[:-1]
-    out |= fraction
-    slot = out.reshape(len(v), 28)
+    flat |= fraction
     if other.size:
-        slot[other] = 0
+        # the text, zero-padded, takes columns 0..23; the separator stays
         text = np.array(["%.17g" % t for t in v[other].tolist()], "S24")
-        slot[other, :24] = text.view(np.uint8).reshape(-1, 24)
-    slot.reshape(-1, 3, 28)[:, :, 27] = (ord(","), ord(","), ord("\n"))
-    return out[out != 0].tobytes().decode("ascii")
+        out[other, :24] = text.view(np.uint8).reshape(-1, 24)
+    return out.tobytes().translate(None, b"\0")
 
 
 @dataclass(frozen=True)
@@ -390,21 +418,29 @@ class CurvatureField:
         numpy: values with 1e-4 <= |v| < 1e16 are written in fixed point from
         their exactly rounded 17 significant digits, and every other value
         (zeros, nan, inf, subnormals and the exponent form) goes through
-        ``%`` itself.  What the writer holds beyond the field is one block,
-        about 3 MB of scratch, whatever the grid size.
+        ``%`` itself.  Each value fills a 32-byte slot of digits, sign, point,
+        separator and zero bytes, and ``bytes.translate`` drops the zeros of a
+        whole block at once.  A path is written as bytes, in binary mode; a
+        text buffer such as ``io.StringIO`` gets each block decoded from
+        ASCII.  What the writer holds beyond the field is one block, about
+        3.4 MB of working arrays whatever the grid size, made by this call and used
+        by no other.
         """
         pts = self.grid.points()
         if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            with open(path_or_buf, "w", encoding="ascii") as fh:
-                self._write(fh, pts)
+            with open(path_or_buf, "wb") as fh:
+                self._write(fh.write, pts)
         else:
-            self._write(path_or_buf, pts)
+            self._write(lambda data: path_or_buf.write(data.decode("ascii")), pts)
 
-    def _write(self, fh, pts):
-        fh.write("re,im,curvature\n")
+    def _write(self, write, pts):
+        """Pass the CSV of the field at ``pts`` to ``write`` as bytes, block by block."""
+        write(b"re,im,curvature\n")
+        buffers = _CsvBuffers(min(len(pts), _CSV_BLOCK_ROWS))
         for start in range(0, len(pts), _CSV_BLOCK_ROWS):
             part = slice(start, start + _CSV_BLOCK_ROWS)
-            fh.write(_csv_rows(np.column_stack([pts.real[part], pts.imag[part], self.values[part]])))
+            block = np.column_stack([pts.real[part], pts.imag[part], self.values[part]])
+            write(_csv_rows(block, buffers))
 
     def csv_text(self):
         buf = io.StringIO()

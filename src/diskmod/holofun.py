@@ -34,6 +34,12 @@ DISK_ROOT_TOL = 1e-9
 GCD_REL_TOL = 1e-10
 # unit roundoff of IEEE double precision
 _UNIT = 2.0**-53
+# complex multiply-adds per matrix product at most, or four times as many
+# real ones, for the products that grow with a grid or a level of boxes
+# (``_grid_laplacian``, ``corona._BoxBounds.bounds``).  OpenBLAS splits larger
+# products across its threads, and on a busy host such a product at times
+# takes a hundred times as long as on one thread
+_PRODUCT_BLOCK = 1 << 15
 
 
 def _gamma(k):
@@ -72,6 +78,30 @@ def _horner(coeffs, z):
 def _horner_rows(rows, z):
     """Every row of a coefficient table at the flat points z, one row of values per row."""
     return _horner(rows.T[:, :, None], np.broadcast_to(z, (len(rows), z.size)))
+
+
+def _matmul_blocks(a, b, out=None):
+    """``np.matmul(a, b, out=out)`` for C-contiguous 2-D arrays, in blocks within _PRODUCT_BLOCK.
+
+    A product within one block is np.matmul itself.  Otherwise the whole
+    blocks go to np.matmul as one stack, which makes one BLAS call per block
+    without a Python loop, and the rows left over make one more product.
+    """
+    limit = _PRODUCT_BLOCK if np.iscomplexobj(a) or np.iscomplexobj(b) else 4 * _PRODUCT_BLOCK
+    rows = max(1, limit // (a.shape[1] * b.shape[1]))
+    if len(a) <= rows:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((len(a), b.shape[1]), np.result_type(a, b))
+    whole = len(a) - len(a) % rows
+    if whole:
+        np.matmul(
+            a[:whole].reshape(-1, rows, a.shape[1]), b,
+            out=out[:whole].reshape(-1, rows, b.shape[1]),
+        )
+    if whole < len(a):
+        np.matmul(a[whole:], b, out=out[whole:])
+    return out
 
 
 def _powers(z, n):

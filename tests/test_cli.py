@@ -390,7 +390,22 @@ def test_curvature_report_times_the_csv_write(tmp_path, capsys):
     path = write(tmp_path, "a.spec", SPEC_A)
     assert main(["curvature", path, "--out", str(tmp_path / "f.csv")]) == 0
     timing = stdout_report(capsys.readouterr().out)["timing"]
-    assert 0 <= timing["csv_write_seconds"] <= timing["seconds"]
+    assert set(timing) == {"certify_seconds", "field_seconds", "csv_write_seconds", "seconds"}
+    for stage in ("certify_seconds", "field_seconds", "csv_write_seconds"):
+        assert 0 <= timing[stage] <= timing["seconds"]
+
+
+@pytest.mark.parametrize(
+    "command, spec, code",
+    [("corona", SPEC_A, 0), ("decide", SPEC_ISO, 0), ("verify", SPEC_A, 0), ("decide", SPEC_FAIL_PAIR, 2)],
+)
+def test_report_times_the_certification(tmp_path, command, spec, code):
+    path = write(tmp_path, "a.spec", spec)
+    out = tmp_path / "r.json"
+    assert main([command, path, "--out", str(out)]) == code
+    timing = json.loads(out.read_text())["timing"]
+    assert set(timing) == {"certify_seconds", "seconds"}
+    assert 0 <= timing["certify_seconds"] <= timing["seconds"]
 
 
 def test_curvature_command_value_near_origin(tmp_path):

@@ -18,7 +18,8 @@ from diskmod import (
     poly,
     rational,
 )
-from diskmod.holofun import poly_mul
+from diskmod.holofun import _PRODUCT_BLOCK, poly_mul
+from reference import binomial_pair
 
 PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
 PAIR_Z_1MZ = MultiplierPair(poly([0, 1]), poly([1, -1]))
@@ -358,3 +359,28 @@ def test_budget_bounds_frontier_memory():
     )
     peak_mb = int(out.stdout.strip()) / 1024
     assert peak_mb < 300
+
+
+def test_box_bound_products_stay_under_the_product_block(monkeypatch):
+    # (2+z)^26 {1, z}: levels of up to 856 boxes against 28 Taylor terms, so
+    # one product per level would take 2e6 complex multiply-adds, and an
+    # OpenBLAS with more than one thread would split it across its threads
+    shapes = []
+    matmul = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        shapes.append((a.shape, b.shape, np.iscomplexobj(a) or np.iscomplexobj(b)))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    cert = certify(binomial_pair(26, coprime=False))
+    blocks = 0
+    for (*stack, m, k), (_, n), is_complex in shapes:
+        # one BLAS product per block of a stack; a complex multiply-add is
+        # four real ones
+        assert m * k * n * (1 if is_complex else 0.25) <= _PRODUCT_BLOCK, (m, k, n)
+        blocks += math.prod(stack) if is_complex else 0
+    # every box went through the recorded products, in more than one block
+    assert sum(math.prod(a[:-1]) for a, _, is_complex in shapes if is_complex) == cert.boxes_checked
+    assert blocks > 2 * (cert.depth + 1)
+

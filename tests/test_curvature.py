@@ -26,7 +26,13 @@ from diskmod import (
     quotient_curvature,
     rational,
 )
-from diskmod.curvature import _CSV_BLOCK_ROWS, _csv_rows, _grid_laplacian, _significand
+from diskmod.curvature import (
+    _CSV_BLOCK_ROWS,
+    _csv_rows,
+    _CsvBuffers,
+    _grid_laplacian,
+    _significand,
+)
 from reference import binomial_laplacian, binomial_pair, fd_laplacian
 
 PAIR_1Z = MultiplierPair(poly([1]), poly([0, 1]))
@@ -296,6 +302,10 @@ def test_csv_block_writer_matches_row_writer(rows, tmp_path):
     grid = DiskGrid(r_max=0.9, n_r=1, n_theta=rows)
     values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
     values[: len(SPECIAL_VALUES)] = SPECIAL_VALUES[: rows]
+    # '%'-path values in the last row of the first block and the first two
+    # of the second, where the blocks' bytes are joined
+    junction = values[B - 1 : B + 2]
+    junction[:] = (float("nan"), -0.0, 1e-17)[: len(junction)]
     field = CurvatureField(grid=grid, values=values, label="special")
     expect = reference_csv(grid.points(), values)
     assert field.csv_text() == expect
@@ -308,9 +318,9 @@ def test_csv_block_writer_matches_row_writer(rows, tmp_path):
     pts = np.empty(rows, complex)
     pts.real = specials
     pts.imag = specials[::-1]
-    buf = io.StringIO()
-    field._write(buf, pts)
-    assert buf.getvalue() == reference_csv(pts, values)
+    buf = io.BytesIO()
+    field._write(buf.write, pts)
+    assert buf.getvalue() == reference_csv(pts, values).encode("ascii")
 
 
 def formatter_classes():
@@ -346,7 +356,9 @@ def test_csv_formatter_matches_percent_g_by_class():
     classes = formatter_classes()
     for name, v in classes.items():
         v = np.resize(v, 3 * -(-len(v) // 3))
-        got = _csv_rows(v.reshape(-1, 3)).replace("\n", ",").split(",")[:-1]
+        block = v.reshape(-1, 3)
+        got = _csv_rows(block, _CsvBuffers(len(block))).decode("ascii")
+        got = got.replace("\n", ",").split(",")[:-1]
         want = ["%.17g" % t for t in v.tolist()]
         bad = [(t, g, w) for t, g, w in zip(v.tolist(), got, want) if g != w]
         assert len(got) == len(want) and not bad, (name, bad[:5])
